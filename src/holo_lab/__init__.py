@@ -16,6 +16,7 @@ from .factorization import (
     FactorPair,
     FactorParams,
     build_h1,
+    master_residuals,
     pair_from_params,
     phi_jt,
     random_params,

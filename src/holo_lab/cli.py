@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -17,15 +18,16 @@ import time
 import numpy as np
 
 from . import herglotz, rigidity, shiftsim
-from .disc import DiscGrid, default_grid, mobius_phi
+from .disc import default_grid
 from .factorization import (
     DEFAULT_T_LIST,
+    EXP_NORM_BUDGET,
     FactorParams,
+    master_residuals,
     pair_from_params,
     random_params,
     recover_params,
     verify_factorization,
-    verify_master,
 )
 from .operators import im_part, matrix_from_jsonable, operator_norm
 
@@ -42,6 +44,10 @@ DEFAULT_TOLERANCES = {
     "herglotz-analyze": {"moment_symmetry": 1e-10},
     "shift-sim": {"conjugation": 1e-6, "lower_triangle": 1e-8, "gram": 1e-8},
 }
+
+
+# a Herglotz atom mass B may have eigenvalues down to -HERGLOTZ_MASS_TOL (round-off)
+HERGLOTZ_MASS_TOL = 1e-10
 
 
 class InvalidInput(ValueError):
@@ -138,14 +144,22 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
 
     checks, artifacts = [], []
     worst = {"product": 0.0, "commutation": 0.0, "contractivity": 0.0, "semigroup": 0.0, "master": 0.0}
+    master_per_point = []
     for params in params_list:
         rep = verify_factorization(params, t_list=t_list, grid=grid)
+        if rep.n_checked == 0:
+            raise InvalidInput(
+                "factorize-verify: no (t, z) point lies within the exponent-norm budget "
+                f"t * (||A|| + |phi(z)|) <= EXP_NORM_BUDGET = {EXP_NORM_BUDGET:g}; "
+                "lower t_list or the grid radii"
+            )
         worst["product"] = max(worst["product"], rep.product_residual)
         worst["commutation"] = max(worst["commutation"], rep.commutation_residual)
         worst["contractivity"] = max(worst["contractivity"], rep.contractivity_excess)
         worst["semigroup"] = max(worst["semigroup"], rep.semigroup_residual)
-        master_res, _ = verify_master(pair_from_params(params), grid=grid)
-        worst["master"] = max(worst["master"], master_res)
+        residuals, _ = master_residuals(pair_from_params(params), grid=grid)
+        master_per_point.append(residuals)
+        worst["master"] = max(worst["master"], float(residuals.max()))
     tol = tols["factorization"]
     checks.append(_check("product_identity", worst["product"], tol))
     checks.append(_check("commutation", worst["commutation"], tol))
@@ -153,16 +167,10 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
     checks.append(_check("semigroup_law", worst["semigroup"], tol))
     checks.append(_check("master_equation", worst["master"], tols["master"]))
     if emit_plots:
-        from .operators import inverse_cayley
-
-        pair = pair_from_params(params_list[0])
-        eye = np.eye(params_list[0].dim)
-        rows = []
-        for z in grid.points():
-            res = operator_norm(
-                inverse_cayley(pair.psi1(z)) + inverse_cayley(pair.psi2(z)) - mobius_phi(z) * eye
-            )
-            rows.append((float(abs(z)), float(np.angle(z)), float(res)))
+        rows = [
+            (float(abs(z)), float(np.angle(z)), float(res))
+            for z, res in zip(grid.points(), master_per_point[0])
+        ]
         name = "factorize_residuals.csv"
         _write_csv(os.path.join(out_dir, name), ["radius", "angle", "master_residual"], rows)
         artifacts.append(name)
@@ -199,6 +207,14 @@ def _herglotz_function(cfg):
         B = matrix_from_jsonable(data["B"], self_adjoint=True, name="B")
     except (KeyError, ValueError) as exc:
         raise InvalidInput(f"herglotz-analyze params: {exc}") from exc
+    if A.shape != B.shape:
+        raise InvalidInput(f"herglotz-analyze params: A is {A.shape}, B is {B.shape}")
+    lowest = float(np.linalg.eigvalsh(B)[0])
+    if lowest < -HERGLOTZ_MASS_TOL:
+        raise InvalidInput(
+            "herglotz-analyze params: the atom mass B must be positive semidefinite "
+            f"(smallest eigenvalue {lowest:.3e})"
+        )
     return rigidity.OperatorFunction(
         A.shape[0], lambda z: herglotz.herglotz_reconstruct(B, A, z), "atom-model"
     )
@@ -283,6 +299,17 @@ _RUNNERS = {
 }
 
 
+def _tolerance(value, name, where):
+    """A tolerance as a float; nan, inf and negative values would make checks vacuous."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{where} {name}: {value!r} is not a number") from exc
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidInput(f"{where} {name}: tolerance must be finite and >= 0, got {value!r}")
+    return tol
+
+
 def _parse_tol_overrides(pairs, command, base=None):
     tols = dict(base if base is not None else DEFAULT_TOLERANCES[command])
     for item in pairs or ():
@@ -291,10 +318,7 @@ def _parse_tol_overrides(pairs, command, base=None):
         name, _, value = item.partition("=")
         if name not in tols:
             raise InvalidInput(f"unknown tolerance {name!r} for {command}; known: {sorted(tols)}")
-        try:
-            tols[name] = float(value)
-        except ValueError as exc:
-            raise InvalidInput(f"--tol {name}: {value!r} is not a number") from exc
+        tols[name] = _tolerance(value, name, "--tol")
     return tols
 
 
@@ -346,7 +370,7 @@ def run(config, seed=None, out_dir=".", grid_radii=None, tol_overrides=None, emi
     if unknown:
         raise InvalidInput(f"unknown tolerance name(s) {unknown} for {command}")
     base = dict(DEFAULT_TOLERANCES[command])
-    base.update({k: float(v) for k, v in cfg_tols.items()})
+    base.update({k: _tolerance(v, k, "tolerances") for k, v in cfg_tols.items()})
     tols = _parse_tol_overrides(tol_overrides, command, base=base)  # flags beat config
     cfg.pop("tolerances", None)
     checks, verdicts, artifacts = _RUNNERS[command](cfg, grid, tols, seed, out_dir, emit_plots)

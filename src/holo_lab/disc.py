@@ -100,9 +100,13 @@ class DiscGrid:
             raise ValueError("stencil leaves the disc: max(radii) + stencil_h >= 1")
 
     def points(self):
-        """All grid points as a flat complex array."""
+        """All grid points as a flat complex array, circle after circle."""
+        return self.circles().ravel()
+
+    def circles(self):
+        """Grid points one circle per row, shape (len(radii), n_angles), ascending radius."""
         theta = 2 * np.pi * np.arange(self.n_angles) / self.n_angles
-        return (np.asarray(self.radii)[:, None] * np.exp(1j * theta)[None, :]).ravel()
+        return np.asarray(self.radii)[:, None] * np.exp(1j * theta)[None, :]
 
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)

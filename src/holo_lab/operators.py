@@ -1,8 +1,11 @@
 """Finite-dimensional complex matrix algebra used throughout the package.
 
 Matrices are plain numpy arrays of shape (d, d), complex dtype, treated as
-immutable values.  The matrix Cayley transform and its inverse exchange
-positive-real-part matrices and contractions.
+immutable values.  The kernels (Cayley transform and inverse, exponential,
+operator norm) also take an (n, d, d) stack and act slice by slice, with
+the same bits per slice as a call on that slice alone.  The matrix Cayley
+transform and its inverse exchange positive-real-part matrices and
+contractions.
 """
 from __future__ import annotations
 
@@ -33,16 +36,30 @@ class SingularityError(RuntimeError):
     """A matrix that must be inverted is numerically singular."""
 
 
-def as_matrix(T):
-    """Coerce a scalar or array to a (d, d) complex matrix."""
+def _as_square(T, ndims=(2, 3)):
+    """Coerce a scalar or array to a complex (d, d) matrix or (n, d, d) stack.
+
+    ndims lists the accepted dimensions; entries must be finite.
+    """
     T = np.asarray(T, dtype=complex)
     if T.ndim == 0:
         T = T.reshape(1, 1)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {T.shape}")
-    if not (np.all(np.isfinite(T.real)) and np.all(np.isfinite(T.imag))):
+    if T.ndim not in ndims or T.shape[-1] != T.shape[-2]:
+        kind = "square matrix" if ndims == (2,) else "square matrix or stack of them"
+        raise ValueError(f"expected a {kind}, got shape {T.shape}")
+    if not np.all(np.isfinite(T)):
         raise ValueError("matrix entries must be finite")
     return T
+
+
+def _adjoint(T):
+    """Conjugate transpose of a matrix or of each slice of a stack."""
+    return T.conj().swapaxes(-1, -2)
+
+
+def as_matrix(T):
+    """Coerce a scalar or array to a (d, d) complex matrix."""
+    return _as_square(T, ndims=(2,))
 
 
 def re_part(T):
@@ -73,20 +90,25 @@ def is_positive_contraction(B, tol=1e-10):
 
 
 def _right_divide(num, den):
-    """num @ inv(den), raising SingularityError on ill-conditioned den."""
-    den = as_matrix(den)
+    """num @ inv(den) per slice, raising SingularityError if any den is ill-conditioned."""
+    den = _as_square(den)
     s = np.linalg.svd(den, compute_uv=False)
-    if s[-1] <= SINGULARITY_RTOL * max(s[0], 1.0):
+    smallest = s[..., -1]
+    singular = smallest <= SINGULARITY_RTOL * np.maximum(s[..., 0], 1.0)
+    if np.any(singular):
+        k = int(np.argmax(singular))
+        where = f" at stack index {k}" if den.ndim == 3 else ""
         raise SingularityError(
-            f"matrix is numerically singular (smallest singular value {s[-1]:.3e})"
+            f"matrix is numerically singular{where} "
+            f"(smallest singular value {np.ravel(smallest)[k]:.3e})"
         )
-    return np.linalg.solve(den.conj().T, as_matrix(num).conj().T).conj().T
+    return _adjoint(np.linalg.solve(_adjoint(den), _adjoint(_as_square(num))))
 
 
 def cayley(h):
     """Cayley transform (h - I)(h + I)^{-1}; maps Re h >= 0 into contractions."""
-    h = as_matrix(h)
-    eye = np.eye(h.shape[0])
+    h = _as_square(h)
+    eye = np.eye(h.shape[-1])
     return _right_divide(h - eye, h + eye)
 
 
@@ -95,14 +117,14 @@ def inverse_cayley(psi):
 
     Singular exactly when 1 is (numerically) in the spectrum of psi.
     """
-    psi = as_matrix(psi)
-    eye = np.eye(psi.shape[0])
+    psi = _as_square(psi)
+    eye = np.eye(psi.shape[-1])
     return _right_divide(eye + psi, eye - psi)
 
 
 def matrix_exp(M):
-    """Matrix exponential (scaling-and-squaring, via scipy)."""
-    return scipy.linalg.expm(as_matrix(M))
+    """Matrix exponential (scaling-and-squaring, via scipy) of a matrix or of each slice."""
+    return scipy.linalg.expm(_as_square(M))
 
 
 def numerical_abscissa(M):
@@ -111,8 +133,10 @@ def numerical_abscissa(M):
 
 
 def operator_norm(M):
-    """Largest singular value."""
-    return float(np.linalg.norm(as_matrix(M), 2))
+    """Largest singular value: a float for a matrix, an (n,) array for a stack."""
+    M = _as_square(M)
+    s = np.linalg.svd(M, compute_uv=False)[..., 0]
+    return float(s) if M.ndim == 2 else s
 
 
 def matrix_to_jsonable(M):

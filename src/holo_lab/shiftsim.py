@@ -92,7 +92,7 @@ def taylor_matrix_symbol(params, j, t, N, r=0.9, n_samples=None):
             stacklevel=2,
         )
     theta = 2 * np.pi * np.arange(S) / S
-    vals = np.stack([phi_jt(params, j, t, r * np.exp(1j * th)) for th in theta])
+    vals = phi_jt(params, j, t, r * np.exp(1j * theta))
     fft = np.fft.fft(vals, axis=0) / S
     return fft[:N] * (r ** -np.arange(N, dtype=float))[:, None, None]
 

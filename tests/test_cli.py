@@ -160,6 +160,32 @@ class TestExitCodes:
         assert main(["--config", cfg_path, "--out", str(tmp_path), "--tol", "nope=1"]) == EXIT_INVALID
         assert main(["--config", cfg_path, "--out", str(tmp_path), "--tol", "eps_holo"]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_nonfinite_or_negative_tolerance(self, tmp_path, capsys, value, source):
+        cfg = {"command": "recover-params", "params": scalar_params_json(0.3, 0.5)}
+        extra = []
+        if source == "flag":
+            extra = ["--tol", f"recover={value}"]
+        else:
+            cfg["tolerances"] = {"recover": float(value)}  # json writes Infinity / NaN
+        code, report, _ = run_cli(tmp_path, cfg, *extra)
+        assert code == EXIT_INVALID
+        assert report is None
+        assert "finite and >= 0" in capsys.readouterr().err
+
+    def test_nothing_checked_is_invalid(self, tmp_path, capsys):
+        cfg = {
+            "command": "factorize-verify",
+            "params": scalar_params_json(0.0, 0.5),
+            "t_list": [5000.0],
+            "grid": {"radii": [0.3, 0.9], "n_angles": 16},
+        }
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == EXIT_INVALID
+        assert report is None
+        assert "EXP_NORM_BUDGET" in capsys.readouterr().err
+
 
 class TestThreadCap:
     def test_invalid_value(self, tmp_path, monkeypatch):
@@ -229,7 +255,7 @@ class TestDeterminism:
     def test_report_bytes_stable_across_reruns(self, tmp_path):
         cfg = {
             "command": "factorize-verify",
-            "random": {"dim": 2, "count": 2},
+            "random": {"dim": 2, "count": 1},
             "grid": {"radii": [0.3, 0.9], "n_angles": 16},
         }
         cfg_path = write_config(tmp_path, cfg)
@@ -322,6 +348,23 @@ class TestEmitPlots:
         assert max(abs(v - 1) for v in norms) <= 1e-2
         assert "arc_mass_profile.csv" in report["artifacts"]
 
+    def test_factorize_residual_csv_matches_report(self, tmp_path):
+        cfg = {
+            "command": "factorize-verify",
+            "random": {"dim": 2, "count": 1},
+            "grid": {"radii": [0.3, 0.9], "n_angles": 16},
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["--config", cfg_path, "--out", str(out), "--seed", "5", "--emit-plots"]) == EXIT_PASS
+        report = json.loads((out / "report.json").read_text())
+        lines = (out / "factorize_residuals.csv").read_text().splitlines()
+        assert lines[0] == "radius,angle,master_residual"
+        assert len(lines) == 33
+        column = [float(line.split(",")[2]) for line in lines[1:]]
+        master = next(c for c in report["checks"] if c["name"] == "master_equation")
+        assert max(column) == master["residual"]
+
     def test_rigidity_residual_csv(self, tmp_path):
         cfg = {
             "command": "rigidity-check",
@@ -365,6 +408,26 @@ class TestHerglotzCommand:
         assert code == EXIT_PASS
         assert report["verdicts"]["concentrated"] is False
         assert report["verdicts"]["leak_mass"] == pytest.approx(1.0, abs=5e-2)
+
+    @pytest.mark.parametrize(
+        "A, B, message",
+        [
+            (np.zeros((1, 1)), np.array([[-0.5]]), "positive semidefinite"),
+            (np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, -1e-3]]), "positive semidefinite"),
+            (np.zeros((2, 2)), np.array([[0.5]]), "A is (2, 2), B is (1, 1)"),
+        ],
+    )
+    def test_invalid_mass_rejected(self, tmp_path, capsys, A, B, message):
+        cfg = {
+            "command": "herglotz-analyze",
+            "params": {"A": matrix_to_jsonable(A), "B": matrix_to_jsonable(B)},
+            "n_samples": 1024,
+            "n_moments": 16,
+        }
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == EXIT_INVALID
+        assert report is None
+        assert message in capsys.readouterr().err
 
     def test_function_and_params_exclusive(self, tmp_path):
         cfg = {

@@ -3,9 +3,11 @@ import pytest
 
 from holo_lab.disc import DiscGrid, DomainError, default_grid, mobius_phi, varphi_t
 from holo_lab.factorization import (
+    EXP_NORM_BUDGET,
     FactorPair,
     FactorParams,
     build_h1,
+    master_residuals,
     pair_from_params,
     phi_jt,
     random_params,
@@ -13,7 +15,7 @@ from holo_lab.factorization import (
     verify_factorization,
     verify_master,
 )
-from holo_lab.operators import numerical_abscissa, operator_norm
+from holo_lab.operators import inverse_cayley, numerical_abscissa, operator_norm
 from holo_lab.rigidity import OperatorFunction
 
 # expm-heavy sweeps use a thinned grid; identities are z-pointwise so
@@ -116,6 +118,20 @@ class TestPhiJt:
         with pytest.raises(ValueError):
             phi_jt(scalar_params(0.0, 0.5), 3, 1.0, 0)
 
+    def test_array_of_z_equals_pointwise(self):
+        rng = np.random.default_rng(8)
+        zs = FAST_GRID.points()
+        for d in (1, 3):
+            p = random_params(rng, d)
+            np.testing.assert_array_equal(build_h1(p, zs), np.stack([build_h1(p, z) for z in zs]))
+            for j in (1, 2):
+                stacked = phi_jt(p, j, 0.75, zs)
+                assert np.array_equal(stacked, np.stack([phi_jt(p, j, 0.75, z) for z in zs]))
+
+    def test_array_domain(self):
+        with pytest.raises(DomainError):
+            phi_jt(scalar_params(0.0, 0.5), 1, 1.0, np.array([0.5, 1.0]))
+
 
 class TestVerifyFactorization:
     def test_scalar_full_mass(self):
@@ -143,6 +159,34 @@ class TestVerifyFactorization:
     def test_budget_skipping(self):
         rep = verify_factorization(scalar_params(0.0, 1.0), t_list=(50.0,), grid=FAST_GRID)
         assert rep.n_skipped > 0
+
+    def test_budget_counts(self):
+        # oracle: the counts straight from the definition, point by point
+        rng = np.random.default_rng(10)
+        p = random_params(rng, 2)
+        t_list = (0.5, 1.0, 1.0, 2.0, 2.5)
+        a_norm = operator_norm(p.A)
+
+        def ok(t, z):
+            return t * (a_norm + abs(mobius_phi(z))) <= EXP_NORM_BUDGET
+
+        checked = skipped = 0
+        for z in FAST_GRID.points():
+            checked += sum(ok(t, z) for t in t_list)
+            skipped += sum(not ok(t, z) for t in t_list)
+            skipped += sum(
+                not (ok(t, z) and ok(s, z) and ok(t + s, z)) for t, s in zip(t_list, t_list[1:])
+            )
+        rep = verify_factorization(p, t_list=t_list, grid=FAST_GRID)
+        assert 0 < rep.n_skipped and 0 < rep.n_checked < len(t_list) * len(FAST_GRID.points())
+        assert (rep.n_checked, rep.n_skipped) == (checked, skipped)
+        assert rep.passed(1e-8)
+
+    def test_nothing_checked_does_not_pass(self):
+        rep = verify_factorization(scalar_params(0.0, 0.5), t_list=(5000.0,), grid=FAST_GRID)
+        assert rep.n_checked == 0
+        assert rep.worst() == 0.0
+        assert not rep.passed(1e-8)
 
     def test_exponent_commutation(self):
         rng = np.random.default_rng(3)
@@ -192,6 +236,18 @@ class TestVerifyMaster:
         )
         residual, _ = verify_master(pair, grid=FAST_GRID)
         assert residual <= 1e-12
+
+    def test_per_point_residuals(self):
+        rng = np.random.default_rng(9)
+        pair = pair_from_params(random_params(rng, 2))
+        residuals, margin = master_residuals(pair, grid=FAST_GRID)
+        eye = np.eye(2)
+        expected = [
+            operator_norm(inverse_cayley(pair.psi1(z)) + inverse_cayley(pair.psi2(z)) - mobius_phi(z) * eye)
+            for z in FAST_GRID.points()
+        ]
+        assert np.array_equal(residuals, expected)
+        assert verify_master(pair, grid=FAST_GRID) == (max(expected), margin)
 
     def test_non_factorizing_pair(self):
         zero = OperatorFunction(1, lambda z: np.array([[0.0]]), "0")

@@ -5,6 +5,7 @@ import pytest
 
 from holo_lab.operators import (
     SingularityError,
+    as_matrix,
     cayley,
     im_part,
     inverse_cayley,
@@ -176,3 +177,36 @@ class TestMatrixJson:
             matrix_from_jsonable([[1.0, 2.0]])
         with pytest.raises(ValueError):
             matrix_from_jsonable([[[1.0, 0.0], [0.0, 0.0]]])  # 1x2 not square
+
+
+class TestStacks:
+    """Each kernel on an (n, d, d) stack gives, bit for bit, its per-slice calls."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_stack_equals_slices(self, d):
+        rng = np.random.default_rng(d)
+        M = np.stack([random_matrix(rng, d) for _ in range(16)])
+        h = M + 3 * np.eye(d)  # away from the Cayley singularity at -I
+        psi = np.stack([cayley(x) for x in h])
+        for kernel, arg in (
+            (matrix_exp, M),
+            (operator_norm, M),
+            (cayley, h),
+            (inverse_cayley, psi),
+        ):
+            assert np.array_equal(kernel(arg), np.array([kernel(x) for x in arg])), kernel.__name__
+
+    def test_one_singular_slice(self):
+        stack = np.stack([2 * np.eye(3), -np.eye(3), 3 * np.eye(3)])
+        with pytest.raises(SingularityError, match="stack index 1"):
+            cayley(stack)
+        with pytest.raises(SingularityError, match="stack index 2"):
+            inverse_cayley(np.stack([0 * np.eye(2), 0.5 * np.eye(2), np.eye(2)]))
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="finite"):
+            matrix_exp(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+        with pytest.raises(ValueError, match="square"):
+            operator_norm(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="square"):
+            as_matrix(np.zeros((2, 3, 3)))  # as_matrix stays the 2-D contract
