@@ -144,7 +144,7 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
 
     checks, artifacts = [], []
     worst = {"product": 0.0, "commutation": 0.0, "contractivity": 0.0, "semigroup": 0.0, "master": 0.0}
-    master_per_point = []
+    first_residuals = None
     for params in params_list:
         rep = verify_factorization(params, t_list=t_list, grid=grid)
         if rep.n_checked == 0:
@@ -158,7 +158,8 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
         worst["contractivity"] = max(worst["contractivity"], rep.contractivity_excess)
         worst["semigroup"] = max(worst["semigroup"], rep.semigroup_residual)
         residuals, _ = master_residuals(pair_from_params(params), grid=grid)
-        master_per_point.append(residuals)
+        if first_residuals is None:
+            first_residuals = residuals
         worst["master"] = max(worst["master"], float(residuals.max()))
     tol = tols["factorization"]
     checks.append(_check("product_identity", worst["product"], tol))
@@ -169,7 +170,7 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
     if emit_plots:
         rows = [
             (float(abs(z)), float(np.angle(z)), float(res))
-            for z, res in zip(grid.points(), master_per_point[0])
+            for z, res in zip(grid.points(), first_residuals)
         ]
         name = "factorize_residuals.csv"
         _write_csv(os.path.join(out_dir, name), ["radius", "angle", "master_residual"], rows)

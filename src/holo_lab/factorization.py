@@ -231,31 +231,31 @@ def verify_factorization(params, t_list=DEFAULT_T_LIST, grid=None, exp_budget=EX
         def budget_ok(t):
             return t * (a_norm + phi_abs) <= exp_budget
 
-        factors = {}  # t -> (mask, phi_{1,t}, phi_{2,t}), factors set where mask holds
+        factors = {}  # t -> (mask, phi_{1,t}, phi_{2,t}), factors only at the points in mask
         for t in t_list:
             ok = budget_ok(t)
             n_skipped += int(np.count_nonzero(~ok))
             n_checked += int(np.count_nonzero(ok))
-            P1, P2 = (np.zeros_like(E) for E in exps)
-            factors[t] = (ok, P1, P2)
             if not ok.any():
+                factors[t] = (ok, None, None)
                 continue
-            Q1 = P1[ok] = matrix_exp(t * exps[0][ok])
-            Q2 = P2[ok] = matrix_exp(t * exps[1][ok])
+            Q1 = matrix_exp(t * exps[0][ok])
+            Q2 = matrix_exp(t * exps[1][ok])
+            factors[t] = (ok, Q1, Q2)
             prod = Q1 @ Q2
             prod_res = max(prod_res, _largest_norm(prod - varphi_t(t, zs[ok])[:, None, None] * eye))
             comm_res = max(comm_res, _largest_norm(prod - Q2 @ Q1))
             contr_exc = max(contr_exc, _largest_norm(Q1) - 1, _largest_norm(Q2) - 1)
         for t, s in zip(t_list, t_list[1:]):
-            ok = factors[t][0] & factors[s][0] & budget_ok(t + s)
+            ok_t, ok_s = factors[t][0], factors[s][0]
+            ok = ok_t & ok_s & budget_ok(t + s)
             n_skipped += int(np.count_nonzero(~ok))
             if not ok.any():
                 continue
-            for j in (0, 1):
-                Pts = matrix_exp((t + s) * exps[j][ok])
-                semi_res = max(
-                    semi_res, _largest_norm(Pts - factors[t][j + 1][ok] @ factors[s][j + 1][ok])
-                )
+            for j in (1, 2):
+                Pts = matrix_exp((t + s) * exps[j - 1][ok])
+                Pt, Ps = factors[t][j][ok[ok_t]], factors[s][j][ok[ok_s]]
+                semi_res = max(semi_res, _largest_norm(Pts - Pt @ Ps))
     return FactorizationReport(
         product_residual=prod_res,
         commutation_residual=comm_res,

@@ -255,7 +255,7 @@ class TestDeterminism:
     def test_report_bytes_stable_across_reruns(self, tmp_path):
         cfg = {
             "command": "factorize-verify",
-            "random": {"dim": 2, "count": 1},
+            "random": {"dim": 2, "count": 2},
             "grid": {"radii": [0.3, 0.9], "n_angles": 16},
         }
         cfg_path = write_config(tmp_path, cfg)
