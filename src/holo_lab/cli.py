@@ -63,6 +63,14 @@ def _require_keys(cfg, required, optional, where):
         raise InvalidInput(f"{where}: unknown field(s) {unknown}")
 
 
+def _section(cfg, key, where):
+    """The JSON object cfg[key], or {} when the field is absent."""
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise InvalidInput(f"{where}: field {key!r} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _check(name, residual, tolerance):
     return {
         "name": name,
@@ -113,11 +121,9 @@ def _run_rigidity(cfg, grid, tols, seed, out_dir, emit_plots):
     }
     artifacts = []
     if emit_plots:
-        h = grid.stencil_h
-        g = rigidity.g_transform(F)
         rows = [
-            (float(z.real), float(z.imag), float(np.max(np.abs(rigidity.wirtinger_dbar(g, z, h)))))
-            for z in grid.points()
+            (float(z.real), float(z.imag), float(res))
+            for z, res in zip(grid.points(), report.dbar_residuals)
         ]
         name = "rigidity_residuals.csv"
         _write_csv(os.path.join(out_dir, name), ["re_z", "im_z", "dbar_residual"], rows)
@@ -135,7 +141,7 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
             raise InvalidInput("factorize-verify: 'random' excludes explicit params")
         if seed is None:
             raise InvalidInput("factorize-verify: randomized runs require --seed")
-        spec = dict(cfg["random"])
+        spec = _section(cfg, "random", "factorize-verify")
         _require_keys(spec, ["dim"], ["count"], "factorize-verify.random")
         rng = np.random.default_rng(seed)
         params_list = [random_params(rng, int(spec["dim"])) for _ in range(int(spec.get("count", 1)))]
@@ -152,6 +158,12 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
                 "factorize-verify: no (t, z) point lies within the exponent-norm budget "
                 f"t * (||A|| + |phi(z)|) <= EXP_NORM_BUDGET = {EXP_NORM_BUDGET:g}; "
                 "lower t_list or the grid radii"
+            )
+        if rep.n_semigroup == 0:
+            raise InvalidInput(
+                "factorize-verify: the semigroup law was checked at no (t, s, z) point; t_list needs "
+                "two consecutive values t, s whose sum lies within the exponent-norm budget "
+                f"(EXP_NORM_BUDGET = {EXP_NORM_BUDGET:g}) at some grid point"
             )
         worst["product"] = max(worst["product"], rep.product_residual)
         worst["commutation"] = max(worst["commutation"], rep.commutation_residual)
@@ -202,7 +214,7 @@ def _herglotz_function(cfg):
             return rigidity.resolve_function(cfg["function"])
         except ValueError as exc:
             raise InvalidInput(str(exc)) from exc
-    data = cfg["params"]
+    data = _section(cfg, "params", "herglotz-analyze")
     try:
         A = matrix_from_jsonable(data["A"], self_adjoint=True, name="A")
         B = matrix_from_jsonable(data["B"], self_adjoint=True, name="B")
@@ -232,7 +244,10 @@ def _run_herglotz(cfg, grid, tols, seed, out_dir, emit_plots):
     r = float(cfg.get("r", herglotz.DEFAULT_R))
     N = int(cfg.get("n_samples", herglotz.DEFAULT_N))
     M = int(cfg.get("n_moments", herglotz.DEFAULT_M))
-    approx, concentrated = herglotz.analyze(h, r=r, N=N, M=M, tol_atom=cfg.get("tol_atom"))
+    tol_atom = cfg.get("tol_atom")
+    if tol_atom is not None:
+        tol_atom = _tolerance(tol_atom, "tol_atom", "herglotz-analyze")
+    approx, concentrated = herglotz.analyze(h, r=r, N=N, M=M, tol_atom=tol_atom)
     sym = max(
         float(np.max(np.abs(approx.moment(-n) - approx.moment(n).conj().T))) for n in range(M + 1)
     )
@@ -324,7 +339,7 @@ def _parse_tol_overrides(pairs, command, base=None):
 
 
 def _build_grid(cfg, grid_radii_flag):
-    spec = dict(cfg.get("grid", {}))
+    spec = _section(cfg, "grid", "config")
     _require_keys(spec, [], ["radii", "n_angles", "stencil_h"], "grid")
     radii = spec.get("radii")
     if grid_radii_flag:
@@ -366,7 +381,7 @@ def run(config, seed=None, out_dir=".", grid_radii=None, tol_overrides=None, emi
         raise InvalidInput(f"unknown command {command!r}; known: {list(COMMANDS)}")
     cfg = {k: v for k, v in config.items() if k != "grid"}
     grid = _build_grid(config, grid_radii)
-    cfg_tols = dict(config.get("tolerances", {}))
+    cfg_tols = _section(config, "tolerances", "config")
     unknown = sorted(set(cfg_tols) - set(DEFAULT_TOLERANCES[command]))
     if unknown:
         raise InvalidInput(f"unknown tolerance name(s) {unknown} for {command}")

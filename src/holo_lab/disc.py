@@ -119,22 +119,24 @@ def default_grid(radii=DEFAULT_RADII, n_angles=64, stencil_h=1e-4):
 def wirtinger_dbar(f, z, h):
     """d-bar derivative (d/dx + i d/dy)/2 of f at z by central differences.
 
-    Vanishes (to O(h^2)) exactly when f is holomorphic near z.  Works for
-    scalar- or matrix-valued f.  All four stencil points must stay in the
-    disc.
+    Vanishes (to O(h^2)) exactly when f is holomorphic near z.  z is a point
+    or an array; f is called once, on the flat array of stencil points, and
+    returns one value or one matrix per point.  All four stencil points
+    must stay in the disc.
     """
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     if not h > 0:
         raise ValueError("stencil step h must be positive")
-    stencil = (z + h, z - h, z + 1j * h, z - 1j * h)
-    if any(abs(p) >= 1 for p in stencil):
+    stencil = np.stack((z + h, z - h, z + 1j * h, z - 1j * h))
+    if np.any(np.abs(stencil) >= 1):
         raise DomainError("wirtinger stencil leaves the unit disc")
-    fx = (np.asarray(f(stencil[0])) - np.asarray(f(stencil[1]))) / (2 * h)
-    fy = (np.asarray(f(stencil[2])) - np.asarray(f(stencil[3]))) / (2 * h)
+    values = np.asarray(f(stencil.ravel()))
+    values = values.reshape(stencil.shape + values.shape[1:])
+    fx = (values[0] - values[1]) / (2 * h)
+    fy = (values[2] - values[3]) / (2 * h)
     return _maybe_scalar(0.5 * (fx + 1j * fy))
 
 
 def holomorphy_residual(f, grid):
     """Max |dbar f| over the grid; ~0 iff f is numerically holomorphic."""
-    h = grid.stencil_h
-    return max(np.max(np.abs(wirtinger_dbar(f, z, h))) for z in grid.points())
+    return float(np.max(np.abs(wirtinger_dbar(f, grid.points(), grid.stencil_h))))

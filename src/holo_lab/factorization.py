@@ -132,11 +132,12 @@ def pair_from_params(params):
     """Cayley-transform (A, B) into the factorizing pair (psi_1, psi_2)."""
     eye = np.eye(params.dim)
 
+    # the evaluators receive z shaped (n, 1, 1); build_h1 takes the flat points
     def psi1(z, params=params):
-        return cayley(build_h1(params, z))
+        return cayley(build_h1(params, z.ravel()))
 
     def psi2(z, params=params, eye=eye):
-        return cayley(mobius_phi(complex(z)) * eye - build_h1(params, z))
+        return cayley(mobius_phi(z) * eye - build_h1(params, z.ravel()))
 
     return FactorPair(
         psi1=OperatorFunction(params.dim, psi1, "psi1"),
@@ -168,8 +169,9 @@ def phi_jt(params, j, t, z):
 class FactorizationReport:
     """Worst residual per factorization axiom, plus checked and skipped counts.
 
-    n_checked counts (t, z) points inside the exponent-norm budget; a report
-    that checked none does not pass.
+    n_checked counts (t, z) points inside the exponent-norm budget and
+    n_semigroup the (t, s, z) points, s following t in t_list, at which the
+    semigroup law was compared; a report with either count 0 does not pass.
     """
 
     product_residual: float
@@ -178,10 +180,12 @@ class FactorizationReport:
     semigroup_residual: float
     n_checked: int
     n_skipped: int
+    n_semigroup: int
 
     def passed(self, tol):
         return (
             self.n_checked > 0
+            and self.n_semigroup > 0
             and self.product_residual <= tol
             and self.commutation_residual <= tol
             and self.contractivity_excess <= tol
@@ -219,7 +223,7 @@ def verify_factorization(params, t_list=DEFAULT_T_LIST, grid=None, exp_budget=EX
     a_norm = operator_norm(params.A)
     eye = np.eye(params.dim)
     prod_res = comm_res = contr_exc = semi_res = 0.0
-    n_checked = n_skipped = 0
+    n_checked = n_skipped = n_semigroup = 0
 
     for zs in grid.circles():
         phi = mobius_phi(zs)
@@ -250,6 +254,7 @@ def verify_factorization(params, t_list=DEFAULT_T_LIST, grid=None, exp_budget=EX
             ok_t, ok_s = factors[t][0], factors[s][0]
             ok = ok_t & ok_s & budget_ok(t + s)
             n_skipped += int(np.count_nonzero(~ok))
+            n_semigroup += int(np.count_nonzero(ok))
             if not ok.any():
                 continue
             for j in (1, 2):
@@ -263,12 +268,8 @@ def verify_factorization(params, t_list=DEFAULT_T_LIST, grid=None, exp_budget=EX
         semigroup_residual=semi_res,
         n_checked=n_checked,
         n_skipped=n_skipped,
+        n_semigroup=n_semigroup,
     )
-
-
-def _values_on(F, zs):
-    """Stack of F(z) for the points zs; the evaluator is called once per point."""
-    return np.stack([F(z) for z in zs])
 
 
 def master_residuals(pair, grid=None):
@@ -285,7 +286,7 @@ def master_residuals(pair, grid=None):
     eye = np.eye(pair.psi1.dim)
     residuals, margin = [], np.inf
     for zs in grid.circles():
-        P1, P2 = _values_on(pair.psi1, zs), _values_on(pair.psi2, zs)
+        P1, P2 = pair.psi1(zs), pair.psi2(zs)
         for P in (P1, P2):
             margin = min(margin, float(np.linalg.svd(eye - P, compute_uv=False)[:, -1].min()))
         phi = mobius_phi(zs)[:, None, None]
@@ -320,6 +321,6 @@ def recover_params(pair, grid=None):
     params = FactorParams(A=A, B=B)
     residual = 0.0
     for zs in grid.circles():
-        dev = inverse_cayley(_values_on(pair.psi1, zs)) - build_h1(params, zs)
+        dev = inverse_cayley(pair.psi1(zs)) - build_h1(params, zs)
         residual = max(residual, _largest_norm(dev))
     return params, residual

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disc import DomainError, mobius_phi
-from .operators import as_matrix, im_part, operator_norm
+from .operators import as_matrix, im_part, operator_norm, re_part
 
 __all__ = [
     "BoundaryProfile",
@@ -85,11 +85,7 @@ def sample_boundary(h, r, N):
     if N < 16 or N & (N - 1):
         raise ValueError("N must be a power of two, >= 16")
     theta = 2 * np.pi * np.arange(N) / N
-    samples = np.empty((N, h.dim, h.dim), dtype=complex)
-    for k, z in enumerate(r * np.exp(1j * theta)):
-        H = h(z)
-        samples[k] = (H + H.conj().T) / 2
-    return BoundaryProfile(r=r, samples=samples)
+    return BoundaryProfile(r=r, samples=re_part(h(r * np.exp(1j * theta))))
 
 
 def estimate_moments(profile, M):
@@ -142,12 +138,10 @@ def dirac_concentration_test(approx, tol_atom=None):
 
 
 def herglotz_reconstruct(atom_mass, im_at_0, z):
-    """The pure-atom Herglotz function i*im_at_0 + phi(z)*atom_mass."""
-    z = complex(z)
-    if abs(z) >= 1:
+    """The pure-atom Herglotz function i*im_at_0 + phi(z)*atom_mass; z a point or (n, 1, 1) points."""
+    if np.any(np.abs(z) >= 1):
         raise DomainError("herglotz_reconstruct requires |z| < 1")
-    atom_mass = as_matrix(atom_mass)
-    return 1j * as_matrix(im_at_0) + mobius_phi(z) * atom_mass
+    return 1j * as_matrix(im_at_0) + mobius_phi(z) * as_matrix(atom_mass)
 
 
 def split_additivity_check(h1, h2, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M):
@@ -161,7 +155,7 @@ def split_additivity_check(h1, h2, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M):
     from .rigidity import OperatorFunction  # local import avoids a cycle
 
     eye = np.eye(h1.dim)
-    phi_eye = OperatorFunction(h1.dim, lambda z: mobius_phi(complex(z)) * eye, "phi*I")
+    phi_eye = OperatorFunction(h1.dim, lambda z: mobius_phi(z) * eye, "phi*I")
     m1 = estimate_moments(sample_boundary(h1, r, N), M).moments
     m2 = estimate_moments(sample_boundary(h2, r, N), M).moments
     m = estimate_moments(sample_boundary(phi_eye, r, N), M).moments

@@ -63,9 +63,9 @@ def as_matrix(T):
 
 
 def re_part(T):
-    """Self-adjoint real part (T + T*)/2."""
-    T = as_matrix(T)
-    return (T + T.conj().T) / 2
+    """Self-adjoint real part (T + T*)/2 of a matrix or of each slice of a stack."""
+    T = _as_square(T)
+    return (T + _adjoint(T)) / 2
 
 
 def im_part(T):

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .disc import DomainError, mobius_phi, poisson_factor, wirtinger_dbar
-from .operators import as_matrix, im_part, re_part
+from .operators import _as_square, as_matrix, re_part
 
 __all__ = [
     "CONSTANT_CONFIRMED",
@@ -45,17 +45,27 @@ DEGENERATE = "DEGENERATE"
 
 @dataclass(frozen=True)
 class OperatorFunction:
-    """A pure evaluator z -> d x d matrix on the open disc (d = 1 is scalar)."""
+    """A pure evaluator z -> d x d matrix on the open disc (d = 1 is scalar).
+
+    A scalar z gives a (d, d) matrix, an array of n points (such as (n,) or
+    (n, 1, 1)) an (n, d, d) stack.  The evaluator is called once, with the
+    points shaped (n, 1, 1) so that expressions like C0 + z*C1 broadcast;
+    its result is broadcast to (n, d, d) and validated once.
+    """
 
     dim: int
     evaluator: Callable
     name: str = ""
 
     def __call__(self, z):
-        M = as_matrix(self.evaluator(z))
-        if M.shape[0] != self.dim:
-            raise ValueError(f"{self.name or 'function'} returned dim {M.shape[0]}, expected {self.dim}")
-        return M
+        z = np.asarray(z, dtype=complex)
+        n, d = z.size, self.dim
+        M = _as_square(self.evaluator(z.reshape(n, 1, 1)))
+        if M.shape[-1] != d or (M.ndim == 3 and M.shape[0] not in (1, n)):
+            raise ValueError(f"{self.name or 'function'} returned shape {M.shape} at {n} point(s), dim {d}")
+        if M.shape != (n, d, d):
+            M = np.broadcast_to(M, (n, d, d)).copy()
+        return M[0] if z.ndim == 0 else M
 
     def scalar(self, z):
         """Evaluate as a complex number (dim 1 only)."""
@@ -78,7 +88,7 @@ def g_transform(F):
     """Operator transform: z -> F(z) + z F(z)^* (agrees with L_transform at d = 1)."""
     def ev(z, F=F):
         M = F(z)
-        return M + z * M.conj().T
+        return M + z * M.conj().swapaxes(-1, -2)
     return OperatorFunction(dim=F.dim, evaluator=ev, name=f"g[{F.name}]")
 
 
@@ -98,13 +108,12 @@ def h_split(g):
     whenever g arises from a function with real part in [0, I].
     """
     def h1(z, g=g):
-        z = complex(z)
-        if z == 1:
+        if np.any(z == 1):
             raise DomainError("h1 is singular at z = 1")
         return g(z) / (1 - z)
 
     def h2(z, g=g, h1=h1):
-        return mobius_phi(complex(z)) * np.eye(g.dim) - h1(z)
+        return mobius_phi(z) * np.eye(g.dim) - h1(z)
 
     return (
         OperatorFunction(dim=g.dim, evaluator=h1, name=f"h1[{g.name}]"),
@@ -119,11 +128,9 @@ def re_h1_identity_check(F, grid):
     round-off only.
     """
     h1, _ = h_split(g_transform(F))
-    worst = 0.0
-    for z in grid.points():
-        dev = re_part(h1(z)) - re_part(F(z)) * poisson_factor(z)
-        worst = max(worst, float(np.max(np.abs(dev))))
-    return worst
+    zs = grid.points()
+    dev = re_part(h1(zs)) - re_part(F(zs)) * poisson_factor(zs)[:, None, None]
+    return float(np.max(np.abs(dev)))
 
 
 @dataclass(frozen=True)
@@ -144,16 +151,18 @@ def convexity_diagnostic(F, grid, tol=1e-12):
     if F.dim != 1:
         raise ValueError("convexity_diagnostic is scalar-only (dim 1)")
     h1, h2 = h_split(g_transform(F))
+    zs = grid.points()
     deviation = 0.0
     for h in (h1, h2):
-        h0 = h.scalar(0)
+        values = h(np.concatenate(([0], zs)))[:, 0, 0]  # h(0), then h on the grid
+        h0 = values[0]
         if h0.real <= tol:
             return ConvexityResult(status=DEGENERATE, deviation=float("nan"))
-        f = lambda z, h=h, h0=h0: (h.scalar(z) - 1j * h0.imag) / h0.real
-        assert abs(f(0) - 1) <= 1e-12
-        for z in grid.points():
-            deviation = max(deviation, abs(f(z) - mobius_phi(z)))
-    return ConvexityResult(status="OK", deviation=float(deviation))
+        f = (values - 1j * h0.imag) / h0.real
+        if not abs(f[0] - 1) <= 1e-12:
+            raise ArithmeticError(f"normalized {h.name} has f(0) = {complex(f[0])}, not 1")
+        deviation = max(deviation, float(np.max(np.abs(f[1:] - mobius_phi(zs)))))
+    return ConvexityResult(status="OK", deviation=deviation)
 
 
 @dataclass(frozen=True)
@@ -163,6 +172,7 @@ class RigidityReport:
     constancy_deviation: float
     recovered_constant: np.ndarray
     verdict: str
+    dbar_residuals: np.ndarray  # max |dbar g| entry per point, in grid.points() order
 
 
 def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8, strip_tol=1e-10):
@@ -175,16 +185,14 @@ def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8, strip_tol=1e-10):
     INCONCLUSIVE and would contradict the theorem.
     """
     pts = grid.points()
-    values = np.stack([F(z) for z in pts])
+    values = F(pts)
 
-    re_vals = (values + values.conj().transpose(0, 2, 1)) / 2
-    eigs = np.linalg.eigvalsh(re_vals)
+    eigs = np.linalg.eigvalsh(re_part(values))
     strip_ok = bool(eigs.min() >= -strip_tol and eigs.max() <= 1 + strip_tol)
 
-    g = g_transform(F)
-    holo_residual = max(
-        float(np.max(np.abs(wirtinger_dbar(g, z, grid.stencil_h)))) for z in pts
-    )
+    dbar = wirtinger_dbar(g_transform(F), pts, grid.stencil_h)
+    dbar_residuals = np.max(np.abs(dbar), axis=(1, 2))
+    holo_residual = float(dbar_residuals.max())
 
     F0 = F(0)
     deviation = float(np.linalg.svd(values - F0, compute_uv=False)[:, 0].max())
@@ -201,18 +209,16 @@ def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8, strip_tol=1e-10):
         constancy_deviation=deviation,
         recovered_constant=F0,
         verdict=verdict,
+        dbar_residuals=dbar_residuals,
     )
 
 
-def _scalar_fn(name, f):
-    return OperatorFunction(dim=1, evaluator=lambda z, f=f: np.array([[f(complex(z))]]), name=name)
-
-
 BUILTIN_FUNCTIONS = {
-    "linear": _scalar_fn("linear", lambda z: 0.5 * z + 0.5),
-    "re-plus-half": _scalar_fn("re-plus-half", lambda z: z.real + 0.5),
-    "abs-shift": _scalar_fn("abs-shift", lambda z: 0.5 * abs(z) + 0.25),
-    "phi": _scalar_fn("phi", mobius_phi),
+    "linear": OperatorFunction(1, lambda z: 0.5 * z + 0.5, "linear"),
+    "re-plus-half": OperatorFunction(1, lambda z: z.real + 0.5, "re-plus-half"),
+    # hypot gives Python's abs(z) bit for bit; np.abs may differ in the last bit
+    "abs-shift": OperatorFunction(1, lambda z: 0.5 * np.hypot(z.real, z.imag) + 0.25, "abs-shift"),
+    "phi": OperatorFunction(1, mobius_phi, "phi"),
 }
 
 # members expected to fail the rigidity hypotheses (used as negative controls)

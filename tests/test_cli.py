@@ -9,7 +9,9 @@ import pytest
 
 import holo_lab
 from holo_lab.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_INVALID, EXIT_PASS, main, run
+from holo_lab.disc import default_grid
 from holo_lab.operators import matrix_to_jsonable
+from holo_lab.rigidity import BUILTIN_FUNCTIONS, rigidity_verdict
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_CASES = sorted(os.listdir(GOLDEN_DIR)) if os.path.isdir(GOLDEN_DIR) else []
@@ -185,6 +187,35 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert report is None
         assert "EXP_NORM_BUDGET" in capsys.readouterr().err
+
+
+    def test_no_semigroup_point_is_invalid(self, tmp_path, capsys):
+        cfg = {
+            "command": "factorize-verify",
+            "params": scalar_params_json(0.0, 0.5),
+            "t_list": [1.0],
+            "grid": {"radii": [0.3, 0.9], "n_angles": 16},
+        }
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == EXIT_INVALID
+        assert report is None
+        assert "semigroup law" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            ({"command": "rigidity-check", "function": "phi", "tolerances": [1, 2]}, "tolerances"),
+            ({"command": "rigidity-check", "function": "phi", "grid": [1, 2]}, "grid"),
+            ({"command": "factorize-verify", "random": [1]}, "random"),
+            ({"command": "herglotz-analyze", "params": [1, 2]}, "params"),
+        ],
+        ids=["tolerances", "grid", "random", "herglotz-params"],
+    )
+    def test_section_not_an_object(self, tmp_path, capsys, cfg, field):
+        code, report, _ = run_cli(tmp_path, cfg, "--seed", "1")
+        assert code == EXIT_INVALID
+        assert report is None
+        assert f"field {field!r} must be a JSON object" in capsys.readouterr().err
 
 
 class TestThreadCap:
@@ -379,6 +410,27 @@ class TestEmitPlots:
         assert all(float(line.split(",")[2]) <= 1e-10 for line in lines[1:])
 
 
+    def test_rigidity_residual_csv_matches_verdict(self, tmp_path):
+        grid = {"radii": [0.3, 0.9], "n_angles": 16}
+        cfg = {
+            "command": "rigidity-check",
+            "function": "linear",
+            "expect_verdict": "HYPOTHESIS_VIOLATED",
+            "grid": grid,
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["--config", cfg_path, "--out", str(out), "--emit-plots"]) == EXIT_PASS
+        report = json.loads((out / "report.json").read_text())
+        lines = (out / "rigidity_residuals.csv").read_text().splitlines()
+        assert lines[0] == "re_z,im_z,dbar_residual"
+        assert len(lines) == 33
+        column = np.array([float(line.split(",")[2]) for line in lines[1:]])
+        verdict = rigidity_verdict(BUILTIN_FUNCTIONS["linear"], default_grid(**grid))
+        assert np.array_equal(column, verdict.dbar_residuals)
+        assert max(column) == report["verdicts"]["holo_residual"]
+
+
 class TestHerglotzCommand:
     def test_params_model(self, tmp_path):
         cfg = {
@@ -428,6 +480,15 @@ class TestHerglotzCommand:
         assert code == EXIT_INVALID
         assert report is None
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol_atom", [float("nan"), -1.0, "abc"])
+    def test_invalid_tol_atom(self, tmp_path, capsys, tol_atom):
+        cfg = {"command": "herglotz-analyze", "function": "phi", "tol_atom": tol_atom,
+               "r": 0.9, "n_samples": 64, "n_moments": 4}
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == EXIT_INVALID
+        assert report is None
+        assert "tol_atom" in capsys.readouterr().err
 
     def test_function_and_params_exclusive(self, tmp_path):
         cfg = {

@@ -188,6 +188,32 @@ class TestVerifyFactorization:
         assert rep.worst() == 0.0
         assert not rep.passed(1e-8)
 
+    def test_semigroup_points_counted(self):
+        # oracle: the (t, s, z) points with t, s and t + s inside the budget, from the definition
+        rng = np.random.default_rng(10)
+        p = random_params(rng, 2)
+        t_list = (0.5, 1.0, 1.0, 2.0, 2.5)
+        a_norm = operator_norm(p.A)
+
+        def ok(t, z):
+            return t * (a_norm + abs(mobius_phi(z))) <= EXP_NORM_BUDGET
+
+        expected = sum(
+            ok(t, z) and ok(s, z) and ok(t + s, z)
+            for z in FAST_GRID.points()
+            for t, s in zip(t_list, t_list[1:])
+        )
+        rep = verify_factorization(p, t_list=t_list, grid=FAST_GRID)
+        assert 0 < expected < (len(t_list) - 1) * len(FAST_GRID.points())
+        assert rep.n_semigroup == expected
+
+    def test_no_semigroup_point_does_not_pass(self):
+        # one t gives no (t, s) pair: the other three axioms are checked, the semigroup law is not
+        rep = verify_factorization(scalar_params(0.0, 0.5), t_list=(1.0,), grid=FAST_GRID)
+        assert rep.n_checked > 0 and rep.n_semigroup == 0
+        assert rep.worst() <= 1e-12
+        assert not rep.passed(1e-8)
+
     def test_exponent_commutation(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -231,7 +257,7 @@ class TestVerifyMaster:
     def test_scalar_ancestor(self):
         # psi1(z) = z, psi2 = -1: the scalar continued-fraction identity
         pair = FactorPair(
-            psi1=OperatorFunction(1, lambda z: np.array([[z]]), "z"),
+            psi1=OperatorFunction(1, lambda z: z * np.ones((1, 1)), "z"),
             psi2=OperatorFunction(1, lambda z: np.array([[-1.0]]), "-1"),
         )
         residual, _ = verify_master(pair, grid=FAST_GRID)

@@ -22,7 +22,7 @@ R, N_SHARP, M = 0.999, 16384, 64
 
 
 def scalar_fn(f, name=""):
-    return OperatorFunction(1, lambda z: np.array([[f(z)]]), name)
+    return OperatorFunction(1, lambda z: f(z) * np.ones((1, 1)), name)
 
 
 PHI = scalar_fn(mobius_phi, "phi")

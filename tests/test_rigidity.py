@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from holo_lab.cli import _herglotz_function
 from holo_lab.disc import DiscGrid, DomainError, default_grid, mobius_phi
+from holo_lab.factorization import pair_from_params, random_params
+from holo_lab.herglotz import sample_boundary
+from holo_lab.operators import matrix_to_jsonable
 from holo_lab.rigidity import (
     BUILTIN_FUNCTIONS,
     CONSTANT_CONFIRMED,
@@ -58,7 +62,7 @@ class TestLTransform:
         for _ in range(50):
             c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             f = lambda z, c=c: c[0] + c[1] * z + c[2] * np.conj(z)
-            F = OperatorFunction(1, lambda z, f=f: np.array([[f(z)]]))
+            F = OperatorFunction(1, lambda z, f=f: f(z) * np.ones((1, 1)))
             z = 0.8 * (rng.standard_normal() + 1j * rng.standard_normal()) / 2
             assert abs(g_transform(F)(z)[0, 0] - L_transform(f)(z)) <= 1e-15
 
@@ -200,3 +204,82 @@ class TestRegistry:
             resolve_function("nope")
         with pytest.raises(ValueError):
             resolve_function("const:1")
+
+
+def library_functions():
+    """Every OperatorFunction the library builds, by name."""
+    rng = np.random.default_rng(12)
+    fns = dict(BUILTIN_FUNCTIONS)
+    fns["const"] = constant_function(np.array([[0.3 + 0.1j, 1.0], [0.0, 0.7]]))
+    F = random_poly_function(rng, 2, 2)
+    fns["g"] = g_transform(F)
+    fns["h1"], fns["h2"] = h_split(g_transform(F))
+    for d in (1, 3, 8):
+        pair = pair_from_params(random_params(rng, d))
+        fns[f"psi1-d{d}"], fns[f"psi2-d{d}"] = pair.psi1, pair.psi2
+    p = random_params(rng, 3)
+    fns["atom-model"] = _herglotz_function(
+        {"params": {"A": matrix_to_jsonable(p.A), "B": matrix_to_jsonable(p.B)}}
+    )
+    return fns
+
+
+LIBRARY_FUNCTIONS = library_functions()
+
+
+class CountingEvaluator:
+    """F(z) = 0.5 + 0.1 z, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return 0.5 + 0.1 * z
+
+
+class TestEvaluationContract:
+    ZS = default_grid(radii=(0.1, 0.5, 0.95), n_angles=16).points()
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY_FUNCTIONS))
+    def test_stack_equals_pointwise(self, name):
+        F = LIBRARY_FUNCTIONS[name]
+        stack = F(self.ZS)
+        assert stack.shape == (len(self.ZS), F.dim, F.dim)
+        assert np.array_equal(stack, np.stack([F(z) for z in self.ZS]))
+        assert np.array_equal(F(self.ZS[:, None, None]), stack)
+
+    def test_user_polynomial_broadcasts(self):
+        rng = np.random.default_rng(13)
+        coeffs = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]
+        F = OperatorFunction(3, lambda z: coeffs[0] + z * coeffs[1] + z**2 * coeffs[2], "poly")
+        expected = np.stack([sum(C * complex(z) ** k for k, C in enumerate(coeffs)) for z in self.ZS])
+        np.testing.assert_allclose(F(self.ZS), expected, rtol=1e-14, atol=1e-14)
+        assert F(0.5).shape == (3, 3)
+
+    def test_output_validated(self):
+        with pytest.raises(ValueError, match="returned shape"):
+            OperatorFunction(2, lambda z: z)(self.ZS)  # a scalar per point for d = 2
+        with pytest.raises(ValueError, match="returned shape"):
+            OperatorFunction(1, lambda z: np.zeros((3, 1, 1)))(self.ZS)
+        with pytest.raises(ValueError, match="finite"):
+            OperatorFunction(1, lambda z: np.where(z == self.ZS[5], np.inf, 0.5))(self.ZS)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda F, grid, N: rigidity_verdict(F, grid),
+            lambda F, grid, N: re_h1_identity_check(F, grid),
+            lambda F, grid, N: convexity_diagnostic(F, grid),
+            lambda F, grid, N: sample_boundary(F, 0.9, N),
+        ],
+        ids=["rigidity_verdict", "re_h1_identity_check", "convexity_diagnostic", "sample_boundary"],
+    )
+    def test_calls_independent_of_grid_size(self, check):
+        # a per-point evaluation loop would make the count grow with the grid or N
+        counts = []
+        for grid, N in ((default_grid(radii=(0.5,), n_angles=8), 16), (GRID, 1024)):
+            ev = CountingEvaluator()
+            check(OperatorFunction(1, ev, "counted"), grid, N)
+            counts.append(ev.calls)
+        assert counts[0] == counts[1] <= 3
