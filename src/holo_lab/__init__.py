@@ -5,8 +5,6 @@ from .disc import (
     DiscGrid,
     DomainError,
     default_grid,
-    holomorphy_residual,
-    inverse_mobius,
     mobius_phi,
     poisson_factor,
     varphi_t,
@@ -59,7 +57,6 @@ from .rigidity import (
 )
 from .shiftsim import (
     conjugation_check,
-    laguerre_fn,
     laguerre_quadrature,
     shift_matrix_elements,
     taylor_matrix_symbol,

@@ -29,7 +29,7 @@ from .factorization import (
     recover_params,
     verify_factorization,
 )
-from .operators import im_part, matrix_from_jsonable, operator_norm
+from .operators import matrix_from_jsonable, operator_norm
 
 __all__ = ["main"]
 
@@ -135,7 +135,10 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
     _require_keys(
         cfg, ["command"], ["params", "params_file", "random", "t_list"], "factorize-verify"
     )
-    t_list = tuple(cfg.get("t_list", DEFAULT_T_LIST))
+    t_list = cfg.get("t_list", DEFAULT_T_LIST)
+    if not isinstance(t_list, (list, tuple)) or not t_list:
+        raise InvalidInput(f"factorize-verify t_list must be a non-empty list, got {t_list!r}")
+    t_list = tuple(_number(t, "factorize-verify t_list entry", float, lambda v: v > 0, "> 0") for t in t_list)
     if "random" in cfg:
         if "params" in cfg or "params_file" in cfg:
             raise InvalidInput("factorize-verify: 'random' excludes explicit params")
@@ -143,8 +146,10 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
             raise InvalidInput("factorize-verify: randomized runs require --seed")
         spec = _section(cfg, "random", "factorize-verify")
         _require_keys(spec, ["dim"], ["count"], "factorize-verify.random")
+        dim = _number(spec["dim"], "factorize-verify random.dim", int, lambda v: v >= 1, ">= 1")
+        count = _number(spec.get("count", 1), "factorize-verify random.count", int, lambda v: v >= 1, ">= 1")
         rng = np.random.default_rng(seed)
-        params_list = [random_params(rng, int(spec["dim"])) for _ in range(int(spec.get("count", 1)))]
+        params_list = [random_params(rng, dim) for _ in range(count)]
     else:
         params_list = [_load_params(cfg, "factorize-verify")]
 
@@ -241,16 +246,22 @@ def _run_herglotz(cfg, grid, tols, seed, out_dir, emit_plots):
         "herglotz-analyze",
     )
     h = _herglotz_function(cfg)
-    r = float(cfg.get("r", herglotz.DEFAULT_R))
-    N = int(cfg.get("n_samples", herglotz.DEFAULT_N))
-    M = int(cfg.get("n_moments", herglotz.DEFAULT_M))
+    where = "herglotz-analyze"
+    r = _number(cfg.get("r", herglotz.DEFAULT_R), f"{where} r", float, lambda v: 0 < v < 1, "in (0, 1)")
+    N = _number(
+        cfg.get("n_samples", herglotz.DEFAULT_N), f"{where} n_samples", int,
+        lambda v: v >= 16 and v & (v - 1) == 0, "2**k >= 16",
+    )
+    M = _number(
+        cfg.get("n_moments", herglotz.DEFAULT_M), f"{where} n_moments", int,
+        lambda v: 1 <= v < N / 4, ">= 1 and < n_samples / 4",
+    )
     tol_atom = cfg.get("tol_atom")
     if tol_atom is not None:
         tol_atom = _tolerance(tol_atom, "tol_atom", "herglotz-analyze")
     approx, concentrated = herglotz.analyze(h, r=r, N=N, M=M, tol_atom=tol_atom)
-    sym = max(
-        float(np.max(np.abs(approx.moment(-n) - approx.moment(n).conj().T))) for n in range(M + 1)
-    )
+    moments = approx.moments  # moment(n) at index n + M
+    sym = float(np.max(np.abs(moments[M::-1] - moments[M:].conj().swapaxes(-1, -2))))
     checks = [_check("moment_symmetry", sym, tols["moment_symmetry"])]
     expected = bool(cfg.get("expect_concentrated", True))
     checks.append(_verdict_check("concentrated_at_1", expected, concentrated))
@@ -261,11 +272,9 @@ def _run_herglotz(cfg, grid, tols, seed, out_dir, emit_plots):
     }
     artifacts = []
     if emit_plots:
-        atom = approx.atom_mass_at_1
-        rows = [
-            (n, float(operator_norm(approx.moment(n))), float(operator_norm(approx.moment(n) - atom)))
-            for n in range(-M, M + 1)
-        ]
+        norms = operator_norm(moments)
+        distances = operator_norm(moments - approx.atom_mass_at_1)
+        rows = [(n, float(a), float(b)) for n, a, b in zip(range(-M, M + 1), norms, distances)]
         name = "moment_profile.csv"
         _write_csv(os.path.join(out_dir, name), ["n", "moment_norm", "distance_to_atom"], rows)
         artifacts.append(name)
@@ -282,9 +291,10 @@ def _run_herglotz(cfg, grid, tols, seed, out_dir, emit_plots):
 
 def _run_shiftsim(cfg, grid, tols, seed, out_dir, emit_plots):
     _require_keys(cfg, ["command"], ["t", "order", "n_check"], "shift-sim")
-    t = float(cfg.get("t", 1.0))
-    order = int(cfg.get("order", 32))
-    n_check = int(cfg.get("n_check", 8))
+    t = _number(cfg.get("t", 1.0), "shift-sim t", float, lambda v: v >= 0, ">= 0")
+    order = _number(cfg.get("order", 32), "shift-sim order", int, lambda v: v >= 2, ">= 2")
+    n_check = _number(cfg.get("n_check", 8), "shift-sim n_check", int, lambda v: 1 <= v <= order / 2,
+                      ">= 1 and <= order / 2")
     quad = shiftsim.laguerre_quadrature(basis_order=order, breakpoints=(t,) if t > 0 else ())
     result = shiftsim.conjugation_check(t, n_check=n_check, quad=quad)
     checks = [
@@ -326,6 +336,27 @@ def _tolerance(value, name, where):
     return tol
 
 
+def _number(value, field, kind, valid, rule):
+    """A config field as kind: a JSON integer (kind int) or number (kind float), finite and valid.
+
+    Strings, booleans, nan, infinities and values failing valid() are invalid
+    input; `rule` says in words what valid() checks.
+    """
+    try:
+        ok = (
+            isinstance(value, int if kind is int else (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+            and valid(value)
+        )
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise InvalidInput(f"{field} must be {what} {rule}, got {value!r}")
+    return kind(value)
+
+
 def _parse_tol_overrides(pairs, command, base=None):
     tols = dict(base if base is not None else DEFAULT_TOLERANCES[command])
     for item in pairs or ():
@@ -351,31 +382,17 @@ def _build_grid(cfg, grid_radii_flag):
     if radii is not None:
         kwargs["radii"] = tuple(radii)
     if "n_angles" in spec:
-        kwargs["n_angles"] = int(spec["n_angles"])
+        kwargs["n_angles"] = _number(spec["n_angles"], "grid n_angles", int, lambda v: v >= 8, ">= 8")
     if "stencil_h" in spec:
-        kwargs["stencil_h"] = float(spec["stencil_h"])
+        kwargs["stencil_h"] = _number(spec["stencil_h"], "grid stencil_h", float, lambda v: v > 0, "> 0")
     try:
         return default_grid(**kwargs)
     except ValueError as exc:
         raise InvalidInput(f"grid: {exc}") from exc
 
 
-def _thread_cap():
-    raw = os.environ.get("HOLO_LAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidInput(f"HOLO_LAB_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise InvalidInput("HOLO_LAB_THREADS must be >= 1")
-    return cap
-
-
 def run(config, seed=None, out_dir=".", grid_radii=None, tol_overrides=None, emit_plots=False):
     """Execute one config and return (report dict, exit code)."""
-    _thread_cap()  # validate the cap; all current kernels are single-threaded
     command = config.get("command")
     if command not in COMMANDS:
         raise InvalidInput(f"unknown command {command!r}; known: {list(COMMANDS)}")

@@ -16,11 +16,9 @@ __all__ = [
     "DiscGrid",
     "default_grid",
     "mobius_phi",
-    "inverse_mobius",
     "varphi_t",
     "poisson_factor",
     "wirtinger_dbar",
-    "holomorphy_residual",
 ]
 
 
@@ -38,14 +36,6 @@ def mobius_phi(z):
     if np.any(z == 1):
         raise DomainError("mobius_phi is singular at z = 1")
     return _maybe_scalar((1 + z) / (1 - z))
-
-
-def inverse_mobius(w):
-    """Inverse of mobius_phi: w -> (w-1)/(w+1)."""
-    w = np.asarray(w, dtype=complex)
-    if np.any(w == -1):
-        raise DomainError("inverse_mobius is singular at w = -1")
-    return _maybe_scalar((w - 1) / (w + 1))
 
 
 def _require_in_disc(z, who):
@@ -135,8 +125,3 @@ def wirtinger_dbar(f, z, h):
     fx = (values[0] - values[1]) / (2 * h)
     fy = (values[2] - values[3]) / (2 * h)
     return _maybe_scalar(0.5 * (fx + 1j * fy))
-
-
-def holomorphy_residual(f, grid):
-    """Max |dbar f| over the grid; ~0 iff f is numerically holomorphic."""
-    return float(np.max(np.abs(wirtinger_dbar(f, grid.points(), grid.stencil_h))))

@@ -49,7 +49,8 @@ __all__ = [
     "EXP_NORM_BUDGET",
 ]
 
-DEFAULT_T_LIST = (0.0, 0.25, 0.5, 1.0, 2.0)
+# every t must be > 0: at t = 0 each factor is I and every check compares nothing
+DEFAULT_T_LIST = (0.25, 0.5, 1.0, 2.0)
 
 # matrix_exp is trusted for exponent norms up to this; points beyond are skipped
 EXP_NORM_BUDGET = 100.0
@@ -213,13 +214,16 @@ def verify_factorization(params, t_list=DEFAULT_T_LIST, grid=None, exp_budget=EX
     consecutive t, s in t_list, against exp((t + s) exponent) computed
     directly.  Points whose exponent-norm estimate t (||A|| + |phi(z)|)
     exceeds exp_budget are skipped and counted.  The grid is swept one
-    circle at a time, each as one stack per (t, factor).
+    circle at a time, each as one stack per (t, factor).  Every t must be
+    finite and > 0.
     """
     from .disc import default_grid
 
     if grid is None:
         grid = default_grid()
     t_list = sorted(float(t) for t in t_list)
+    if not all(np.isfinite(t) and t > 0 for t in t_list):
+        raise ValueError(f"t_list must hold finite values > 0, got {t_list}")
     a_norm = operator_norm(params.A)
     eye = np.eye(params.dim)
     prod_res = comm_res = contr_exc = semi_res = 0.0

@@ -12,7 +12,7 @@ point 1, and the leaked (non-atomic) mass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,9 +57,9 @@ class BoundaryProfile:
         return self.samples.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class HerglotzApprox:
-    """Estimated moments of the boundary measure, plus atom/leak once computed."""
+    """Estimated moments of the boundary measure; analyze() returns a copy with atom and leak."""
 
     r: float
     M: int
@@ -132,8 +132,6 @@ def dirac_concentration_test(approx, tol_atom=None):
     atom = atom_at_angle(approx, 0.0)
     atom = (atom + atom.conj().T) / 2
     leak = operator_norm(approx.moment(0) - atom)
-    approx.atom_mass_at_1 = atom
-    approx.leak_mass = leak
     return atom, leak, bool(leak <= tol_atom)
 
 
@@ -173,8 +171,8 @@ def arc_mass_profile(approx, n_points=360):
 
 
 def analyze(h, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M, tol_atom=None):
-    """Full pipeline: sample -> moments -> atom/leak; fills im_at_0 from h(0)."""
+    """Full pipeline: sample -> moments -> atom/leak, with im_at_0 from h(0)."""
     approx = estimate_moments(sample_boundary(h, r, N), M)
-    approx.im_at_0 = im_part(h(0))
     atom, leak, concentrated = dirac_concentration_test(approx, tol_atom=tol_atom)
+    approx = replace(approx, im_at_0=im_part(h(0)), atom_mass_at_1=atom, leak_mass=leak)
     return approx, concentrated

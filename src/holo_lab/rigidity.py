@@ -67,12 +67,6 @@ class OperatorFunction:
             M = np.broadcast_to(M, (n, d, d)).copy()
         return M[0] if z.ndim == 0 else M
 
-    def scalar(self, z):
-        """Evaluate as a complex number (dim 1 only)."""
-        if self.dim != 1:
-            raise ValueError("scalar() requires dim 1")
-        return complex(self(z)[0, 0])
-
 
 def constant_function(C, name=""):
     C = as_matrix(C)
@@ -93,12 +87,14 @@ def g_transform(F):
 
 
 def recover_F(g, z):
-    """Exact inverse of g_transform: (g(z) - z g(z)^*)/(1 - |z|^2)."""
-    z = complex(z)
-    if abs(z) >= 1:
+    """Exact inverse of g_transform: (g(z) - z g(z)^*)/(1 - |z|^2); z a point or an array of points."""
+    z = np.asarray(z, dtype=complex)
+    # hypot gives abs(z) bit for bit at any batch size (np.abs may not)
+    r = np.hypot(z.real, z.imag)[..., None, None]
+    if np.any(r >= 1):
         raise DomainError("recover_F requires |z| < 1")
     G = g(z)
-    return (G - z * G.conj().T) / (1 - abs(z) ** 2)
+    return (G - z[..., None, None] * G.conj().swapaxes(-1, -2)) / (1 - r**2)
 
 
 def h_split(g):

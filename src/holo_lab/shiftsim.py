@@ -28,7 +28,6 @@ __all__ = [
     "taylor_varphi_t",
     "taylor_matrix_symbol",
     "toeplitz_of",
-    "laguerre_fn",
     "laguerre_fns",
     "LaguerreQuadrature",
     "laguerre_quadrature",
@@ -113,11 +112,10 @@ def toeplitz_of(coeffs, d=None):
     elif d is not None and d != coeffs.shape[1]:
         raise ValueError("explicit d conflicts with matrix coefficients")
     N, dd = coeffs.shape[0], coeffs.shape[1]
-    T = np.zeros((N * dd, N * dd), dtype=complex)
-    for i in range(N):
-        for j in range(i + 1):
-            T[i * dd : (i + 1) * dd, j * dd : (j + 1) * dd] = coeffs[i - j]
-    return T
+    T = np.zeros((N, dd, N, dd), dtype=complex)  # T[i, :, j, :] is block (i, j)
+    i, j = np.tril_indices(N)
+    T[i, :, j, :] = coeffs[i - j]
+    return T.reshape(N * dd, N * dd)
 
 
 def laguerre_fns(n_max, x):
@@ -137,13 +135,6 @@ def laguerre_fns(n_max, x):
     for n in range(1, n_max - 1):
         L[n + 1] = ((2 * n + 1 - y) * L[n] - n * L[n - 1]) / (n + 1)
     return np.sqrt(2.0) * np.exp(-x)[None, :] * L
-
-
-def laguerre_fn(n, x):
-    """Single orthonormal Laguerre function l_n(x)."""
-    scalar = np.isscalar(x)
-    out = laguerre_fns(n + 1, x)[n]
-    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -214,8 +205,7 @@ def shift_matrix_elements(t, N, quad):
 class ConjugationResult:
     """Dual-oracle comparison of shift matrix elements with symbol coefficients."""
 
-    residual: float  # for the matching sign convention
-    residual_plain: float  # target c_{n-m}
+    residual: float  # for the matching sign convention; target c_{n-m} under "plain"
     residual_alternating: float  # target (-1)^{n-m} c_{n-m}
     convention: str  # "plain" or "alternating", whichever matched
     lower_violation: float  # max |<S_t l_m, l_n>| over n < m
@@ -238,18 +228,15 @@ def conjugation_check(t, n_check=8, quad=None):
         raise ValueError("n_check must be at most half the quadrature basis order")
     S = shift_matrix_elements(t, N, quad)
     c = taylor_varphi_t(t, n_check)
-    res_plain = res_alt = 0.0
-    for m in range(n_check):
-        for n in range(m, n_check):
-            res_plain = max(res_plain, abs(S[m, n] - c[n - m]))
-            res_alt = max(res_alt, abs(S[m, n] - (-1) ** (n - m) * c[n - m]))
-    lower = max(
-        (abs(S[m, n]) for m in range(n_check) for n in range(m)), default=0.0
-    )
+    alternating = np.where(np.arange(n_check) % 2, -c, c)
+    m, n = np.triu_indices(n_check)  # m <= n
+    upper = S[m, n]
+    res_plain = float(np.max(np.abs(upper - c[n - m])))
+    res_alt = float(np.max(np.abs(upper - alternating[n - m])))
+    lower = np.max(np.abs(S[np.tril_indices(n_check, -1)]), initial=0.0)
     convention = "plain" if res_plain <= res_alt else "alternating"
     return ConjugationResult(
         residual=min(res_plain, res_alt),
-        residual_plain=res_plain,
         residual_alternating=res_alt,
         convention=convention,
         lower_violation=float(lower),

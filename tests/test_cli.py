@@ -217,22 +217,60 @@ class TestExitCodes:
         assert report is None
         assert f"field {field!r} must be a JSON object" in capsys.readouterr().err
 
-
-class TestThreadCap:
-    def test_invalid_value(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLO_LAB_THREADS", "many")
-        code, _, _ = run_cli(tmp_path, {"command": "rigidity-check", "function": "phi"})
+    @pytest.mark.parametrize(
+        "t_list", [[0.0, 1.0], [-1, 1], [float("nan")], "abc", [], [0.5, "1"], [True]],
+        ids=["zero", "negative", "nan", "string", "empty", "string-entry", "bool"],
+    )
+    def test_invalid_t_list(self, tmp_path, capsys, t_list):
+        cfg = {
+            "command": "factorize-verify",
+            "params": scalar_params_json(0.0, 0.5),
+            "t_list": t_list,
+            "grid": {"radii": [0.3, 0.9], "n_angles": 16},
+        }
+        code, report, _ = run_cli(tmp_path, cfg)
         assert code == EXIT_INVALID
+        assert report is None
+        assert "t_list" in capsys.readouterr().err
 
-    def test_nonpositive(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLO_LAB_THREADS", "0")
-        code, _, _ = run_cli(tmp_path, {"command": "rigidity-check", "function": "phi"})
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            ({"command": "herglotz-analyze", "function": "phi", "n_samples": "abc"}, "n_samples"),
+            ({"command": "herglotz-analyze", "function": "phi", "n_samples": 1e9}, "n_samples"),
+            ({"command": "herglotz-analyze", "function": "phi", "n_samples": 1000}, "n_samples"),
+            ({"command": "herglotz-analyze", "function": "phi", "r": 1.5}, "r"),
+            ({"command": "herglotz-analyze", "function": "phi", "r": float("nan")}, "r"),
+            ({"command": "herglotz-analyze", "function": "phi", "n_moments": 0}, "n_moments"),
+            ({"command": "herglotz-analyze", "function": "phi", "n_samples": 64, "n_moments": 16},
+             "n_moments"),
+            ({"command": "shift-sim", "t": -1}, "t"),
+            ({"command": "shift-sim", "t": float("inf")}, "t"),
+            ({"command": "shift-sim", "order": 0}, "order"),
+            ({"command": "shift-sim", "order": 32.5}, "order"),
+            ({"command": "shift-sim", "order": 32, "n_check": 17}, "n_check"),
+            ({"command": "shift-sim", "n_check": 0}, "n_check"),
+            ({"command": "rigidity-check", "function": "phi", "grid": {"n_angles": "x"}}, "n_angles"),
+            ({"command": "rigidity-check", "function": "phi", "grid": {"n_angles": 4}}, "n_angles"),
+            ({"command": "rigidity-check", "function": "phi", "grid": {"stencil_h": "x"}}, "stencil_h"),
+            ({"command": "rigidity-check", "function": "phi", "grid": {"stencil_h": -1e-4}}, "stencil_h"),
+            ({"command": "factorize-verify", "random": {"dim": 0}}, "random.dim"),
+            ({"command": "factorize-verify", "random": {"dim": True}}, "random.dim"),
+            ({"command": "factorize-verify", "random": {"dim": 2, "count": 0}}, "random.count"),
+        ],
+        ids=[
+            "n_samples-string", "n_samples-1e9", "n_samples-not-power-of-two", "r-outside-disc", "r-nan",
+            "n_moments-zero", "n_moments-aliasing", "t-negative", "t-inf", "order-zero", "order-fraction",
+            "n_check-above-half-order", "n_check-zero", "n_angles-string", "n_angles-too-few",
+            "stencil_h-string", "stencil_h-negative", "random-dim-zero", "random-dim-bool",
+            "random-count-zero",
+        ],
+    )
+    def test_invalid_number_field(self, tmp_path, capsys, cfg, field):
+        code, report, _ = run_cli(tmp_path, cfg, "--seed", "1")
         assert code == EXIT_INVALID
-
-    def test_valid_value_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLO_LAB_THREADS", "2")
-        code, _, _ = run_cli(tmp_path, {"command": "rigidity-check", "function": "const:0.5,0"})
-        assert code == EXIT_PASS
+        assert report is None
+        assert f"{field} must be" in capsys.readouterr().err
 
 
 class TestToleranceOverrides:

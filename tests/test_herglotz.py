@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,15 @@ class TestConcentration:
         atom, leak, concentrated = dirac_concentration_test(approx)
         assert not concentrated
         assert leak == pytest.approx(1, abs=1e-2)
+
+    def test_approx_is_not_modified(self):
+        approx = estimate_moments(sample_boundary(PHI, R, 4096), M)
+        moments = approx.moments.copy()
+        dirac_concentration_test(approx)
+        assert approx.atom_mass_at_1 is None and approx.leak_mass is None
+        assert np.array_equal(approx.moments, moments)
+        with pytest.raises(FrozenInstanceError):
+            approx.leak_mass = 0.0
 
     def test_zero_measure_concentrated(self):
         approx = estimate_moments(sample_boundary(scalar_fn(lambda z: 0.0), R, 4096), M)

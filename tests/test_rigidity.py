@@ -93,11 +93,29 @@ class TestGTransformAndRecovery:
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(42)
+        zs = GRID.points()[::97]
         for _ in range(10):
             F = random_poly_function(rng, rng.integers(1, 5), rng.integers(0, 4))
-            g = g_transform(F)
-            for z in GRID.points()[::97]:
-                np.testing.assert_allclose(recover_F(g, z), F(z), atol=1e-12)
+            np.testing.assert_allclose(recover_F(g_transform(F), zs), F(zs), atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_stack_equals_pointwise(self, d):
+        # psi1 evaluates a stack bit for bit as point by point (TestEvaluationContract)
+        g = g_transform(LIBRARY_FUNCTIONS[f"psi1-d{d}"])
+        zs = GRID.points()
+        stack = recover_F(g, zs)
+        assert stack.shape == (len(zs), d, d)
+        assert np.array_equal(stack, np.stack([recover_F(g, z) for z in zs]))
+
+    def test_one_evaluation_per_stack(self):
+        ev = CountingEvaluator()
+        recover_F(g_transform(OperatorFunction(1, ev, "counted")), GRID.points())
+        assert ev.calls == 1
+
+    def test_stack_domain(self):
+        g = g_transform(constant_function(np.eye(2)))
+        with pytest.raises(DomainError):
+            recover_F(g, np.array([0.5, 0.3j, -1.0]))
 
 
 class TestHSplit:
@@ -197,7 +215,7 @@ class TestRigidityVerdict:
 class TestRegistry:
     def test_const_parsing(self):
         F = resolve_function("const:0.25,-0.5")
-        assert F.scalar(0.3) == 0.25 - 0.5j
+        assert F(0.3)[0, 0] == 0.25 - 0.5j
 
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown function"):

@@ -5,7 +5,6 @@ from scipy.special import eval_laguerre
 from holo_lab.factorization import FactorParams, random_params
 from holo_lab.shiftsim import (
     conjugation_check,
-    laguerre_fn,
     laguerre_fns,
     laguerre_quadrature,
     shift_matrix_elements,
@@ -67,7 +66,29 @@ class TestTaylorCoefficients:
             taylor_varphi_t(-1.0, 4)
 
 
+def toeplitz_by_blocks(coeffs, d):
+    """The definition, block by block: block (i, j) is coeffs[i - j] (times I_d if scalar) for i >= j."""
+    N = len(coeffs)
+    T = np.zeros((N * d, N * d), dtype=complex)
+    for i in range(N):
+        for j in range(i + 1):
+            c = coeffs[i - j]
+            T[i * d : (i + 1) * d, j * d : (j + 1) * d] = c if np.ndim(c) else c * np.eye(d)
+    return T
+
+
 class TestToeplitz:
+    @pytest.mark.parametrize("N", [1, 5, 16])
+    @pytest.mark.parametrize(
+        "shape, d", [((), None), ((), 2), ((), 4), ((1, 1), None), ((3, 3), None)],
+        ids=["scalar", "promoted-d2", "promoted-d4", "matrix-d1", "matrix-d3"],
+    )
+    def test_equals_block_definition(self, N, shape, d):
+        rng = np.random.default_rng(N)
+        coeffs = rng.standard_normal((N, *shape)) + 1j * rng.standard_normal((N, *shape))
+        dd = shape[0] if shape else d or 1
+        assert np.array_equal(toeplitz_of(coeffs, d=d), toeplitz_by_blocks(coeffs, dd))
+
     def test_identity_symbol(self):
         np.testing.assert_array_equal(toeplitz_of(np.array([1.0, 0, 0])), np.eye(3))
 
@@ -102,10 +123,10 @@ class TestToeplitz:
 class TestLaguerreBasis:
     def test_ell0(self):
         x = np.linspace(0, 5, 11)
-        np.testing.assert_allclose(laguerre_fn(0, x), np.sqrt(2) * np.exp(-x))
+        np.testing.assert_allclose(laguerre_fns(1, x)[0], np.sqrt(2) * np.exp(-x))
 
     def test_ell1_at_zero(self):
-        assert laguerre_fn(1, 0.0) == pytest.approx(np.sqrt(2))
+        assert laguerre_fns(2, 0.0)[1, 0] == pytest.approx(np.sqrt(2))
 
     def test_against_scipy(self):
         x = np.linspace(0, 30, 50)
@@ -156,6 +177,21 @@ class TestConjugation:
         assert result.convention == "plain"
         # the alternating convention must be clearly rejected, not a near-tie
         assert result.residual_alternating > 1e-2
+
+    @pytest.mark.parametrize("n_check", [8, 16])
+    @pytest.mark.parametrize("t", [0.0, 0.25, 1.0, 3.0])
+    def test_equals_elementwise_definition(self, t, n_check):
+        quad = laguerre_quadrature(breakpoints=(t,) if t > 0 else ())
+        S = shift_matrix_elements(t, quad.basis_order, quad)
+        c = taylor_varphi_t(t, n_check)
+        upper = [(S[m, n], c[n - m], (-1) ** (n - m)) for m in range(n_check) for n in range(m, n_check)]
+        res_plain = max(abs(s - cn) for s, cn, _ in upper)
+        res_alt = max(abs(s - sign * cn) for s, cn, sign in upper)
+        lower = max(abs(S[m, n]) for m in range(n_check) for n in range(m))
+        result = conjugation_check(t, n_check=n_check, quad=quad)
+        assert result.residual == min(res_plain, res_alt)
+        assert result.residual_alternating == res_alt
+        assert result.lower_violation == lower
 
     def test_t_zero(self):
         quad = laguerre_quadrature()
