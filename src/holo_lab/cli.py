@@ -2,9 +2,11 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 input (config, parameters, flags), 3 internal/IO error.  Reports are
-byte-stable for a fixed (config, seed), also across the BLAS kernels a
-run-time-dispatched OpenBLAS may pick and across its thread counts:
-volatile data such as wall time goes to stderr, never into report.json.
+byte-stable for a fixed (config, seed): volatile data such as wall time goes
+to stderr, never into report.json.  The golden reports are also the same
+across the BLAS kernels a run-time-dispatched OpenBLAS may pick and across
+its thread counts; a factorization report with d > 1 can change in its last
+bits with the BLAS kernel (see the README).
 """
 from __future__ import annotations
 
@@ -48,6 +50,14 @@ DEFAULT_TOLERANCES = {
 
 # a Herglotz atom mass B may have eigenvalues down to -HERGLOTZ_MASS_TOL (round-off)
 HERGLOTZ_MASS_TOL = 1e-10
+
+# size caps, so that a config cannot ask for gigabytes: herglotz-analyze holds
+# n_samples d x d matrices, shift-sim about 40 * order^2 Laguerre basis values
+MAX_HERGLOTZ_SAMPLES = 2**16
+MAX_SHIFT_ORDER = 256
+
+# what a rigidity-check config may expect; rigidity_verdict returns one of these
+RIGIDITY_VERDICTS = (rigidity.CONSTANT_CONFIRMED, rigidity.HYPOTHESIS_VIOLATED, rigidity.INCONCLUSIVE)
 
 
 class InvalidInput(ValueError):
@@ -110,8 +120,12 @@ def _run_rigidity(cfg, grid, tols, seed, out_dir, emit_plots):
         F = rigidity.resolve_function(cfg["function"])
     except ValueError as exc:
         raise InvalidInput(str(exc)) from exc
-    report = rigidity.rigidity_verdict(F, grid, eps_holo=tols["eps_holo"], eps_const=tols["eps_const"])
     expected = cfg.get("expect_verdict", rigidity.CONSTANT_CONFIRMED)
+    if expected not in RIGIDITY_VERDICTS:
+        raise InvalidInput(
+            f"rigidity-check expect_verdict must be one of {list(RIGIDITY_VERDICTS)}, got {expected!r}"
+        )
+    report = rigidity.rigidity_verdict(F, grid, eps_holo=tols["eps_holo"], eps_const=tols["eps_const"])
     checks = [_verdict_check("verdict", expected, report.verdict)]
     verdicts = {
         "verdict": report.verdict,
@@ -250,12 +264,16 @@ def _run_herglotz(cfg, grid, tols, seed, out_dir, emit_plots):
     r = _number(cfg.get("r", herglotz.DEFAULT_R), f"{where} r", float, lambda v: 0 < v < 1, "in (0, 1)")
     N = _number(
         cfg.get("n_samples", herglotz.DEFAULT_N), f"{where} n_samples", int,
-        lambda v: v >= 16 and v & (v - 1) == 0, "2**k >= 16",
+        lambda v: 16 <= v <= MAX_HERGLOTZ_SAMPLES and v & (v - 1) == 0,
+        f"2**k with 16 <= n_samples <= {MAX_HERGLOTZ_SAMPLES}",
     )
     M = _number(
         cfg.get("n_moments", herglotz.DEFAULT_M), f"{where} n_moments", int,
         lambda v: 1 <= v < N / 4, ">= 1 and < n_samples / 4",
     )
+    expected = cfg.get("expect_concentrated", True)
+    if not isinstance(expected, bool):
+        raise InvalidInput(f"{where} expect_concentrated must be true or false, got {expected!r}")
     tol_atom = cfg.get("tol_atom")
     if tol_atom is not None:
         tol_atom = _tolerance(tol_atom, "tol_atom", "herglotz-analyze")
@@ -263,7 +281,6 @@ def _run_herglotz(cfg, grid, tols, seed, out_dir, emit_plots):
     moments = approx.moments  # moment(n) at index n + M
     sym = float(np.max(np.abs(moments[M::-1] - moments[M:].conj().swapaxes(-1, -2))))
     checks = [_check("moment_symmetry", sym, tols["moment_symmetry"])]
-    expected = bool(cfg.get("expect_concentrated", True))
     checks.append(_verdict_check("concentrated_at_1", expected, concentrated))
     verdicts = {
         "concentrated": concentrated,
@@ -292,7 +309,8 @@ def _run_herglotz(cfg, grid, tols, seed, out_dir, emit_plots):
 def _run_shiftsim(cfg, grid, tols, seed, out_dir, emit_plots):
     _require_keys(cfg, ["command"], ["t", "order", "n_check"], "shift-sim")
     t = _number(cfg.get("t", 1.0), "shift-sim t", float, lambda v: v >= 0, ">= 0")
-    order = _number(cfg.get("order", 32), "shift-sim order", int, lambda v: v >= 2, ">= 2")
+    order = _number(cfg.get("order", 32), "shift-sim order", int, lambda v: 2 <= v <= MAX_SHIFT_ORDER,
+                    f">= 2 and <= {MAX_SHIFT_ORDER}")
     n_check = _number(cfg.get("n_check", 8), "shift-sim n_check", int, lambda v: 1 <= v <= order / 2,
                       ">= 1 and <= order / 2")
     quad = shiftsim.laguerre_quadrature(basis_order=order, breakpoints=(t,) if t > 0 else ())
@@ -380,7 +398,11 @@ def _build_grid(cfg, grid_radii_flag):
             raise InvalidInput(f"--grid-radii: {exc}") from exc
     kwargs = {}
     if radii is not None:
-        kwargs["radii"] = tuple(radii)
+        if not isinstance(radii, list) or not radii:
+            raise InvalidInput(f"grid radii must be a non-empty list, got {radii!r}")
+        kwargs["radii"] = tuple(
+            _number(r, "grid radii entry", float, lambda v: 0 < v < 1, "in (0, 1)") for r in radii
+        )
     if "n_angles" in spec:
         kwargs["n_angles"] = _number(spec["n_angles"], "grid n_angles", int, lambda v: v >= 8, ">= 8")
     if "stencil_h" in spec:

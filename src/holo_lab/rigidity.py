@@ -223,6 +223,8 @@ NONCONSTANT_FAMILY = ("linear", "re-plus-half", "abs-shift")
 
 def resolve_function(spec):
     """Look up a built-in test function by id; 'const:re,im' builds a constant."""
+    if not isinstance(spec, str):
+        raise ValueError(f"function id must be a string, got {spec!r}")
     if spec.startswith("const:"):
         parts = spec[len("const:"):].split(",")
         if len(parts) != 2:

@@ -239,6 +239,7 @@ class TestExitCodes:
             ({"command": "herglotz-analyze", "function": "phi", "n_samples": "abc"}, "n_samples"),
             ({"command": "herglotz-analyze", "function": "phi", "n_samples": 1e9}, "n_samples"),
             ({"command": "herglotz-analyze", "function": "phi", "n_samples": 1000}, "n_samples"),
+            ({"command": "herglotz-analyze", "function": "phi", "n_samples": 2**30}, "n_samples"),
             ({"command": "herglotz-analyze", "function": "phi", "r": 1.5}, "r"),
             ({"command": "herglotz-analyze", "function": "phi", "r": float("nan")}, "r"),
             ({"command": "herglotz-analyze", "function": "phi", "n_moments": 0}, "n_moments"),
@@ -248,6 +249,7 @@ class TestExitCodes:
             ({"command": "shift-sim", "t": float("inf")}, "t"),
             ({"command": "shift-sim", "order": 0}, "order"),
             ({"command": "shift-sim", "order": 32.5}, "order"),
+            ({"command": "shift-sim", "order": 100000}, "order"),
             ({"command": "shift-sim", "order": 32, "n_check": 17}, "n_check"),
             ({"command": "shift-sim", "n_check": 0}, "n_check"),
             ({"command": "rigidity-check", "function": "phi", "grid": {"n_angles": "x"}}, "n_angles"),
@@ -259,8 +261,9 @@ class TestExitCodes:
             ({"command": "factorize-verify", "random": {"dim": 2, "count": 0}}, "random.count"),
         ],
         ids=[
-            "n_samples-string", "n_samples-1e9", "n_samples-not-power-of-two", "r-outside-disc", "r-nan",
-            "n_moments-zero", "n_moments-aliasing", "t-negative", "t-inf", "order-zero", "order-fraction",
+            "n_samples-string", "n_samples-1e9", "n_samples-not-power-of-two", "n_samples-above-cap",
+            "r-outside-disc", "r-nan", "n_moments-zero", "n_moments-aliasing", "t-negative", "t-inf",
+            "order-zero", "order-fraction", "order-above-cap",
             "n_check-above-half-order", "n_check-zero", "n_angles-string", "n_angles-too-few",
             "stencil_h-string", "stencil_h-negative", "random-dim-zero", "random-dim-bool",
             "random-count-zero",
@@ -268,6 +271,33 @@ class TestExitCodes:
     )
     def test_invalid_number_field(self, tmp_path, capsys, cfg, field):
         code, report, _ = run_cli(tmp_path, cfg, "--seed", "1")
+        assert code == EXIT_INVALID
+        assert report is None
+        assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            ({"command": "rigidity-check", "function": "phi", "grid": {"radii": 5}}, "grid radii"),
+            ({"command": "rigidity-check", "function": "phi", "grid": {"radii": [[0.5]]}}, "radii entry"),
+            ({"command": "rigidity-check", "function": 5}, "function id"),
+            ({"command": "herglotz-analyze", "function": 5}, "function id"),
+            ({"command": "herglotz-analyze", "function": "const:1,0", "expect_concentrated": "false"},
+             "expect_concentrated"),
+            ({"command": "herglotz-analyze", "function": "const:1,0", "expect_concentrated": "no"},
+             "expect_concentrated"),
+            ({"command": "herglotz-analyze", "function": "phi", "expect_concentrated": 1}, "expect_concentrated"),
+            ({"command": "rigidity-check", "function": "phi", "expect_verdict": "VIOLATED"}, "expect_verdict"),
+            ({"command": "rigidity-check", "function": "phi", "expect_verdict": None}, "expect_verdict"),
+        ],
+        ids=[
+            "radii-number", "radii-nested", "rigidity-function-number", "herglotz-function-number",
+            "expect_concentrated-false-string", "expect_concentrated-no", "expect_concentrated-int",
+            "expect_verdict-typo", "expect_verdict-null",
+        ],
+    )
+    def test_invalid_field_type(self, tmp_path, capsys, cfg, field):
+        code, report, _ = run_cli(tmp_path, cfg)
         assert code == EXIT_INVALID
         assert report is None
         assert f"{field} must be" in capsys.readouterr().err
@@ -552,6 +582,16 @@ class TestModuleEntryPoint:
         assert proc.returncode == EXIT_PASS
         assert proc.stdout == ""  # report data goes to files, status to stderr
         assert "PASS" in proc.stderr
+
+    def test_runtime_does_not_import_scipy(self, tmp_path):
+        # scipy is a test-only dependency, the oracle for matrix_exp; importing
+        # it took most of the CLI's start-up time
+        code = GOLDEN_RUNNER + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, GOLDEN_DIR, str(tmp_path)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestRunApi:

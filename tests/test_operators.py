@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from holo_lab.disc import default_grid, mobius_phi
+from holo_lab.factorization import EXP_NORM_BUDGET, _exponent, random_params
 from holo_lab.operators import (
     SingularityError,
     as_matrix,
@@ -26,6 +29,21 @@ def random_matrix(rng, d, scale=1.0):
 def random_hermitian(rng, d, scale=1.0):
     M = random_matrix(rng, d, scale)
     return (M + M.conj().T) / 2
+
+
+# 1-norms log-spaced from 1e-3 to EXP_NORM_BUDGET cross the theta of every Padé
+# degree (0.015, 0.25, 0.95, 2.1, 5.4) and reach 5 squarings
+ORACLE_NORMS = np.logspace(-3, np.log10(EXP_NORM_BUDGET), 64)
+
+
+def one_norm(M):
+    return np.abs(M).sum(axis=-2).max(axis=-1)
+
+
+def assert_matches_scipy(M):
+    """matrix_exp(M) against the independent oracle scipy.linalg.expm, slice by slice."""
+    X, R = matrix_exp(M), scipy.linalg.expm(M)
+    assert np.all(operator_norm(X - R) <= 1e-13 * np.maximum(1.0, operator_norm(R)))
 
 
 class TestHermitianSplit:
@@ -132,6 +150,39 @@ class TestMatrixExp:
             M = random_matrix(rng, 5, scale=2.0)
             M *= min(1.0, 10 / operator_norm(M))
             assert operator_norm(matrix_exp(M)) <= np.exp(numerical_abscissa(M)) + 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_random_stacks(self, d):
+        rng = np.random.default_rng(40 + d)
+        M = np.stack([random_matrix(rng, d) for _ in ORACLE_NORMS])
+        assert_matches_scipy(M * (ORACLE_NORMS / one_norm(M))[:, None, None])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_strictly_triangular_stacks(self, d):
+        rng = np.random.default_rng(50 + d)
+        N = np.triu(np.stack([random_matrix(rng, d) for _ in ORACLE_NORMS]), 1)  # nilpotent
+        assert_matches_scipy(N * (ORACLE_NORMS / one_norm(N))[:, None, None])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_factorization_exponents(self, d):
+        grid = default_grid()
+        z = grid.points()
+        phi = mobius_phi(z)
+        params = random_params(np.random.default_rng(60 + d), d)
+        a_norm = operator_norm(params.A)
+        for j in (1, 2):
+            E = _exponent(params, j, z)
+            for t in (0.25, 0.5, 1.0, 2.0, 5.0, 20.0, 40.0):
+                ok = t * (a_norm + np.abs(phi)) <= EXP_NORM_BUDGET  # the points verify_factorization checks
+                assert ok.any()
+                assert_matches_scipy(t * E[ok])
+
+    def test_one_by_one_is_exp(self):
+        rng = np.random.default_rng(7)
+        z = 20 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
+        for M in (z.reshape(-1, 1, 1), z[:1].reshape(1, 1)):
+            assert np.array_equal(matrix_exp(M), np.exp(M))
+            assert np.array_equal(matrix_exp(M), scipy.linalg.expm(M))
 
 
 class TestAbscissaAndNorm:
