@@ -20,7 +20,6 @@ from .factorization import (
     random_params,
     recover_params,
     verify_factorization,
-    verify_master,
 )
 from .herglotz import (
     atom_at_angle,

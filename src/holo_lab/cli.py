@@ -55,6 +55,11 @@ HERGLOTZ_MASS_TOL = 1e-10
 # n_samples d x d matrices, shift-sim about 40 * order^2 Laguerre basis values
 MAX_HERGLOTZ_SAMPLES = 2**16
 MAX_SHIFT_ORDER = 256
+# or hours: factorize-verify takes 1.7 s at dim 16 on the default grid, and
+# 209 s and 145 MB at all three caps below (2 vCPUs; see the README)
+MAX_RANDOM_DIM = 16
+MAX_RANDOM_COUNT = 8
+MAX_GRID_ANGLES = 1024
 
 # what a rigidity-check config may expect; rigidity_verdict returns one of these
 RIGIDITY_VERDICTS = (rigidity.CONSTANT_CONFIRMED, rigidity.HYPOTHESIS_VIOLATED, rigidity.INCONCLUSIVE)
@@ -97,10 +102,21 @@ def _verdict_check(name, expected, actual):
 def _load_params(cfg, where):
     if ("params" in cfg) == ("params_file" in cfg):
         raise InvalidInput(f"{where}: provide exactly one of 'params' or 'params_file'")
-    data = cfg.get("params")
-    if data is None:
-        with open(cfg["params_file"]) as fh:
-            data = json.load(fh)
+    if "params" in cfg:
+        data = _section(cfg, "params", where)
+    else:
+        path = cfg["params_file"]
+        if not isinstance(path, str):
+            raise InvalidInput(f"{where}: field 'params_file' must be a path string, got {path!r}")
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON or not UTF-8
+            raise InvalidInput(f"{where}: cannot read params_file {path!r}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InvalidInput(f"{where}: params_file {path!r} must hold a JSON object")
+    _require_keys(data, ["dim", "A", "B"], [], f"{where} params")
+    _number(data["dim"], f"{where} params dim", int, lambda v: v >= 1, ">= 1")
     try:
         return FactorParams.from_jsonable(data)
     except ValueError as exc:
@@ -160,8 +176,10 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
             raise InvalidInput("factorize-verify: randomized runs require --seed")
         spec = _section(cfg, "random", "factorize-verify")
         _require_keys(spec, ["dim"], ["count"], "factorize-verify.random")
-        dim = _number(spec["dim"], "factorize-verify random.dim", int, lambda v: v >= 1, ">= 1")
-        count = _number(spec.get("count", 1), "factorize-verify random.count", int, lambda v: v >= 1, ">= 1")
+        dim = _number(spec["dim"], "factorize-verify random.dim", int, lambda v: 1 <= v <= MAX_RANDOM_DIM,
+                      f">= 1 and <= {MAX_RANDOM_DIM}")
+        count = _number(spec.get("count", 1), "factorize-verify random.count", int,
+                        lambda v: 1 <= v <= MAX_RANDOM_COUNT, f">= 1 and <= {MAX_RANDOM_COUNT}")
         rng = np.random.default_rng(seed)
         params_list = [random_params(rng, dim) for _ in range(count)]
     else:
@@ -171,7 +189,7 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
     worst = {"product": 0.0, "commutation": 0.0, "contractivity": 0.0, "semigroup": 0.0, "master": 0.0}
     first_residuals = None
     for params in params_list:
-        rep = verify_factorization(params, t_list=t_list, grid=grid)
+        rep = verify_factorization(params, grid, t_list=t_list)
         if rep.n_checked == 0:
             raise InvalidInput(
                 "factorize-verify: no (t, z) point lies within the exponent-norm budget "
@@ -188,7 +206,7 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
         worst["commutation"] = max(worst["commutation"], rep.commutation_residual)
         worst["contractivity"] = max(worst["contractivity"], rep.contractivity_excess)
         worst["semigroup"] = max(worst["semigroup"], rep.semigroup_residual)
-        residuals, _ = master_residuals(pair_from_params(params), grid=grid)
+        residuals = master_residuals(pair_from_params(params), grid)
         if first_residuals is None:
             first_residuals = residuals
         worst["master"] = max(worst["master"], float(residuals.max()))
@@ -213,7 +231,7 @@ def _run_recover(cfg, grid, tols, seed, out_dir, emit_plots):
     _require_keys(cfg, ["command"], ["params", "params_file"], "recover-params")
     params = _load_params(cfg, "recover-params")
     pair = pair_from_params(params)
-    recovered, residual = recover_params(pair, grid=grid)
+    recovered, residual = recover_params(pair, grid)
     dev = max(
         float(np.max(np.abs(recovered.A - params.A))),
         float(np.max(np.abs(recovered.B - params.B))),
@@ -234,10 +252,11 @@ def _herglotz_function(cfg):
         except ValueError as exc:
             raise InvalidInput(str(exc)) from exc
     data = _section(cfg, "params", "herglotz-analyze")
+    _require_keys(data, ["A", "B"], [], "herglotz-analyze params")
     try:
         A = matrix_from_jsonable(data["A"], self_adjoint=True, name="A")
         B = matrix_from_jsonable(data["B"], self_adjoint=True, name="B")
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise InvalidInput(f"herglotz-analyze params: {exc}") from exc
     if A.shape != B.shape:
         raise InvalidInput(f"herglotz-analyze params: A is {A.shape}, B is {B.shape}")
@@ -276,7 +295,7 @@ def _run_herglotz(cfg, grid, tols, seed, out_dir, emit_plots):
         raise InvalidInput(f"{where} expect_concentrated must be true or false, got {expected!r}")
     tol_atom = cfg.get("tol_atom")
     if tol_atom is not None:
-        tol_atom = _tolerance(tol_atom, "tol_atom", "herglotz-analyze")
+        tol_atom = _number(tol_atom, f"{where} tol_atom", float, lambda v: v >= 0, ">= 0")
     approx, concentrated = herglotz.analyze(h, r=r, N=N, M=M, tol_atom=tol_atom)
     moments = approx.moments  # moment(n) at index n + M
     sym = float(np.max(np.abs(moments[M::-1] - moments[M:].conj().swapaxes(-1, -2))))
@@ -313,7 +332,7 @@ def _run_shiftsim(cfg, grid, tols, seed, out_dir, emit_plots):
                     f">= 2 and <= {MAX_SHIFT_ORDER}")
     n_check = _number(cfg.get("n_check", 8), "shift-sim n_check", int, lambda v: 1 <= v <= order / 2,
                       ">= 1 and <= order / 2")
-    quad = shiftsim.laguerre_quadrature(basis_order=order, breakpoints=(t,) if t > 0 else ())
+    quad = shiftsim.laguerre_quadrature(basis_order=order, breakpoints=(t,))
     result = shiftsim.conjugation_check(t, n_check=n_check, quad=quad)
     checks = [
         _check("gram_residual", quad.gram_residual, tols["gram"]),
@@ -343,17 +362,6 @@ _RUNNERS = {
 }
 
 
-def _tolerance(value, name, where):
-    """A tolerance as a float; nan, inf and negative values would make checks vacuous."""
-    try:
-        tol = float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{where} {name}: {value!r} is not a number") from exc
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidInput(f"{where} {name}: tolerance must be finite and >= 0, got {value!r}")
-    return tol
-
-
 def _number(value, field, kind, valid, rule):
     """A config field as kind: a JSON integer (kind int) or number (kind float), finite and valid.
 
@@ -375,15 +383,25 @@ def _number(value, field, kind, valid, rule):
     return kind(value)
 
 
-def _parse_tol_overrides(pairs, command, base=None):
-    tols = dict(base if base is not None else DEFAULT_TOLERANCES[command])
-    for item in pairs or ():
-        if "=" not in item:
+def _tolerances(command, cfg_tols, flags):
+    """DEFAULT_TOLERANCES[command] updated by the config's tolerances, then by --tol NAME=VALUE flags.
+
+    A tolerance that is not a finite number >= 0 would make its check vacuous.
+    """
+    overrides = list(cfg_tols.items())
+    for item in flags or ():
+        name, sep, value = item.partition("=")
+        if not sep:
             raise InvalidInput(f"--tol expects NAME=VALUE, got {item!r}")
-        name, _, value = item.partition("=")
+        try:
+            overrides.append((name, float(value)))
+        except ValueError as exc:
+            raise InvalidInput(f"--tol {name}: {value!r} is not a number") from exc
+    tols = dict(DEFAULT_TOLERANCES[command])
+    for name, value in overrides:
         if name not in tols:
             raise InvalidInput(f"unknown tolerance {name!r} for {command}; known: {sorted(tols)}")
-        tols[name] = _tolerance(value, name, "--tol")
+        tols[name] = _number(value, f"tolerance {name}", float, lambda v: v >= 0, ">= 0")
     return tols
 
 
@@ -404,7 +422,8 @@ def _build_grid(cfg, grid_radii_flag):
             _number(r, "grid radii entry", float, lambda v: 0 < v < 1, "in (0, 1)") for r in radii
         )
     if "n_angles" in spec:
-        kwargs["n_angles"] = _number(spec["n_angles"], "grid n_angles", int, lambda v: v >= 8, ">= 8")
+        kwargs["n_angles"] = _number(spec["n_angles"], "grid n_angles", int,
+                                     lambda v: 8 <= v <= MAX_GRID_ANGLES, f">= 8 and <= {MAX_GRID_ANGLES}")
     if "stencil_h" in spec:
         kwargs["stencil_h"] = _number(spec["stencil_h"], "grid stencil_h", float, lambda v: v > 0, "> 0")
     try:
@@ -420,13 +439,7 @@ def run(config, seed=None, out_dir=".", grid_radii=None, tol_overrides=None, emi
         raise InvalidInput(f"unknown command {command!r}; known: {list(COMMANDS)}")
     cfg = {k: v for k, v in config.items() if k != "grid"}
     grid = _build_grid(config, grid_radii)
-    cfg_tols = _section(config, "tolerances", "config")
-    unknown = sorted(set(cfg_tols) - set(DEFAULT_TOLERANCES[command]))
-    if unknown:
-        raise InvalidInput(f"unknown tolerance name(s) {unknown} for {command}")
-    base = dict(DEFAULT_TOLERANCES[command])
-    base.update({k: _tolerance(v, k, "tolerances") for k, v in cfg_tols.items()})
-    tols = _parse_tol_overrides(tol_overrides, command, base=base)  # flags beat config
+    tols = _tolerances(command, _section(config, "tolerances", "config"), tol_overrides)
     cfg.pop("tolerances", None)
     checks, verdicts, artifacts = _RUNNERS[command](cfg, grid, tols, seed, out_dir, emit_plots)
     overall = all(c["passed"] for c in checks)

@@ -42,7 +42,6 @@ __all__ = [
     "phi_jt",
     "FactorizationReport",
     "verify_factorization",
-    "verify_master",
     "master_residuals",
     "recover_params",
     "DEFAULT_T_LIST",
@@ -99,14 +98,14 @@ class FactorPair:
     psi2: OperatorFunction
 
 
-def random_params(rng, dim, a_norm=2.0):
-    """Seeded random (A, B): Gaussian self-adjoint A with ||A|| <= a_norm,
+def random_params(rng, dim):
+    """Seeded random (A, B): Gaussian self-adjoint A with ||A|| <= 2,
     B = V diag(u) V* with u uniform in [0, 1] and Haar-ish V from QR."""
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     A = (G + G.conj().T) / 2
     nrm = operator_norm(A)
-    if nrm > a_norm:
-        A = A * (a_norm / nrm)
+    if nrm > 2.0:
+        A = A * (2.0 / nrm)
     V, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     u = rng.uniform(0.0, 1.0, size=dim)
     B = (V * u) @ V.conj().T
@@ -206,21 +205,17 @@ def _largest_norm(stack):
     return float(np.max(operator_norm(stack)))
 
 
-def verify_factorization(params, t_list=DEFAULT_T_LIST, grid=None, exp_budget=EXP_NORM_BUDGET):
+def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
     """Check the four factorization axioms over (t, z) in t_list x grid.
 
     (i) product phi_{1,t} phi_{2,t} = e^{-t phi} I; (ii) the factors
     commute; (iii) each factor is a contraction; (iv) the semigroup law for
     consecutive t, s in t_list, against exp((t + s) exponent) computed
     directly.  Points whose exponent-norm estimate t (||A|| + |phi(z)|)
-    exceeds exp_budget are skipped and counted.  The grid is swept one
+    exceeds EXP_NORM_BUDGET are skipped and counted.  The grid is swept one
     circle at a time, each as one stack per (t, factor).  Every t must be
     finite and > 0.
     """
-    from .disc import default_grid
-
-    if grid is None:
-        grid = default_grid()
     t_list = sorted(float(t) for t in t_list)
     if not all(np.isfinite(t) and t > 0 for t in t_list):
         raise ValueError(f"t_list must hold finite values > 0, got {t_list}")
@@ -237,7 +232,7 @@ def verify_factorization(params, t_list=DEFAULT_T_LIST, grid=None, exp_budget=EX
         exps = (_exponent(params, 1, zs), _exponent(params, 2, zs))
 
         def budget_ok(t):
-            return t * (a_norm + phi_abs) <= exp_budget
+            return t * (a_norm + phi_abs) <= EXP_NORM_BUDGET
 
         factors = {}  # t -> (mask, phi_{1,t}, phi_{2,t}), factors only at the points in mask
         for t in t_list:
@@ -276,49 +271,29 @@ def verify_factorization(params, t_list=DEFAULT_T_LIST, grid=None, exp_budget=EX
     )
 
 
-def master_residuals(pair, grid=None):
-    """Per-point residual of the master equation, and the min margin of I - psi_j.
+def master_residuals(pair, grid):
+    """Per-point residual of the master equation.
 
-    Returns (residuals, margin): residuals[k] = ||ic(psi1(z_k)) + ic(psi2(z_k))
-    - phi(z_k) I|| for z_k = grid.points()[k]; margin = min_z,j sigma_min(I -
-    psi_j(z)), the numerical distance of 1 from the spectrum of psi_j.
+    residuals[k] = ||ic(psi1(z_k)) + ic(psi2(z_k)) - phi(z_k) I|| for
+    z_k = grid.points()[k].  inverse_cayley raises SingularityError where 1
+    is (numerically) in the spectrum of psi_j(z).
     """
-    from .disc import default_grid
-
-    if grid is None:
-        grid = default_grid()
     eye = np.eye(pair.psi1.dim)
-    residuals, margin = [], np.inf
+    residuals = []
     for zs in grid.circles():
         P1, P2 = pair.psi1(zs), pair.psi2(zs)
-        for P in (P1, P2):
-            margin = min(margin, float(np.linalg.svd(eye - P, compute_uv=False)[:, -1].min()))
         phi = mobius_phi(zs)[:, None, None]
         residuals.append(operator_norm(inverse_cayley(P1) + inverse_cayley(P2) - phi * eye))
-    return np.concatenate(residuals), margin
+    return np.concatenate(residuals)
 
 
-def verify_master(pair, grid=None):
-    """Max grid residual of the master equation, and the min margin of I - psi_j.
-
-    Returns (residual, margin) with residual = max_z ||ic(psi1) + ic(psi2) -
-    phi(z) I||; see master_residuals for the per-point values.
-    """
-    residuals, margin = master_residuals(pair, grid)
-    return float(residuals.max()), margin
-
-
-def recover_params(pair, grid=None):
+def recover_params(pair, grid):
     """Read (A, B) back off a factorizing pair.
 
     h1(0) = inverse_cayley(psi1(0)) = B - iA fixes the parameters; the
     returned residual max_z ||inverse_cayley(psi1(z)) - (phi(z)B - iA)||
     certifies that the pair really is of the classified exponential form.
     """
-    from .disc import default_grid
-
-    if grid is None:
-        grid = default_grid()
     h10 = inverse_cayley(pair.psi1(0))
     B = re_part(h10)
     A = -im_part(h10)

@@ -160,11 +160,11 @@ def split_additivity_check(h1, h2, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M):
     return float(np.linalg.svd(m1 + m2 - m, compute_uv=False)[:, 0].max())
 
 
-def arc_mass_profile(approx, n_points=360):
-    """Fejer-smoothed (nonnegative) arc-mass density vs angle, for plotting."""
+def arc_mass_profile(approx):
+    """Fejer-smoothed (nonnegative) arc-mass density at 360 equispaced angles, for plotting."""
     ns = np.arange(-approx.M, approx.M + 1)
     weights = 1 - np.abs(ns) / (approx.M + 1)
-    thetas = 2 * np.pi * np.arange(n_points) / n_points
+    thetas = 2 * np.pi * np.arange(360) / 360
     phases = np.exp(1j * np.outer(thetas, ns)) * weights
     density = np.tensordot(phases, approx.moments, axes=(1, 0))
     return thetas, np.linalg.svd(density, compute_uv=False)[:, 0]

@@ -211,7 +211,7 @@ def matrix_to_jsonable(M):
     return [[[float(v.real), float(v.imag)] for v in row] for row in M]
 
 
-def matrix_from_jsonable(rows, self_adjoint=False, tol=1e-10, name="matrix"):
+def matrix_from_jsonable(rows, self_adjoint=False, name="matrix"):
     """Parse the [re, im] row format; optionally validate self-adjointness."""
     try:
         arr = np.asarray(rows, dtype=float)
@@ -221,5 +221,5 @@ def matrix_from_jsonable(rows, self_adjoint=False, tol=1e-10, name="matrix"):
         raise ValueError(f"{name}: expected d x d entries of [re, im], got shape {arr.shape}")
     M = as_matrix(arr[..., 0] + 1j * arr[..., 1])
     if self_adjoint:
-        require_self_adjoint(M, tol=tol, name=name)
+        require_self_adjoint(M, name=name)
     return M

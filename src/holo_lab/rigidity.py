@@ -135,13 +135,13 @@ class ConvexityResult:
     deviation: float  # max_j max_z |f_j(z) - phi(z)|; nan when degenerate
 
 
-def convexity_diagnostic(F, grid, tol=1e-12):
+def convexity_diagnostic(F, grid):
     """Scalar diagnostic for the extreme-point argument.
 
     Builds f_j(z) = (h_j(z) - i Im h_j(0)) / Re h_j(0), normalized members
     of the class {f holomorphic, f(0) = 1, Re f > 0} that average to phi.
     When the hypotheses hold both must coincide with phi, so the returned
-    deviation is ~0.  Re h_j(0) <= tol is the constant-h boundary case and
+    deviation is ~0.  Re h_j(0) <= 1e-12 is the constant-h boundary case and
     is reported as DEGENERATE rather than a failure.
     """
     if F.dim != 1:
@@ -152,7 +152,7 @@ def convexity_diagnostic(F, grid, tol=1e-12):
     for h in (h1, h2):
         values = h(np.concatenate(([0], zs)))[:, 0, 0]  # h(0), then h on the grid
         h0 = values[0]
-        if h0.real <= tol:
+        if h0.real <= 1e-12:
             return ConvexityResult(status=DEGENERATE, deviation=float("nan"))
         f = (values - 1j * h0.imag) / h0.real
         if not abs(f[0] - 1) <= 1e-12:
@@ -171,20 +171,20 @@ class RigidityReport:
     dbar_residuals: np.ndarray  # max |dbar g| entry per point, in grid.points() order
 
 
-def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8, strip_tol=1e-10):
+def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8):
     """Classify F against the rigidity theorem.
 
-    Checks (i) Re F(z) has spectrum in [0, 1] at every grid point, (ii) the
-    transform F(z) + z F(z)^* is numerically holomorphic, (iii) F deviates
-    from F(0) by at most eps_const.  CONSTANT_CONFIRMED needs all three;
-    a failure of (i) or (ii) is HYPOTHESIS_VIOLATED; the remaining case is
-    INCONCLUSIVE and would contradict the theorem.
+    Checks (i) Re F(z) has spectrum in [0, 1] (up to 1e-10) at every grid
+    point, (ii) the transform F(z) + z F(z)^* is numerically holomorphic,
+    (iii) F deviates from F(0) by at most eps_const.  CONSTANT_CONFIRMED
+    needs all three; a failure of (i) or (ii) is HYPOTHESIS_VIOLATED; the
+    remaining case is INCONCLUSIVE and would contradict the theorem.
     """
     pts = grid.points()
     values = F(pts)
 
     eigs = np.linalg.eigvalsh(re_part(values))
-    strip_ok = bool(eigs.min() >= -strip_tol and eigs.max() <= 1 + strip_tol)
+    strip_ok = bool(eigs.min() >= -1e-10 and eigs.max() <= 1 + 1e-10)
 
     dbar = wirtinger_dbar(g_transform(F), pts, grid.stencil_h)
     dbar_residuals = np.max(np.abs(dbar), axis=(1, 2))

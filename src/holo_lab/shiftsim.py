@@ -72,24 +72,15 @@ def taylor_varphi_t(t, N):
     return np.exp(-t) * c
 
 
-def taylor_matrix_symbol(params, j, t, N, r=0.9, n_samples=None):
+def taylor_matrix_symbol(params, j, t, N):
     """Taylor coefficients of the matrix symbol z -> phi_{j,t}(z).
 
-    Samples the symbol on the circle |z| = r and applies an entrywise
-    r^{-n}-corrected DFT.  The aliasing wrap is O(r^{n_samples - N}); a
-    warning is raised when that estimate exceeds 1e-10.
+    Samples the symbol at S = max(8N, 256) equispaced points of the circle
+    |z| = 0.9 and applies an entrywise r^{-n}-corrected DFT.
     """
-    if not 0 < r < 1:
-        raise ValueError("sampling radius must satisfy 0 < r < 1")
-    S = n_samples if n_samples is not None else max(8 * N, 256)
-    if N > S / 4:
-        raise ValueError(f"need N <= n_samples/4 (N={N}, n_samples={S})")
-    if r ** (S - N) > 1e-10:
-        warnings.warn(
-            f"estimated aliasing r^(S-N) = {r ** (S - N):.2e} exceeds 1e-10; "
-            "increase n_samples or lower r",
-            stacklevel=2,
-        )
+    S, r = max(8 * N, 256), 0.9
+    # the aliasing wrap r^(S - N) is at most 0.9^224 = 5.6e-11 for every N
+    # (S - N = 7N from N = 32 on, 256 - N below)
     theta = 2 * np.pi * np.arange(S) / S
     vals = phi_jt(params, j, t, r * np.exp(1j * theta))
     fft = np.fft.fft(vals, axis=0) / S
@@ -147,22 +138,24 @@ class LaguerreQuadrature:
     gram_residual: float
 
 
-def laguerre_quadrature(basis_order=32, x_max=None, panel_width=0.5, nodes_per_panel=10, breakpoints=()):
+def laguerre_quadrature(basis_order=32, breakpoints=()):
     """Build a composite quadrature that resolves l_n for n < basis_order.
 
-    x_max defaults past the classical turning point 2*basis_order so the
-    highest basis functions have decayed.  Extra breakpoints force panel
-    edges (e.g. at the kink x = t of a shifted integrand).  The Gram
-    matrix of the basis under the rule is computed at construction; its
-    deviation from the identity is stored as gram_residual.
+    The rule is fixed: 10-node Gauss-Legendre panels of width 0.5 on
+    [0, x_max] with x_max = 2 * basis_order + 20, past the classical turning
+    point 2 * basis_order so the highest basis functions have decayed.
+    Extra breakpoints force panel edges (e.g. at the kink x = t of a shifted
+    integrand); those outside (0, x_max) are ignored.  The Gram matrix of
+    the basis under the rule is computed at construction; its deviation
+    from the identity is stored as gram_residual.  The rule under-resolves
+    l_n from basis_order 40 on, where gram_residual exceeds 1e-8.
     """
-    if x_max is None:
-        x_max = 2 * basis_order + 20.0
-    edges = set(np.arange(0.0, x_max, panel_width))
+    x_max = 2 * basis_order + 20.0
+    edges = set(np.arange(0.0, x_max, 0.5))
     edges.add(float(x_max))
     edges.update(float(b) for b in breakpoints if 0.0 < b < x_max)
     edges = sorted(edges)
-    gx, gw = leggauss(nodes_per_panel)
+    gx, gw = leggauss(10)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         nodes.append((b - a) / 2 * gx + (a + b) / 2)
@@ -222,7 +215,7 @@ def conjugation_check(t, n_check=8, quad=None):
     violation and per-column energies (1 minus the truncation leak).
     """
     if quad is None:
-        quad = laguerre_quadrature(breakpoints=(t,) if t > 0 else ())
+        quad = laguerre_quadrature(breakpoints=(t,))
     N = quad.basis_order
     if not n_check <= N / 2:
         raise ValueError("n_check must be at most half the quadrature basis order")

@@ -3,12 +3,23 @@ import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import holo_lab
-from holo_lab.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_INVALID, EXIT_PASS, main, run
+from holo_lab.cli import (
+    EXIT_FAIL,
+    EXIT_INTERNAL,
+    EXIT_INVALID,
+    EXIT_PASS,
+    MAX_GRID_ANGLES,
+    MAX_RANDOM_COUNT,
+    MAX_RANDOM_DIM,
+    main,
+    run,
+)
 from holo_lab.disc import default_grid
 from holo_lab.operators import matrix_to_jsonable
 from holo_lab.rigidity import BUILTIN_FUNCTIONS, rigidity_verdict
@@ -174,7 +185,54 @@ class TestExitCodes:
         code, report, _ = run_cli(tmp_path, cfg, *extra)
         assert code == EXIT_INVALID
         assert report is None
-        assert "finite and >= 0" in capsys.readouterr().err
+        assert "a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, "1e-8"], ids=["true", "string"])
+    def test_tolerance_must_be_a_json_number(self, tmp_path, capsys, value):
+        # float(True) is 1.0, a gram tolerance that any quadrature passes
+        cfg = {"command": "shift-sim", "t": 0.5, "tolerances": {"gram": value}}
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == EXIT_INVALID
+        assert report is None
+        assert "tolerance gram must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            ({"command": "recover-params", "params": 5}, "'params' must be a JSON object"),
+            ({"command": "factorize-verify", "params": [1, 2]}, "'params' must be a JSON object"),
+            ({"command": "recover-params", "params": dict(scalar_params_json(0.0, 0.5), dim=True)},
+             "params dim"),
+            ({"command": "recover-params", "params_file": ["p.json"]}, "params_file"),
+            (
+                {"command": "herglotz-analyze", "params": {"A": [[[0.0, 0.0]]], "B": [[[1.0, 0.0]]], "C": 1},
+                 "n_samples": 64, "n_moments": 4},
+                "['C']",
+            ),
+        ],
+        ids=["params-number", "params-list", "dim-bool", "params_file-list", "herglotz-unknown-key"],
+    )
+    def test_invalid_params(self, tmp_path, capsys, cfg, field):
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == EXIT_INVALID
+        assert report is None
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content", [None, "[1, 2]", b"\xff\xfe"], ids=["directory", "not-an-object", "not-utf8"]
+    )
+    def test_unreadable_params_file(self, tmp_path, capsys, content):
+        path = tmp_path / "params"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        code, report, _ = run_cli(tmp_path, {"command": "recover-params", "params_file": str(path)})
+        assert code == EXIT_INVALID
+        assert report is None
+        assert "params_file" in capsys.readouterr().err
 
     def test_nothing_checked_is_invalid(self, tmp_path, capsys):
         cfg = {
@@ -259,6 +317,9 @@ class TestExitCodes:
             ({"command": "factorize-verify", "random": {"dim": 0}}, "random.dim"),
             ({"command": "factorize-verify", "random": {"dim": True}}, "random.dim"),
             ({"command": "factorize-verify", "random": {"dim": 2, "count": 0}}, "random.count"),
+            ({"command": "factorize-verify", "random": {"dim": 17}}, "random.dim"),
+            ({"command": "factorize-verify", "random": {"dim": 1, "count": 9}}, "random.count"),
+            ({"command": "rigidity-check", "function": "phi", "grid": {"n_angles": 1025}}, "n_angles"),
         ],
         ids=[
             "n_samples-string", "n_samples-1e9", "n_samples-not-power-of-two", "n_samples-above-cap",
@@ -266,7 +327,8 @@ class TestExitCodes:
             "order-zero", "order-fraction", "order-above-cap",
             "n_check-above-half-order", "n_check-zero", "n_angles-string", "n_angles-too-few",
             "stencil_h-string", "stencil_h-negative", "random-dim-zero", "random-dim-bool",
-            "random-count-zero",
+            "random-count-zero", "random-dim-above-cap", "random-count-above-cap",
+            "n_angles-above-cap",
         ],
     )
     def test_invalid_number_field(self, tmp_path, capsys, cfg, field):
@@ -274,6 +336,20 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert report is None
         assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"command": "factorize-verify", "random": {"dim": MAX_RANDOM_DIM, "count": MAX_RANDOM_COUNT},
+             "grid": {"radii": [0.5], "n_angles": 8}},
+            {"command": "rigidity-check", "function": "const:0.5,0",
+             "grid": {"radii": [0.5], "n_angles": MAX_GRID_ANGLES}},
+        ],
+        ids=["random-at-caps", "n_angles-at-cap"],
+    )
+    def test_size_caps_are_inclusive(self, tmp_path, cfg):
+        code, _, _ = run_cli(tmp_path, cfg, "--seed", "1")
+        assert code == EXIT_PASS
 
     @pytest.mark.parametrize(
         "cfg, field",
@@ -371,7 +447,7 @@ class TestDeterminism:
         out = tmp_path / "out"
         code = main(["--config", cfg_path, "--out", str(out), "--seed", "1"])
         assert code == EXIT_PASS
-        expected = open(os.path.join(GOLDEN_DIR, case, "report.json"), "rb").read()
+        expected = Path(GOLDEN_DIR, case, "report.json").read_bytes()
         assert (out / "report.json").read_bytes() == expected
 
     @pytest.mark.skipif(
@@ -403,7 +479,7 @@ class TestDeterminism:
                 )
                 assert proc.returncode == EXIT_PASS, f"{setting}: {proc.stderr}"
                 for case in GOLDEN_CASES:
-                    expected = open(os.path.join(GOLDEN_DIR, case, "report.json"), "rb").read()
+                    expected = Path(GOLDEN_DIR, case, "report.json").read_bytes()
                     assert (out / case / "report.json").read_bytes() == expected, f"{case} under {setting}"
                 plots[setting] = {p.name: p.read_bytes() for p in (out / "plots").glob("*.csv")}
         reference = plots["OPENBLAS_CORETYPE=unset OMP_NUM_THREADS=1"]
@@ -549,7 +625,8 @@ class TestHerglotzCommand:
         assert report is None
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol_atom", [float("nan"), -1.0, "abc"])
+    # read as 1.0, true would call even the diffuse const:0.5,0 concentrated
+    @pytest.mark.parametrize("tol_atom", [float("nan"), -1.0, "abc", True, "0.5"])
     def test_invalid_tol_atom(self, tmp_path, capsys, tol_atom):
         cfg = {"command": "herglotz-analyze", "function": "phi", "tol_atom": tol_atom,
                "r": 0.9, "n_samples": 64, "n_moments": 4}

@@ -220,6 +220,6 @@ class TestSplitAdditivity:
 class TestArcMass:
     def test_dirac_mass_peaks_at_zero(self):
         approx = estimate_moments(sample_boundary(PHI, R, 4096), M)
-        thetas, mass = arc_mass_profile(approx, n_points=64)
+        thetas, mass = arc_mass_profile(approx)
         assert np.argmax(mass) == 0
         assert mass.min() >= -1e-8  # Fejer smoothing keeps the profile nonnegative

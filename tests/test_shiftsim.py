@@ -163,7 +163,9 @@ class TestShiftMatrixElements:
         assert np.max(np.abs(S - np.eye(12))) <= max(quad.gram_residual, 1e-12)
 
     def test_gram_warning(self):
-        bad = laguerre_quadrature(basis_order=32, x_max=10.0, panel_width=5.0, nodes_per_panel=2)
+        # the fixed rule under-resolves l_n from order 40 on: residual 1.1e-6 at 48
+        bad = laguerre_quadrature(basis_order=48)
+        assert bad.gram_residual > 1e-8
         with pytest.warns(UserWarning, match="Gram residual"):
             shift_matrix_elements(0.5, 4, bad)
 
@@ -227,11 +229,6 @@ class TestMatrixSymbol:
         coeffs = taylor_matrix_symbol(p, 1, 1.0, 16)
         expected = taylor_varphi_t(0.5, 16)[:, None, None] * np.eye(2)
         np.testing.assert_allclose(coeffs, expected, atol=1e-9)
-
-    def test_aliasing_warning(self):
-        p = FactorParams(A=np.zeros((1, 1)), B=np.ones((1, 1)))
-        with pytest.warns(UserWarning, match="aliasing"):
-            taylor_matrix_symbol(p, 1, 0.5, 16, r=0.99, n_samples=64)
 
 
 class TestTruncatedFactorization:
