@@ -52,7 +52,7 @@ DEFAULT_TOLERANCES = {
 HERGLOTZ_MASS_TOL = 1e-10
 
 # size caps, so that a config cannot ask for gigabytes: herglotz-analyze holds
-# n_samples d x d matrices, shift-sim about 40 * order^2 Laguerre basis values
+# n_samples d x d matrices, shift-sim a few order x order matrices
 MAX_HERGLOTZ_SAMPLES = 2**16
 MAX_SHIFT_ORDER = 256
 # or hours: factorize-verify takes 1.7 s at dim 16 on the default grid, and
@@ -332,7 +332,7 @@ def _run_shiftsim(cfg, grid, tols, seed, out_dir, emit_plots):
                     f">= 2 and <= {MAX_SHIFT_ORDER}")
     n_check = _number(cfg.get("n_check", 8), "shift-sim n_check", int, lambda v: 1 <= v <= order / 2,
                       ">= 1 and <= order / 2")
-    quad = shiftsim.laguerre_quadrature(basis_order=order, breakpoints=(t,))
+    quad = shiftsim.laguerre_quadrature(basis_order=order)
     result = shiftsim.conjugation_check(t, n_check=n_check, quad=quad)
     checks = [
         _check("gram_residual", quad.gram_residual, tols["gram"]),

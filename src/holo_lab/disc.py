@@ -118,8 +118,7 @@ def wirtinger_dbar(f, z, h):
     if not h > 0:
         raise ValueError("stencil step h must be positive")
     stencil = np.stack((z + h, z - h, z + 1j * h, z - 1j * h))
-    if np.any(np.abs(stencil) >= 1):
-        raise DomainError("wirtinger stencil leaves the unit disc")
+    _require_in_disc(stencil, "wirtinger_dbar stencil")
     values = np.asarray(f(stencil.ravel()))
     values = values.reshape(stencil.shape + values.shape[1:])
     fx = (values[0] - values[1]) / (2 * h)

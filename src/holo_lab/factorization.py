@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disc import DomainError, mobius_phi, varphi_t
+from .disc import _require_in_disc, mobius_phi, varphi_t
 from .operators import (
     as_matrix,
     cayley,
@@ -115,8 +115,7 @@ def random_params(rng, dim):
 def _phi_column(z, who):
     """phi(z) shaped (..., 1, 1) to scale (d, d) matrices; z scalar or array in the disc."""
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1):
-        raise DomainError(f"{who} requires |z| < 1")
+    _require_in_disc(z, who)
     return np.asarray(mobius_phi(z))[..., None, None]
 
 

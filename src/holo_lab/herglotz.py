@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .disc import DomainError, mobius_phi
+from .disc import DomainError, _require_in_disc, mobius_phi
 from .operators import as_matrix, im_part, operator_norm, re_part
 
 __all__ = [
@@ -137,8 +137,7 @@ def dirac_concentration_test(approx, tol_atom=None):
 
 def herglotz_reconstruct(atom_mass, im_at_0, z):
     """The pure-atom Herglotz function i*im_at_0 + phi(z)*atom_mass; z a point or (n, 1, 1) points."""
-    if np.any(np.abs(z) >= 1):
-        raise DomainError("herglotz_reconstruct requires |z| < 1")
+    _require_in_disc(z, "herglotz_reconstruct")
     return 1j * as_matrix(im_at_0) + mobius_phi(z) * as_matrix(atom_mass)
 
 

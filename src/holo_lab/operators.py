@@ -219,6 +219,10 @@ def matrix_from_jsonable(rows, self_adjoint=False, name="matrix"):
         raise ValueError(f"{name}: malformed matrix literal") from exc
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise ValueError(f"{name}: expected d x d entries of [re, im], got shape {arr.shape}")
+    # asarray(dtype=float) also reads strings and booleans; a JSON matrix holds numbers only
+    for v in np.asarray(rows, dtype=object).flat:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{name}: matrix entries must be JSON numbers, got {v!r}")
     M = as_matrix(arr[..., 0] + 1j * arr[..., 1])
     if self_adjoint:
         require_self_adjoint(M, name=name)

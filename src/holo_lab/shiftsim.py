@@ -3,10 +3,10 @@
 The unitary identification sends the n-th Laguerre function
 l_n(x) = sqrt(2) e^{-x} L_n(2x) on the half-line to the monomial z^n, and
 the time-t shift to multiplication by varphi_t(z) = exp(-t(1+z)/(1-z)).
-Two independent routes compute the same numbers: Gauss quadrature of
-<S_t l_m, l_n> on the half-line, and the Taylor coefficients c_{n-m}(t)
-of varphi_t by power-series composition.  Their agreement is the
-strongest check in the package.
+Two independent routes compute the same numbers: Gauss-Laguerre
+quadrature of <S_t l_m, l_n> on the half-line, exact at every basis order,
+and the Taylor coefficients c_{n-m}(t) of varphi_t by power-series
+composition.  Their agreement is the strongest check in the package.
 
 Multiplication operators are truncated to lower block-triangular
 (block-)Toeplitz matrices in the monomial basis; products of truncations
@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .factorization import phi_jt
 from .operators import as_matrix, operator_norm
@@ -112,70 +111,67 @@ def toeplitz_of(coeffs, d=None):
 def laguerre_fns(n_max, x):
     """All l_n(x) = sqrt(2) e^{-x} L_n(2x) for 0 <= n < n_max, shape (n_max, len(x)).
 
-    Three-term recurrence in n; stable for the moderate orders used here.
+    Runs the three-term recurrence on l_n itself, from l_0 = sqrt(2) e^{-x}
+    and l_1 = (1 - 2x) l_0.  Every |l_n(x)| <= sqrt(2) on x >= 0 (Szego), so
+    nothing overflows, however large x is.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0):
         raise ValueError("laguerre functions live on x >= 0")
     y = 2 * x
-    L = np.empty((n_max, x.size))
+    l = np.empty((n_max, x.size))
     if n_max >= 1:
-        L[0] = 1.0
+        l[0] = np.sqrt(2.0) * np.exp(-x)
     if n_max >= 2:
-        L[1] = 1.0 - y
+        l[1] = (1.0 - y) * l[0]
     for n in range(1, n_max - 1):
-        L[n + 1] = ((2 * n + 1 - y) * L[n] - n * L[n - 1]) / (n + 1)
-    return np.sqrt(2.0) * np.exp(-x)[None, :] * L
+        l[n + 1] = ((2 * n + 1 - y) * l[n] - n * l[n - 1]) / (n + 1)
+    return l
 
 
 @dataclass(frozen=True)
 class LaguerreQuadrature:
-    """Panel Gauss-Legendre rule on [0, x_max] with a validated Laguerre Gram matrix."""
+    """Gauss-Laguerre rule for products of l_n, with its validated Gram matrix."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    basis_order: int
     gram_residual: float
 
+    @property
+    def basis_order(self):
+        return self.nodes.size
 
-def laguerre_quadrature(basis_order=32, breakpoints=()):
-    """Build a composite quadrature that resolves l_n for n < basis_order.
 
-    The rule is fixed: 10-node Gauss-Legendre panels of width 0.5 on
-    [0, x_max] with x_max = 2 * basis_order + 20, past the classical turning
-    point 2 * basis_order so the highest basis functions have decayed.
-    Extra breakpoints force panel edges (e.g. at the kink x = t of a shifted
-    integrand); those outside (0, x_max) are ignored.  The Gram matrix of
-    the basis under the rule is computed at construction; its deviation
-    from the identity is stored as gram_residual.  The rule under-resolves
-    l_n from basis_order 40 on, where gram_residual exceeds 1e-8.
+def laguerre_quadrature(basis_order=32):
+    """The basis_order-node Gauss-Laguerre rule, in l-function form.
+
+    With K = basis_order, sum_k weights[k] f(nodes[k]) equals int_0^inf f dx
+    exactly when f is e^{-2x} times a polynomial of degree <= 2K - 1, which
+    covers l_m(x) l_n(x + t) for all m, n < K and t >= 0.  The nodes are half
+    the eigenvalues of the K x K Laguerre Jacobi matrix (Golub-Welsch); the
+    weights 2x / ((K+1)^2 l_{K+1}(x)^2) are the classical ones
+    (Abramowitz-Stegun 25.4.45) times e^{2x}.  The Gram matrix of the basis
+    under the rule is computed at construction; its deviation from the
+    identity, round-off only, is stored as gram_residual.
     """
-    x_max = 2 * basis_order + 20.0
-    edges = set(np.arange(0.0, x_max, 0.5))
-    edges.add(float(x_max))
-    edges.update(float(b) for b in breakpoints if 0.0 < b < x_max)
-    edges = sorted(edges)
-    gx, gw = leggauss(10)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append((b - a) / 2 * gx + (a + b) / 2)
-        weights.append((b - a) / 2 * gw)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    basis = laguerre_fns(basis_order, nodes)
+    K = basis_order
+    k = np.arange(1, K)
+    jacobi = np.diag(2.0 * np.arange(K) + 1) + np.diag(k, 1) + np.diag(k, -1)
+    nodes = np.linalg.eigvalsh(jacobi) / 2
+    fns = laguerre_fns(K + 2, nodes)
+    weights = 2 * nodes / ((K + 1) ** 2 * fns[K + 1] ** 2)
+    basis = fns[:K]
     gram = _gram(basis * weights, basis)
-    gram_residual = float(np.max(np.abs(gram - np.eye(basis_order))))
-    return LaguerreQuadrature(
-        nodes=nodes, weights=weights, basis_order=basis_order, gram_residual=gram_residual
-    )
+    gram_residual = float(np.max(np.abs(gram - np.eye(K))))
+    return LaguerreQuadrature(nodes=nodes, weights=weights, gram_residual=gram_residual)
 
 
 def shift_matrix_elements(t, N, quad):
-    """Matrix (m, n) -> <S_t l_m, l_n> by quadrature on the shifted product.
+    """Matrix (m, n) -> <S_t l_m, l_n> = int_0^inf l_m(x) l_n(x + t) dx.
 
-    S_t translates by t and cuts at zero, so the integrand is
-    l_m(x - t) 1[x >= t] l_n(x).  Accurate when the quadrature has a panel
-    edge at x = t (see laguerre_quadrature breakpoints).
+    S_t translates by t and cuts at zero; substituting x -> x + t removes
+    the cut, and the shifted integrand is smooth, so the Gauss-Laguerre
+    rule integrates it exactly (up to round-off) for N <= quad.basis_order.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -188,10 +184,7 @@ def shift_matrix_elements(t, N, quad):
             stacklevel=2,
         )
     x = quad.nodes
-    mask = x >= t
-    basis = laguerre_fns(N, x)
-    shifted = laguerre_fns(N, np.maximum(x - t, 0.0)) * mask
-    return _gram(shifted * quad.weights, basis)
+    return _gram(laguerre_fns(N, x) * quad.weights, laguerre_fns(N, x + t))
 
 
 @dataclass(frozen=True)
@@ -205,7 +198,7 @@ class ConjugationResult:
     column_energy: np.ndarray  # sum_n <S_t l_m, l_n>^2 over the full basis order
 
 
-def conjugation_check(t, n_check=8, quad=None):
+def conjugation_check(t, n_check, quad):
     """Check that the shift acts as multiplication by varphi_t in the Laguerre basis.
 
     Compares quadrature elements <S_t l_m, l_n> against Taylor coefficients
@@ -214,8 +207,6 @@ def conjugation_check(t, n_check=8, quad=None):
     matches rather than silently picking.  Also reports the lower-triangle
     violation and per-column energies (1 minus the truncation leak).
     """
-    if quad is None:
-        quad = laguerre_quadrature(breakpoints=(t,))
     N = quad.basis_order
     if not n_check <= N / 2:
         raise ValueError("n_check must be at most half the quadrature basis order")

@@ -214,7 +214,7 @@ def test_c7_shift_conjugation():
 
     worst_agree, worst_lower = 0.0, 0.0
     for t in (0.25, 0.5, 1.0):
-        quad = laguerre_quadrature(basis_order=32, breakpoints=(t,))
+        quad = laguerre_quadrature(basis_order=32)
         result = conjugation_check(t, n_check=8, quad=quad)
         worst_agree = max(worst_agree, result.residual)
         worst_lower = max(worst_lower, result.lower_violation)

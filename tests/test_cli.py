@@ -27,10 +27,10 @@ from holo_lab.rigidity import BUILTIN_FUNCTIONS, rigidity_verdict
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_CASES = sorted(os.listdir(GOLDEN_DIR)) if os.path.isdir(GOLDEN_DIR) else []
 
-# Runs every golden config, then shift-sim with --emit-plots, in one process.
-# argv: golden dir, output dir.
+# Runs every golden config, then shift-sim with --emit-plots at the golden
+# order and at the order cap, in one process.  argv: golden dir, output dir.
 GOLDEN_RUNNER = """
-import os, sys
+import json, os, sys
 from holo_lab.cli import main
 golden, out = sys.argv[1:3]
 for case in sorted(os.listdir(golden)):
@@ -40,6 +40,11 @@ for case in sorted(os.listdir(golden)):
 cfg = os.path.join(golden, "shift-sim", "config.json")
 if main(["--config", cfg, "--out", os.path.join(out, "plots"), "--seed", "1", "--emit-plots"]) != 0:
     sys.exit("shift-sim --emit-plots: nonzero exit")
+cfg = os.path.join(out, "order256.json")
+with open(cfg, "w") as f:
+    json.dump({"command": "shift-sim", "t": 0.5, "order": 256, "n_check": 128}, f)
+if main(["--config", cfg, "--out", os.path.join(out, "order256"), "--seed", "1", "--emit-plots"]) != 0:
+    sys.exit("shift-sim order 256 --emit-plots: nonzero exit")
 """
 
 
@@ -233,6 +238,33 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert report is None
         assert "params_file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"command": "recover-params",
+             "params": {"dim": 1, "A": [[["0", "0"]]], "B": [[["0.5", "0"]]]}},
+            {"command": "factorize-verify", "params": {"dim": 1, "A": [[[True, 0]]], "B": [[[0.5, 0]]]},
+             "grid": {"radii": [0.3, 0.9], "n_angles": 16}},
+            {"command": "herglotz-analyze", "params": {"A": [[[0, 0]]], "B": [[["1", 0]]]},
+             "n_samples": 64, "n_moments": 4},
+        ],
+        ids=["recover-params-string", "factorize-verify-bool", "herglotz-analyze-string"],
+    )
+    def test_matrix_entries_must_be_numbers(self, tmp_path, capsys, cfg):
+        # np.asarray(dtype=float) reads "0.5" as 0.5 and true as 1.0
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == EXIT_INVALID
+        assert report is None
+        assert "matrix entries must be JSON numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", [40, 64, 128, 256])
+    def test_shiftsim_passes_at_every_order(self, tmp_path, order):
+        cfg = {"command": "shift-sim", "t": 1.0, "order": order, "n_check": order // 2}
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == EXIT_PASS
+        gram = next(c for c in report["checks"] if c["name"] == "gram_residual")
+        assert gram["residual"] <= 1e-11
 
     def test_nothing_checked_is_invalid(self, tmp_path, capsys):
         cfg = {
@@ -481,11 +513,14 @@ class TestDeterminism:
                 for case in GOLDEN_CASES:
                     expected = Path(GOLDEN_DIR, case, "report.json").read_bytes()
                     assert (out / case / "report.json").read_bytes() == expected, f"{case} under {setting}"
-                plots[setting] = {p.name: p.read_bytes() for p in (out / "plots").glob("*.csv")}
+                outputs = [*(out / "plots").glob("*.csv"), *(out / "order256").glob("*.csv"),
+                           out / "order256" / "report.json"]
+                plots[setting] = {p.relative_to(out).as_posix(): p.read_bytes() for p in outputs}
         reference = plots["OPENBLAS_CORETYPE=unset OMP_NUM_THREADS=1"]
-        assert "taylor_coefficients.csv" in reference
+        assert {"plots/taylor_coefficients.csv", "order256/taylor_coefficients.csv",
+                "order256/report.json"} <= set(reference)
         for setting, files in plots.items():
-            assert files == reference, f"shift-sim --emit-plots CSVs under {setting}"
+            assert files == reference, f"shift-sim --emit-plots outputs under {setting}"
 
 
 class TestEmitPlots:

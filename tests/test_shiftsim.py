@@ -4,6 +4,7 @@ from scipy.special import eval_laguerre
 
 from holo_lab.factorization import FactorParams, random_params
 from holo_lab.shiftsim import (
+    LaguerreQuadrature,
     conjugation_check,
     laguerre_fns,
     laguerre_quadrature,
@@ -134,6 +135,16 @@ class TestLaguerreBasis:
             expected = np.sqrt(2) * np.exp(-x) * eval_laguerre(n, 2 * x)
             np.testing.assert_allclose(laguerre_fns(n + 1, x)[n], expected, atol=1e-10)
 
+    def test_finite_far_out(self):
+        # L_256(2x) alone overflows long before x = 1e4, and e^{-x} underflows
+        l = laguerre_fns(256, np.linspace(0, 1e4, 2001))
+        assert np.all(np.isfinite(l))
+        assert np.max(np.abs(l)) <= np.sqrt(2) * (1 + 1e-12)  # |l_n| <= sqrt(2), up to round-off
+
+    @pytest.mark.parametrize("K", [2, 16, 32, 40, 48, 64, 128, 256])
+    def test_gram_exact_at_every_order(self, K):
+        assert laguerre_quadrature(basis_order=K).gram_residual <= 1e-11
+
     def test_orthonormal_under_quadrature(self):
         quad = laguerre_quadrature(basis_order=16)
         assert quad.gram_residual <= 1e-10
@@ -145,14 +156,14 @@ class TestLaguerreBasis:
 class TestShiftMatrixElements:
     def test_closed_form_00(self):
         # oracle: 2 e^t int_t^inf e^{-2x} dx = e^{-t}
-        quad = laguerre_quadrature(basis_order=8, breakpoints=(0.7,))
+        quad = laguerre_quadrature(basis_order=8)
         S = shift_matrix_elements(0.7, 4, quad)
         assert S[0, 0] == pytest.approx(np.exp(-0.7), abs=1e-12)
 
     def test_closed_form_01(self):
         # oracle: 2 e^t int_t^inf e^{-2x} L_1(2x) dx = -2t e^{-t} = c_1(t)
         t = 0.4
-        quad = laguerre_quadrature(basis_order=8, breakpoints=(t,))
+        quad = laguerre_quadrature(basis_order=8)
         S = shift_matrix_elements(t, 4, quad)
         assert S[0, 1] == pytest.approx(-2 * t * np.exp(-t), abs=1e-10)
         assert S[0, 1] == pytest.approx(taylor_varphi_t(t, 2)[1], abs=1e-6)
@@ -163,8 +174,12 @@ class TestShiftMatrixElements:
         assert np.max(np.abs(S - np.eye(12))) <= max(quad.gram_residual, 1e-12)
 
     def test_gram_warning(self):
-        # the fixed rule under-resolves l_n from order 40 on: residual 1.1e-6 at 48
-        bad = laguerre_quadrature(basis_order=48)
+        # an exact rule never warns, so spoil one: weights off by 1e-3
+        good = laguerre_quadrature(basis_order=8)
+        weights = good.weights * 1.001
+        basis = laguerre_fns(8, good.nodes)
+        residual = float(np.max(np.abs((basis * weights) @ basis.T - np.eye(8))))
+        bad = LaguerreQuadrature(nodes=good.nodes, weights=weights, gram_residual=residual)
         assert bad.gram_residual > 1e-8
         with pytest.warns(UserWarning, match="Gram residual"):
             shift_matrix_elements(0.5, 4, bad)
@@ -173,7 +188,7 @@ class TestShiftMatrixElements:
 class TestConjugation:
     @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
     def test_dual_oracle_agreement(self, t):
-        result = conjugation_check(t)
+        result = conjugation_check(t, n_check=8, quad=laguerre_quadrature())
         assert result.residual <= 1e-6
         assert result.lower_violation <= 1e-8
         assert result.convention == "plain"
@@ -183,7 +198,7 @@ class TestConjugation:
     @pytest.mark.parametrize("n_check", [8, 16])
     @pytest.mark.parametrize("t", [0.0, 0.25, 1.0, 3.0])
     def test_equals_elementwise_definition(self, t, n_check):
-        quad = laguerre_quadrature(breakpoints=(t,) if t > 0 else ())
+        quad = laguerre_quadrature()
         S = shift_matrix_elements(t, quad.basis_order, quad)
         c = taylor_varphi_t(t, n_check)
         upper = [(S[m, n], c[n - m], (-1) ** (n - m)) for m in range(n_check) for n in range(m, n_check)]
@@ -195,9 +210,22 @@ class TestConjugation:
         assert result.residual_alternating == res_alt
         assert result.lower_violation == lower
 
+    @pytest.mark.parametrize("t", [0.0, 0.25, 3.0])
+    def test_exact_at_order_cap(self, t):
+        quad = laguerre_quadrature(basis_order=256)
+        result = conjugation_check(t, n_check=128, quad=quad)
+        assert result.residual <= 1e-10
+        assert result.lower_violation <= 1e-10
+        # every element of the 256 x 256 matrix against the closed-form coefficients
+        S = shift_matrix_elements(t, 256, quad)
+        c = taylor_oracle(t, 256)
+        m, n = np.triu_indices(256)
+        assert np.max(np.abs(S[m, n] - c[n - m])) <= 1e-10
+        assert np.max(np.abs(S[np.tril_indices(256, -1)])) <= 1e-10
+
     def test_t_zero(self):
         quad = laguerre_quadrature()
-        result = conjugation_check(0.0, quad=quad)
+        result = conjugation_check(0.0, n_check=8, quad=quad)
         assert result.residual <= max(quad.gram_residual, 1e-12)
 
     def test_isometry_up_to_truncation_leak(self):
@@ -205,7 +233,7 @@ class TestConjugation:
         # tail energy sum_{n >= N} c_{n-m}^2, computed independently from
         # the closed-form coefficients
         t = 0.5
-        quad = laguerre_quadrature(basis_order=32, breakpoints=(t,))
+        quad = laguerre_quadrature(basis_order=32)
         result = conjugation_check(t, n_check=8, quad=quad)
         for m in range(8):
             tail = coeff_tail_energy(t, start=32 - m)
