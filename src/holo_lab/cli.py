@@ -456,6 +456,11 @@ def run(config, seed=None, out_dir=".", grid_radii=None, tol_overrides=None, emi
     return report, (EXIT_PASS if overall else EXIT_FAIL)
 
 
+def _internal_error(phase, exc):
+    print(f"holo-lab: internal error while {phase}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="holo-lab", description="Run a verification suite from a JSON config."
@@ -471,12 +476,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     start = time.monotonic()
+    phase = "reading the config"
     try:
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise InvalidInput("config must be a JSON object")
+        phase = "creating the output directory"
         os.makedirs(args.out, exist_ok=True)
+        phase = f"running {config.get('command')}"
         report, code = run(
             config,
             seed=args.seed,
@@ -489,17 +497,15 @@ def main(argv=None):
         print(f"holo-lab: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # internal error contract: exit 3, never a traceback
-        print(f"holo-lab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _internal_error(phase, exc)
 
     try:
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"  # no partial file if this raises
         path = os.path.join(args.out, "report.json")
         with open(path, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"holo-lab: internal error writing report: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+            fh.write(text)
+    except Exception as exc:
+        return _internal_error("writing the report", exc)
 
     elapsed = time.monotonic() - start
     failing = [c["name"] for c in report["checks"] if not c["passed"]]

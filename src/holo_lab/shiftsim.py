@@ -10,8 +10,10 @@ composition.  Their agreement is the strongest check in the package.
 
 Multiplication operators are truncated to lower block-triangular
 (block-)Toeplitz matrices in the monomial basis; products of truncations
-agree with truncations of products, which yields the factorization check
-at the operator level.
+agree with truncations of products.  The factorization check therefore
+works on coefficient sequences: a block convolution stands for the matrix
+product, and the Wiener norm sum_k ||r_k|| bounds the operator norm of a
+truncation, so no (dN) x (dN) matrix is formed.
 """
 from __future__ import annotations
 
@@ -57,18 +59,20 @@ def taylor_varphi_t(t, N):
 
     Writes the symbol as e^{-t} exp(u(z)) with u(z) = -2tz/(1-z), whose
     coefficients are all -2t, and runs the exponential-series recurrence
-    c_n = (1/n) sum_k k u_k c_{n-k}.  Exact up to round-off.
+    c_n = (1/n) sum_k k u_k c_{n-k} from c_0 = e^{-t}.  Every |c_n| <= 1
+    (the symbol is inner), so nothing overflows, however large t is.  Exact
+    up to round-off.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if t < 0:
         raise ValueError("t must be >= 0")
     c = np.zeros(N)
-    c[0] = 1.0
+    c[0] = np.exp(-t)
     ks = np.arange(1, N)
     for n in range(1, N):
         c[n] = -2.0 * t * _dot(ks[:n], c[n - 1 :: -1]) / n
-    return np.exp(-t) * c
+    return c
 
 
 def taylor_matrix_symbol(params, j, t, N):
@@ -91,7 +95,8 @@ def toeplitz_of(coeffs, d=None):
 
     coeffs is (N,) scalar or (N, d, d) matrix-valued; block (i, j) equals
     coeffs[i - j] for i >= j.  A scalar sequence with d > 1 is promoted to
-    c_n * I blocks.
+    c_n * I blocks.  This is the dense oracle: the checks in this module
+    work on the coefficients and never build it.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim == 1:
@@ -228,16 +233,42 @@ def conjugation_check(t, n_check, quad):
     )
 
 
+def _block_convolve(a, b):
+    """r_k = sum_{i <= k} a_i b_{k-i} for k < N: the first N coefficients of a product.
+
+    a and b are (N, d, d); r is the coefficient sequence of
+    toeplitz_of(a) @ toeplitz_of(b), summed over ascending i.
+    """
+    N = a.shape[0]
+    r = np.zeros_like(a, dtype=complex)
+    for i in range(N):
+        r[i:] += a[i] @ b[: N - i]
+    return r
+
+
 def truncated_factorization_check(params, t, N=32):
     """Residual of the factorization at truncation order N.
 
-    Builds the block-Toeplitz truncations T1, T2 of the two factor symbols
-    and T of varphi_t * I, and returns max(||T1 T2 - T||, ||T1 T2 - T2 T1||).
-    Lower-triangular Toeplitz products truncate cleanly, so this measures
-    coefficient accuracy only.
+    With a, b the first N Taylor coefficients of the two factor symbols
+    (sampled and transformed) and c those of varphi_t (by the series
+    recurrence), returns
+
+        max(sum_k ||P_k - c_k I||, sum_k ||P_k - (b * a)_k||),   P = a * b,
+
+    where * is the truncated block convolution and ||.|| the spectral norm.
+    P is exactly the coefficient sequence of T1 T2 for the lower
+    block-triangular Toeplitz truncations T1, T2 (they truncate cleanly), so
+    this measures coefficient accuracy only.  A truncation is
+    T_N(r) = sum_k J^k (x) r_k with J the N x N truncated shift and
+    ||J^k|| <= 1, so ||T_N(r)|| <= sum_k ||r_k|| (the Wiener-algebra bound,
+    Boettcher-Silbermann, Analysis of Toeplitz Operators, section 2): each
+    sum bounds the dense ||T1 T2 - T|| or ||T1 T2 - T2 T1|| at order N, and
+    a residual within a tolerance certifies both.
     """
-    T1 = toeplitz_of(taylor_matrix_symbol(params, 1, t, N))
-    T2 = toeplitz_of(taylor_matrix_symbol(params, 2, t, N))
-    T = toeplitz_of(taylor_varphi_t(t, N), d=params.dim)
-    P = T1 @ T2
-    return max(operator_norm(P - T), operator_norm(P - T2 @ T1))
+    a = taylor_matrix_symbol(params, 1, t, N)
+    b = taylor_matrix_symbol(params, 2, t, N)
+    c = taylor_varphi_t(t, N)
+    P = _block_convolve(a, b)
+    target = np.sum(operator_norm(P - c[:, None, None] * np.eye(params.dim)))
+    commutator = np.sum(operator_norm(P - _block_convolve(b, a)))
+    return float(max(target, commutator))

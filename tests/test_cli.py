@@ -3,12 +3,16 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holo_lab
+from holo_lab import cli
 from holo_lab.cli import (
     EXIT_FAIL,
     EXIT_INTERNAL,
@@ -266,6 +270,19 @@ class TestExitCodes:
         gram = next(c for c in report["checks"] if c["name"] == "gram_residual")
         assert gram["residual"] <= 1e-11
 
+    def test_shiftsim_large_t_writes_strict_json(self, tmp_path):
+        # an unscaled coefficient recurrence overflows here into a NaN residual,
+        # which json writes as the non-JSON literal NaN
+        cfg = {"command": "shift-sim", "t": 1e6, "order": 256, "n_check": 128}
+        code, _, out = run_cli(tmp_path, cfg, "--emit-plots")
+        assert code == EXIT_PASS
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["overall_pass"] is True
+
     def test_nothing_checked_is_invalid(self, tmp_path, capsys):
         cfg = {
             "command": "factorize-verify",
@@ -409,6 +426,61 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert report is None
         assert f"{field} must be" in capsys.readouterr().err
+
+
+class TestInternalErrors:
+    @staticmethod
+    def _raising(cfg, grid, tols, seed, out_dir, emit_plots):
+        raise RuntimeError("boom")
+
+    @staticmethod
+    def _unserialisable(cfg, grid, tols, seed, out_dir, emit_plots):
+        return [], {"verdict": object()}, []
+
+    @pytest.mark.parametrize(
+        "runner, phase",
+        [("_raising", "running shift-sim: RuntimeError: boom"), ("_unserialisable", "writing the report: TypeError")],
+    )
+    def test_message_names_the_phase(self, tmp_path, capsys, monkeypatch, runner, phase):
+        monkeypatch.setitem(cli._RUNNERS, "shift-sim", getattr(self, runner))
+        code, _, _ = run_cli(tmp_path, {"command": "shift-sim"})
+        assert code == EXIT_INTERNAL
+        assert f"holo-lab: internal error while {phase}" in capsys.readouterr().err
+
+    def test_reading_phase(self, tmp_path, capsys):
+        # a directory where the config file should be
+        code = main(["--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INTERNAL
+        assert "holo-lab: internal error while reading the config: IsADirectoryError" in capsys.readouterr().err
+
+
+# any JSON value, NaN and the infinities included (json.load reads them
+# too), with small numbers drawn often enough to pass validation now and then
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2, 64) | st.floats() | st.floats(-2, 2)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestMutatedGoldens:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_never_an_internal_error(self, data):
+        # one top-level field of a golden config, other than the command,
+        # replaced by any JSON value: the run passes, fails or rejects the
+        # input, and never exits 3
+        case = data.draw(st.sampled_from(GOLDEN_CASES), label="case")
+        cfg = json.loads(Path(GOLDEN_DIR, case, "config.json").read_text())
+        field = data.draw(st.sampled_from(sorted(set(cfg) - {"command"})), label="field")
+        cfg[field] = data.draw(JSON_VALUES, label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            code = main(["--config", path, "--out", os.path.join(tmp, "out"), "--seed", "1"])
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INVALID)
 
 
 class TestToleranceOverrides:

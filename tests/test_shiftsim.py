@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
+from holo_lab import shiftsim
 from holo_lab.factorization import FactorParams, random_params
+from holo_lab.operators import operator_norm
 from holo_lab.shiftsim import (
     LaguerreQuadrature,
+    _block_convolve,
     conjugation_check,
     laguerre_fns,
     laguerre_quadrature,
@@ -59,6 +64,15 @@ class TestTaylorCoefficients:
         for t, s in [(0.25, 0.5), (0.5, 1.0), (0.25, 1.0)]:
             conv = np.convolve(taylor_varphi_t(t, N), taylor_varphi_t(s, N))[:N]
             np.testing.assert_allclose(taylor_varphi_t(t + s, N), conv, atol=1e-10)
+
+    @pytest.mark.parametrize("N", [16, 128, 256])
+    @pytest.mark.parametrize("t", [2e3, 1e4, 1e6])
+    def test_finite_for_large_t(self, t, N):
+        # an unscaled recurrence overflows to inf and e^{-t} * inf gives NaN;
+        # every true |c_n| <= 1 (and underflows to 0 at these t)
+        c = taylor_varphi_t(t, N)
+        assert np.all(np.isfinite(c))
+        assert np.max(np.abs(c)) <= 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -278,3 +292,53 @@ class TestTruncatedFactorization:
         p = random_params(rng, 2)
         res = [truncated_factorization_check(p, 1.0, N) for N in (8, 16, 32, 64)]
         assert all(r2 <= r1 + 1e-10 for r1, r2 in zip(res, res[1:]))
+
+    def test_detects_a_coefficient_error(self, monkeypatch):
+        # c_5 off by 1e-6 must show: the residual cannot pass vacuously
+        exact = taylor_varphi_t
+
+        def perturbed(t, N):
+            c = exact(t, N)
+            c[5] += 1e-6
+            return c
+
+        monkeypatch.setattr(shiftsim, "taylor_varphi_t", perturbed)
+        p = random_params(np.random.default_rng(3), 2)
+        assert truncated_factorization_check(p, 1.0, 16) >= 1e-6
+
+    def test_memory_scales_with_coefficients(self):
+        # d = 8, N = 256: dense (dN) x (dN) products and SVDs would need about 400 MB
+        p = random_params(np.random.default_rng(4), 8)
+        tracemalloc.start()
+        try:
+            res = truncated_factorization_check(p, 1.0, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(res)
+        assert peak < 64 * 2**20
+
+
+def random_blocks(rng, N, d, scale=1.0):
+    shape = (N, d, d)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+class TestBlockConvolution:
+    @pytest.mark.parametrize("N", [1, 2, 17])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_is_the_toeplitz_product(self, d, N):
+        rng = np.random.default_rng(10 * d + N)
+        a, b = random_blocks(rng, N, d), random_blocks(rng, N, d)
+        dense = toeplitz_of(a) @ toeplitz_of(b)
+        diff = toeplitz_of(_block_convolve(a, b)) - dense
+        assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 17, 32])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_wiener_sum_bounds_the_operator_norm(self, d, N):
+        # the bound truncated_factorization_check relies on: ||T_N(r)|| <= sum_k ||r_k||
+        rng = np.random.default_rng(100 * d + N)
+        for _ in range(5):
+            r = random_blocks(rng, N, d)
+            assert np.sum(operator_norm(r)) >= operator_norm(toeplitz_of(r)) * (1 - 1e-14)
