@@ -11,16 +11,18 @@ bits with the BLAS kernel (see the README).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
+import operator
 import os
+import struct
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
-from . import herglotz, rigidity, shiftsim
-from .disc import default_grid
+from . import disc, herglotz, rigidity, shiftsim
 from .factorization import (
     DEFAULT_T_LIST,
     EXP_NORM_BUDGET,
@@ -31,25 +33,11 @@ from .factorization import (
     recover_params,
     verify_factorization,
 )
-from .operators import matrix_from_jsonable, operator_norm
+from .operators import SingularityError, matrix_from_jsonable, operator_norm
 
 __all__ = ["main"]
 
 EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_INTERNAL = 0, 1, 2, 3
-
-COMMANDS = ("rigidity-check", "factorize-verify", "recover-params", "herglotz-analyze", "shift-sim")
-
-DEFAULT_TOLERANCES = {
-    "rigidity-check": {"eps_holo": 1e-6, "eps_const": 1e-8},
-    "factorize-verify": {"factorization": 1e-8, "master": 1e-10},
-    "recover-params": {"recover": 1e-10, "residual": 1e-9},
-    "herglotz-analyze": {"moment_symmetry": 1e-10},
-    "shift-sim": {"conjugation": 1e-6, "lower_triangle": 1e-8, "gram": 1e-8},
-}
-
-
-# a Herglotz atom mass B may have eigenvalues down to -HERGLOTZ_MASS_TOL (round-off)
-HERGLOTZ_MASS_TOL = 1e-10
 
 # size caps, so that a config cannot ask for gigabytes: herglotz-analyze holds
 # n_samples d x d matrices, shift-sim a few order x order matrices
@@ -60,6 +48,8 @@ MAX_SHIFT_ORDER = 256
 MAX_RANDOM_DIM = 16
 MAX_RANDOM_COUNT = 8
 MAX_GRID_ANGLES = 1024
+# from t ~ 745 every compared coefficient is 0; from t ~ 9e307 2t overflows
+MAX_SHIFT_T = 10**6
 
 # what a rigidity-check config may expect; rigidity_verdict returns one of these
 RIGIDITY_VERDICTS = (rigidity.CONSTANT_CONFIRMED, rigidity.HYPOTHESIS_VIOLATED, rigidity.INCONCLUSIVE)
@@ -69,21 +59,163 @@ class InvalidInput(ValueError):
     """Configuration or input data violates the documented contract."""
 
 
-def _require_keys(cfg, required, optional, where):
-    missing = [k for k in required if k not in cfg]
-    unknown = [k for k in cfg if k not in required and k not in optional]
+REQUIRED, ABSENT = object(), object()
+# One config field.  kind is a key of _KINDS or "object" (read against table); bounds are
+# (operator, constant or Ref) pairs, checked on each entry of a list; rule is (text, predicate) for what
+# bounds cannot say; default is REQUIRED, ABSENT (no value) or the value; a null means a default of None.
+Field = namedtuple("Field", "name kind default bounds rule table", defaults=(ABSENT, (), (), None))
+# a JSON object's fields, read in order; one_of: groups of exactly one given; label + f names f
+Table = namedtuple("Table", "label fields one_of", defaults=((),))
+# a bound computed from the values of the fields read before the one it bounds
+Ref = namedtuple("Ref", "text value")
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+# kind: (what a value must be, test, conversion)
+_KINDS = {
+    "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    # abs(v) <= max also rejects nan, the infinities and integers too large for a float
+    "number": ("a finite number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+               and abs(v) <= sys.float_info.max, float),
+    "boolean": ("true or false", lambda v: isinstance(v, bool), bool),
+    "string": ("a string", lambda v: isinstance(v, str), str),
+    "list": ("a non-empty list of finite numbers", lambda v: isinstance(v, (list, tuple)) and len(v) > 0, tuple),
+    "matrix": ("rows of [re, im] entries", lambda v: True, lambda v: v),  # checked by the library
+    "function id": ("a function id", lambda v: True, rigidity.resolve_function),
+}
+
+
+def _rule(field):
+    """The field's rule in words: its bounds, then its named rule."""
+    bounds = " and ".join(f"{op} {getattr(bound, 'text', bound)}" for op, bound in field.bounds)
+    return ", ".join(w for w in (bounds, *field.rule[:1]) if w)
+
+
+def _value(field, value, values, label):
+    """value read as `field` of the section whose messages start with label."""
+    if field.kind == "object":
+        if not isinstance(value, dict):
+            where = label.rstrip(" .")
+            raise InvalidInput(f"{where}: field {field.name!r} must be a JSON object, got {type(value).__name__}")
+        return _parse(field.table, value, label)
+    what, test, convert = _KINDS[field.kind]
+    ok = test(value)
+    if ok and field.kind == "list":  # the bounds hold for each entry
+        entry = field._replace(name=field.name + " entry", kind="number", rule=())
+        value = [_value(entry, v, values, label) for v in value]
+    elif ok:
+        ok = all(_COMPARE[op](value, b.value(values) if isinstance(b, Ref) else b) for op, b in field.bounds)
+    if not ok or field.rule and not field.rule[1](value):
+        raise InvalidInput(f"{label}{field.name} must be {' '.join(filter(None, [what, _rule(field)]))}, got {value!r}")
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise InvalidInput(f"{label}{field.name}: {exc}") from exc
+
+
+def _parse(table, data, label=""):
+    """data, a JSON object, read against table: the value of every field, defaults filled in."""
+    label += table.label
+    where = label.rstrip(" .")
+    missing = [f.name for f in table.fields if f.default is REQUIRED and f.name not in data]
+    unknown = [k for k in data if k not in [f.name for f in table.fields]]
     if missing:
         raise InvalidInput(f"{where}: missing required field(s) {missing}")
     if unknown:
         raise InvalidInput(f"{where}: unknown field(s) {unknown}")
+    for group in table.one_of:
+        if sum(name in data for name in group) != 1:
+            raise InvalidInput(f"{where}: provide exactly one of {list(group)}")
+    values = {}
+    for field in table.fields:
+        value = data.get(field.name, field.default)
+        if value is not ABSENT:
+            null_default = value is None and field.default is None
+            values[field.name] = None if null_default else _value(field, value, values, label)
+    return values
 
 
-def _section(cfg, key, where):
-    """The JSON object cfg[key], or {} when the field is absent."""
-    value = cfg.get(key, {})
-    if not isinstance(value, dict):
-        raise InvalidInput(f"{where}: field {key!r} must be a JSON object, got {type(value).__name__}")
-    return value
+def _edge(holds):
+    """The smallest float in (0, 1] at which holds(), false at 0, true at 1 and switching once, is true."""
+    as_float = lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0]  # noqa: E731
+    lo, hi = 0, 0x3FF0000000000000  # bit patterns of 0.0 and 1.0; floats >= 0 sort as their patterns do
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(as_float(mid)) else (mid, hi)
+    return as_float(hi)
+
+
+@functools.lru_cache
+@np.errstate(over="ignore")
+def _smallest_r(n_moments):
+    """The smallest r whose r ** -n_moments, the largest factor estimate_moments applies, is finite."""
+    exponent = -np.array([n_moments])  # the float64 power of estimate_moments
+    return _edge(lambda r: np.isfinite(r ** exponent)[0])
+
+
+@functools.lru_cache
+def _stencil_cap(top):
+    """The smallest stencil_h with top + stencil_h >= 1 in floating point, which DiscGrid rejects."""
+    return _edge(lambda h: top + h >= 1)
+
+
+HERGLOTZ_PARAMS = Table("params ", (Field("A", "matrix", REQUIRED), Field("B", "matrix", REQUIRED)))
+GRID = Table("grid ", (
+    Field("radii", "list", disc.DEFAULT_RADII, ((">", 0), ("<", 1)), ("ascending", lambda v: list(v) == sorted(v))),
+    Field("n_angles", "integer", disc.DEFAULT_N_ANGLES, ((">=", 8), ("<=", MAX_GRID_ANGLES))),
+    # a subnormal step makes the Wirtinger quotient inf * 0 = nan
+    Field("stencil_h", "number", disc.DEFAULT_STENCIL_H,
+          ((">=", sys.float_info.min), ("<", Ref("1 - max(radii)", lambda v: _stencil_cap(max(v["radii"])))))),
+))
+PARAMS = Table("params ", (Field("dim", "integer", REQUIRED, ((">=", 1),)), *HERGLOTZ_PARAMS.fields))
+FUNCTION_RULE = (f"a name in {sorted(rigidity.BUILTIN_FUNCTIONS)} or 'const:re,im' with abs(re), abs(im) "
+                 f"<= {rigidity.MAX_CONSTANT:g}", lambda v: True)  # resolve_function checks it
+
+
+def _command(name, tolerances, fields, one_of=()):
+    """A command's table: the command, the grid, its tolerances (name: default), then its own fields."""
+    tolerances = tuple(Field(k, "number", v, ((">=", 0),)) for k, v in tolerances.items())
+    common = (Field("command", "string", REQUIRED), Field("grid", "object", {}, table=GRID),
+              Field("tolerances", "object", {}, table=Table("tolerance ", tolerances)))
+    return Table(name + " ", common + fields, one_of)
+
+
+SCHEMA = {
+    "rigidity-check": _command("rigidity-check", {"eps_holo": 1e-6, "eps_const": 1e-8}, (
+        Field("function", "function id", REQUIRED, rule=FUNCTION_RULE),
+        Field("expect_verdict", "string", rigidity.CONSTANT_CONFIRMED,
+              rule=(f"in {list(RIGIDITY_VERDICTS)}", lambda v: v in RIGIDITY_VERDICTS)),
+    )),
+    "factorize-verify": _command("factorize-verify", {"factorization": 1e-8, "master": 1e-10}, (
+        Field("params", "object", table=PARAMS),
+        Field("params_file", "string"),
+        Field("random", "object", table=Table("random.", (
+            Field("dim", "integer", REQUIRED, ((">=", 1), ("<=", MAX_RANDOM_DIM))),
+            Field("count", "integer", 1, ((">=", 1), ("<=", MAX_RANDOM_COUNT))),
+        ))),
+        Field("t_list", "list", DEFAULT_T_LIST, ((">", 0),)),
+    ), one_of=[("params", "params_file", "random")]),
+    "recover-params": _command("recover-params", {"recover": 1e-10, "residual": 1e-9}, (
+        Field("params", "object", table=PARAMS), Field("params_file", "string"),
+    ), one_of=[("params", "params_file")]),
+    "herglotz-analyze": _command("herglotz-analyze", {"moment_symmetry": 1e-10}, (
+        Field("function", "function id", rule=FUNCTION_RULE),
+        Field("params", "object", table=HERGLOTZ_PARAMS),
+        Field("n_samples", "integer", herglotz.DEFAULT_N, ((">=", 16), ("<=", MAX_HERGLOTZ_SAMPLES)),
+              ("a power of two", lambda v: v & (v - 1) == 0)),
+        Field("n_moments", "integer", herglotz.DEFAULT_M,
+              ((">=", 1), ("<", Ref("n_samples / 4", lambda v: v["n_samples"] / 4)))),
+        Field("r", "number", herglotz.DEFAULT_R,
+              ((">=", Ref("the smallest r with r ** -n_moments finite", lambda v: _smallest_r(v["n_moments"]))),
+               ("<", 1))),
+        Field("tol_atom", "number", None, ((">=", 0),)),
+        Field("expect_concentrated", "boolean", True),
+    ), one_of=[("function", "params")]),
+    "shift-sim": _command("shift-sim", {"conjugation": 1e-6, "lower_triangle": 1e-8, "gram": 1e-8}, (
+        Field("t", "number", 1.0, ((">=", 0), ("<=", MAX_SHIFT_T))),
+        Field("order", "integer", 32, ((">=", 2), ("<=", MAX_SHIFT_ORDER))),
+        Field("n_check", "integer", 8, ((">=", 1), ("<=", Ref("order / 2", lambda v: v["order"] / 2)))),
+    )),
+}
 
 
 def _check(name, residual, tolerance):
@@ -99,28 +231,30 @@ def _verdict_check(name, expected, actual):
     return {"name": name, "expected": expected, "actual": actual, "passed": bool(expected == actual)}
 
 
-def _load_params(cfg, where):
-    if ("params" in cfg) == ("params_file" in cfg):
-        raise InvalidInput(f"{where}: provide exactly one of 'params' or 'params_file'")
+def _read_json(path, what):
+    """The JSON object in the UTF-8 file at path; OSError propagates."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # not JSON or not UTF-8
+        raise InvalidInput(f"{what} {path!r} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInput(f"{what} {path!r} must hold a JSON object")
+    return data
+
+
+def _load_params(cfg, command):
     if "params" in cfg:
-        data = _section(cfg, "params", where)
+        data = cfg["params"]
     else:
-        path = cfg["params_file"]
-        if not isinstance(path, str):
-            raise InvalidInput(f"{where}: field 'params_file' must be a path string, got {path!r}")
         try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: not JSON or not UTF-8
-            raise InvalidInput(f"{where}: cannot read params_file {path!r}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InvalidInput(f"{where}: params_file {path!r} must hold a JSON object")
-    _require_keys(data, ["dim", "A", "B"], [], f"{where} params")
-    _number(data["dim"], f"{where} params dim", int, lambda v: v >= 1, ">= 1")
+            data = _parse(PARAMS, _read_json(cfg["params_file"], f"{command} params_file"), command + " ")
+        except OSError as exc:
+            raise InvalidInput(f"{command}: cannot read params_file {cfg['params_file']!r}: {exc}") from exc
     try:
         return FactorParams.from_jsonable(data)
     except ValueError as exc:
-        raise InvalidInput(f"{where}: {exc}") from exc
+        raise InvalidInput(f"{command}: {exc}") from exc
 
 
 def _write_csv(path, header, rows):
@@ -131,18 +265,8 @@ def _write_csv(path, header, rows):
 
 
 def _run_rigidity(cfg, grid, tols, seed, out_dir, emit_plots):
-    _require_keys(cfg, ["command", "function"], ["expect_verdict"], "rigidity-check")
-    try:
-        F = rigidity.resolve_function(cfg["function"])
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from exc
-    expected = cfg.get("expect_verdict", rigidity.CONSTANT_CONFIRMED)
-    if expected not in RIGIDITY_VERDICTS:
-        raise InvalidInput(
-            f"rigidity-check expect_verdict must be one of {list(RIGIDITY_VERDICTS)}, got {expected!r}"
-        )
-    report = rigidity.rigidity_verdict(F, grid, eps_holo=tols["eps_holo"], eps_const=tols["eps_const"])
-    checks = [_verdict_check("verdict", expected, report.verdict)]
+    report = rigidity.rigidity_verdict(cfg["function"], grid, eps_holo=tols["eps_holo"], eps_const=tols["eps_const"])
+    checks = [_verdict_check("verdict", cfg["expect_verdict"], report.verdict)]
     verdicts = {
         "verdict": report.verdict,
         "strip_ok": report.strip_ok,
@@ -162,26 +286,11 @@ def _run_rigidity(cfg, grid, tols, seed, out_dir, emit_plots):
 
 
 def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
-    _require_keys(
-        cfg, ["command"], ["params", "params_file", "random", "t_list"], "factorize-verify"
-    )
-    t_list = cfg.get("t_list", DEFAULT_T_LIST)
-    if not isinstance(t_list, (list, tuple)) or not t_list:
-        raise InvalidInput(f"factorize-verify t_list must be a non-empty list, got {t_list!r}")
-    t_list = tuple(_number(t, "factorize-verify t_list entry", float, lambda v: v > 0, "> 0") for t in t_list)
     if "random" in cfg:
-        if "params" in cfg or "params_file" in cfg:
-            raise InvalidInput("factorize-verify: 'random' excludes explicit params")
         if seed is None:
             raise InvalidInput("factorize-verify: randomized runs require --seed")
-        spec = _section(cfg, "random", "factorize-verify")
-        _require_keys(spec, ["dim"], ["count"], "factorize-verify.random")
-        dim = _number(spec["dim"], "factorize-verify random.dim", int, lambda v: 1 <= v <= MAX_RANDOM_DIM,
-                      f">= 1 and <= {MAX_RANDOM_DIM}")
-        count = _number(spec.get("count", 1), "factorize-verify random.count", int,
-                        lambda v: 1 <= v <= MAX_RANDOM_COUNT, f">= 1 and <= {MAX_RANDOM_COUNT}")
         rng = np.random.default_rng(seed)
-        params_list = [random_params(rng, dim) for _ in range(count)]
+        params_list = [random_params(rng, cfg["random"]["dim"]) for _ in range(cfg["random"]["count"])]
     else:
         params_list = [_load_params(cfg, "factorize-verify")]
 
@@ -189,7 +298,7 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
     worst = {"product": 0.0, "commutation": 0.0, "contractivity": 0.0, "semigroup": 0.0, "master": 0.0}
     first_residuals = None
     for params in params_list:
-        rep = verify_factorization(params, grid, t_list=t_list)
+        rep = verify_factorization(params, grid, t_list=cfg["t_list"])
         if rep.n_checked == 0:
             raise InvalidInput(
                 "factorize-verify: no (t, z) point lies within the exponent-norm budget "
@@ -228,7 +337,6 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
 
 
 def _run_recover(cfg, grid, tols, seed, out_dir, emit_plots):
-    _require_keys(cfg, ["command"], ["params", "params_file"], "recover-params")
     params = _load_params(cfg, "recover-params")
     pair = pair_from_params(params)
     recovered, residual = recover_params(pair, grid)
@@ -244,63 +352,23 @@ def _run_recover(cfg, grid, tols, seed, out_dir, emit_plots):
 
 
 def _herglotz_function(cfg):
-    if ("function" in cfg) == ("params" in cfg):
-        raise InvalidInput("herglotz-analyze: provide exactly one of 'function' or 'params'")
     if "function" in cfg:
-        try:
-            return rigidity.resolve_function(cfg["function"])
-        except ValueError as exc:
-            raise InvalidInput(str(exc)) from exc
-    data = _section(cfg, "params", "herglotz-analyze")
-    _require_keys(data, ["A", "B"], [], "herglotz-analyze params")
+        return cfg["function"]
     try:
-        A = matrix_from_jsonable(data["A"], self_adjoint=True, name="A")
-        B = matrix_from_jsonable(data["B"], self_adjoint=True, name="B")
+        A, B = (matrix_from_jsonable(cfg["params"][k], self_adjoint=True, name=k) for k in ("A", "B"))
+        return herglotz.atom_model(A, B)
     except ValueError as exc:
         raise InvalidInput(f"herglotz-analyze params: {exc}") from exc
-    if A.shape != B.shape:
-        raise InvalidInput(f"herglotz-analyze params: A is {A.shape}, B is {B.shape}")
-    lowest = float(np.linalg.eigvalsh(B)[0])
-    if lowest < -HERGLOTZ_MASS_TOL:
-        raise InvalidInput(
-            "herglotz-analyze params: the atom mass B must be positive semidefinite "
-            f"(smallest eigenvalue {lowest:.3e})"
-        )
-    return rigidity.OperatorFunction(
-        A.shape[0], lambda z: herglotz.herglotz_reconstruct(B, A, z), "atom-model"
-    )
 
 
 def _run_herglotz(cfg, grid, tols, seed, out_dir, emit_plots):
-    _require_keys(
-        cfg,
-        ["command"],
-        ["function", "params", "r", "n_samples", "n_moments", "tol_atom", "expect_concentrated"],
-        "herglotz-analyze",
-    )
     h = _herglotz_function(cfg)
-    where = "herglotz-analyze"
-    r = _number(cfg.get("r", herglotz.DEFAULT_R), f"{where} r", float, lambda v: 0 < v < 1, "in (0, 1)")
-    N = _number(
-        cfg.get("n_samples", herglotz.DEFAULT_N), f"{where} n_samples", int,
-        lambda v: 16 <= v <= MAX_HERGLOTZ_SAMPLES and v & (v - 1) == 0,
-        f"2**k with 16 <= n_samples <= {MAX_HERGLOTZ_SAMPLES}",
-    )
-    M = _number(
-        cfg.get("n_moments", herglotz.DEFAULT_M), f"{where} n_moments", int,
-        lambda v: 1 <= v < N / 4, ">= 1 and < n_samples / 4",
-    )
-    expected = cfg.get("expect_concentrated", True)
-    if not isinstance(expected, bool):
-        raise InvalidInput(f"{where} expect_concentrated must be true or false, got {expected!r}")
-    tol_atom = cfg.get("tol_atom")
-    if tol_atom is not None:
-        tol_atom = _number(tol_atom, f"{where} tol_atom", float, lambda v: v >= 0, ">= 0")
-    approx, concentrated = herglotz.analyze(h, r=r, N=N, M=M, tol_atom=tol_atom)
+    M = cfg["n_moments"]
+    approx, concentrated = herglotz.analyze(h, r=cfg["r"], N=cfg["n_samples"], M=M, tol_atom=cfg["tol_atom"])
     moments = approx.moments  # moment(n) at index n + M
     sym = float(np.max(np.abs(moments[M::-1] - moments[M:].conj().swapaxes(-1, -2))))
     checks = [_check("moment_symmetry", sym, tols["moment_symmetry"])]
-    checks.append(_verdict_check("concentrated_at_1", expected, concentrated))
+    checks.append(_verdict_check("concentrated_at_1", cfg["expect_concentrated"], concentrated))
     verdicts = {
         "concentrated": concentrated,
         "leak_mass": float(approx.leak_mass),
@@ -326,14 +394,9 @@ def _run_herglotz(cfg, grid, tols, seed, out_dir, emit_plots):
 
 
 def _run_shiftsim(cfg, grid, tols, seed, out_dir, emit_plots):
-    _require_keys(cfg, ["command"], ["t", "order", "n_check"], "shift-sim")
-    t = _number(cfg.get("t", 1.0), "shift-sim t", float, lambda v: v >= 0, ">= 0")
-    order = _number(cfg.get("order", 32), "shift-sim order", int, lambda v: 2 <= v <= MAX_SHIFT_ORDER,
-                    f">= 2 and <= {MAX_SHIFT_ORDER}")
-    n_check = _number(cfg.get("n_check", 8), "shift-sim n_check", int, lambda v: 1 <= v <= order / 2,
-                      ">= 1 and <= order / 2")
+    t, order = cfg["t"], cfg["order"]
     quad = shiftsim.laguerre_quadrature(basis_order=order)
-    result = shiftsim.conjugation_check(t, n_check=n_check, quad=quad)
+    result = shiftsim.conjugation_check(t, n_check=cfg["n_check"], quad=quad)
     checks = [
         _check("gram_residual", quad.gram_residual, tols["gram"]),
         _check("conjugation_elements", result.residual, tols["conjugation"]),
@@ -362,85 +425,37 @@ _RUNNERS = {
 }
 
 
-def _number(value, field, kind, valid, rule):
-    """A config field as kind: a JSON integer (kind int) or number (kind float), finite and valid.
-
-    Strings, booleans, nan, infinities and values failing valid() are invalid
-    input; `rule` says in words what valid() checks.
-    """
+def _flag_number(text, flag):
     try:
-        ok = (
-            isinstance(value, int if kind is int else (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-            and valid(value)
-        )
-    except OverflowError:  # an integer too large for a float
-        ok = False
-    if not ok:
-        what = "an integer" if kind is int else "a finite number"
-        raise InvalidInput(f"{field} must be {what} {rule}, got {value!r}")
-    return kind(value)
+        return float(text)
+    except ValueError as exc:
+        raise InvalidInput(f"{flag}: {text!r} is not a number") from exc
 
 
-def _tolerances(command, cfg_tols, flags):
-    """DEFAULT_TOLERANCES[command] updated by the config's tolerances, then by --tol NAME=VALUE flags.
-
-    A tolerance that is not a finite number >= 0 would make its check vacuous.
-    """
-    overrides = list(cfg_tols.items())
-    for item in flags or ():
+def _with_flags(config, grid_radii_flag, tol_flags):
+    """config with --grid-radii merged over its grid section and --tol NAME=VALUE flags over its tolerances."""
+    radii = [_flag_number(v, "--grid-radii") for v in grid_radii_flag.split(",")] if grid_radii_flag else None
+    flags = {"grid": {"radii": radii} if radii else {}, "tolerances": {}}
+    for item in tol_flags or ():
         name, sep, value = item.partition("=")
         if not sep:
             raise InvalidInput(f"--tol expects NAME=VALUE, got {item!r}")
-        try:
-            overrides.append((name, float(value)))
-        except ValueError as exc:
-            raise InvalidInput(f"--tol {name}: {value!r} is not a number") from exc
-    tols = dict(DEFAULT_TOLERANCES[command])
-    for name, value in overrides:
-        if name not in tols:
-            raise InvalidInput(f"unknown tolerance {name!r} for {command}; known: {sorted(tols)}")
-        tols[name] = _number(value, f"tolerance {name}", float, lambda v: v >= 0, ">= 0")
-    return tols
-
-
-def _build_grid(cfg, grid_radii_flag):
-    spec = _section(cfg, "grid", "config")
-    _require_keys(spec, [], ["radii", "n_angles", "stencil_h"], "grid")
-    radii = spec.get("radii")
-    if grid_radii_flag:
-        try:
-            radii = [float(v) for v in grid_radii_flag.split(",")]
-        except ValueError as exc:
-            raise InvalidInput(f"--grid-radii: {exc}") from exc
-    kwargs = {}
-    if radii is not None:
-        if not isinstance(radii, list) or not radii:
-            raise InvalidInput(f"grid radii must be a non-empty list, got {radii!r}")
-        kwargs["radii"] = tuple(
-            _number(r, "grid radii entry", float, lambda v: 0 < v < 1, "in (0, 1)") for r in radii
-        )
-    if "n_angles" in spec:
-        kwargs["n_angles"] = _number(spec["n_angles"], "grid n_angles", int,
-                                     lambda v: 8 <= v <= MAX_GRID_ANGLES, f">= 8 and <= {MAX_GRID_ANGLES}")
-    if "stencil_h" in spec:
-        kwargs["stencil_h"] = _number(spec["stencil_h"], "grid stencil_h", float, lambda v: v > 0, "> 0")
-    try:
-        return default_grid(**kwargs)
-    except ValueError as exc:
-        raise InvalidInput(f"grid: {exc}") from exc
+        flags["tolerances"][name] = _flag_number(value, f"--tol {name}")
+    merged = dict(config)
+    for section, values in flags.items():
+        if values and isinstance(merged.setdefault(section, {}), dict):  # else _parse rejects the section
+            merged[section] = {**merged[section], **values}
+    return merged
 
 
 def run(config, seed=None, out_dir=".", grid_radii=None, tol_overrides=None, emit_plots=False):
     """Execute one config and return (report dict, exit code)."""
     command = config.get("command")
-    if command not in COMMANDS:
-        raise InvalidInput(f"unknown command {command!r}; known: {list(COMMANDS)}")
-    cfg = {k: v for k, v in config.items() if k != "grid"}
-    grid = _build_grid(config, grid_radii)
-    tols = _tolerances(command, _section(config, "tolerances", "config"), tol_overrides)
-    cfg.pop("tolerances", None)
+    if command not in list(SCHEMA):
+        raise InvalidInput(f"unknown command {command!r}; known: {list(SCHEMA)}")
+    cfg = _parse(SCHEMA[command], _with_flags(config, grid_radii, tol_overrides))
+    grid = disc.default_grid(**cfg["grid"])
+    tols = cfg["tolerances"]
     checks, verdicts, artifacts = _RUNNERS[command](cfg, grid, tols, seed, out_dir, emit_plots)
     overall = all(c["passed"] for c in checks)
     report = {
@@ -478,10 +493,7 @@ def main(argv=None):
     start = time.monotonic()
     phase = "reading the config"
     try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise InvalidInput("config must be a JSON object")
+        config = _read_json(args.config, "config")
         phase = "creating the output directory"
         os.makedirs(args.out, exist_ok=True)
         phase = f"running {config.get('command')}"
@@ -493,14 +505,14 @@ def main(argv=None):
             tol_overrides=args.tol,
             emit_plots=args.emit_plots,
         )
-    except (InvalidInput, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InvalidInput, SingularityError, FileNotFoundError) as exc:  # only inputs make a Cayley transform singular
         print(f"holo-lab: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # internal error contract: exit 3, never a traceback
         return _internal_error(phase, exc)
 
     try:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"  # no partial file if this raises
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"  # strict JSON, no partial file
         path = os.path.join(args.out, "report.json")
         with open(path, "w") as fh:
             fh.write(text)

@@ -100,9 +100,11 @@ class DiscGrid:
 
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
+DEFAULT_N_ANGLES = 64
+DEFAULT_STENCIL_H = 1e-4
 
 
-def default_grid(radii=DEFAULT_RADII, n_angles=64, stencil_h=1e-4):
+def default_grid(radii=DEFAULT_RADII, n_angles=DEFAULT_N_ANGLES, stencil_h=DEFAULT_STENCIL_H):
     return DiscGrid(radii=tuple(radii), n_angles=n_angles, stencil_h=stencil_h)
 
 

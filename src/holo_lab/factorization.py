@@ -231,7 +231,8 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
         exps = (_exponent(params, 1, zs), _exponent(params, 2, zs))
 
         def budget_ok(t):
-            return t * (a_norm + phi_abs) <= EXP_NORM_BUDGET
+            with np.errstate(over="ignore"):  # a product that overflows to inf is over budget too
+                return t * (a_norm + phi_abs) <= EXP_NORM_BUDGET
 
         factors = {}  # t -> (mask, phi_{1,t}, phi_{2,t}), factors only at the points in mask
         for t in t_list:

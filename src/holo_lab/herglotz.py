@@ -18,6 +18,7 @@ import numpy as np
 
 from .disc import DomainError, _require_in_disc, mobius_phi
 from .operators import as_matrix, im_part, operator_norm, re_part
+from .rigidity import OperatorFunction
 
 __all__ = [
     "BoundaryProfile",
@@ -28,6 +29,7 @@ __all__ = [
     "default_tol_atom",
     "dirac_concentration_test",
     "herglotz_reconstruct",
+    "atom_model",
     "split_additivity_check",
     "arc_mass_profile",
     "analyze",
@@ -39,6 +41,8 @@ __all__ = [
 DEFAULT_R = 0.999
 DEFAULT_N = 4096
 DEFAULT_M = 64
+# an atom mass may have eigenvalues down to -MASS_TOL (round-off)
+MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,16 @@ def herglotz_reconstruct(atom_mass, im_at_0, z):
     """The pure-atom Herglotz function i*im_at_0 + phi(z)*atom_mass; z a point or (n, 1, 1) points."""
     _require_in_disc(z, "herglotz_reconstruct")
     return 1j * as_matrix(im_at_0) + mobius_phi(z) * as_matrix(atom_mass)
+
+
+def atom_model(A, B):
+    """The pure-atom Herglotz function i*A + phi(z)*B as an OperatorFunction; the mass B must be >= 0."""
+    if A.shape != B.shape:
+        raise ValueError(f"A is {A.shape}, B is {B.shape}")
+    lowest = float(np.linalg.eigvalsh(B)[0])
+    if lowest < -MASS_TOL:
+        raise ValueError(f"the atom mass B must be positive semidefinite (smallest eigenvalue {lowest:.3e})")
+    return OperatorFunction(A.shape[0], lambda z: herglotz_reconstruct(B, A, z), "atom-model")
 
 
 def split_additivity_check(h1, h2, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M):

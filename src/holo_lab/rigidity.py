@@ -220,6 +220,10 @@ BUILTIN_FUNCTIONS = {
 # members expected to fail the rigidity hypotheses (used as negative controls)
 NONCONSTANT_FAMILY = ("linear", "re-plus-half", "abs-shift")
 
+# largest |re|, |im| of a 'const:re,im' function: the Herglotz FFT sums up to
+# 2**16 samples (1e305 overflows there) and the g-transform F + zF* adds two
+MAX_CONSTANT = 1e300
+
 
 def resolve_function(spec):
     """Look up a built-in test function by id; 'const:re,im' builds a constant."""
@@ -230,6 +234,8 @@ def resolve_function(spec):
         if len(parts) != 2:
             raise ValueError(f"bad constant spec {spec!r}; expected 'const:re,im'")
         c = complex(float(parts[0]), float(parts[1]))
+        if not (abs(c.real) <= MAX_CONSTANT and abs(c.imag) <= MAX_CONSTANT):
+            raise ValueError(f"constant {spec!r} needs abs(re) and abs(im) <= {MAX_CONSTANT:g}")
         return constant_function(np.array([[c]]), name=spec)
     if spec in BUILTIN_FUNCTIONS:
         return BUILTIN_FUNCTIONS[spec]
