@@ -6,7 +6,8 @@ byte-stable for a fixed (config, seed): volatile data such as wall time goes
 to stderr, never into report.json.  The golden reports are also the same
 across the BLAS kernels a run-time-dispatched OpenBLAS may pick and across
 its thread counts; a factorization report with d > 1 can change in its last
-bits with the BLAS kernel (see the README).
+bits with the BLAS kernel, through the stacked matmul and LAPACK solve of the
+matrix exponential and the Cayley transform (see the README).
 """
 from __future__ import annotations
 
@@ -43,8 +44,8 @@ EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_INTERNAL = 0, 1, 2, 3
 # n_samples d x d matrices, shift-sim a few order x order matrices
 MAX_HERGLOTZ_SAMPLES = 2**16
 MAX_SHIFT_ORDER = 256
-# or hours: factorize-verify takes 1.7 s at dim 16 on the default grid, and
-# 209 s and 145 MB at all three caps below (2 vCPUs; see the README)
+# or hours: factorize-verify takes 1.5 s at dim 16 on the default grid, and
+# 134 s and 144 MB at all three caps below (2 vCPUs; see the README)
 MAX_RANDOM_DIM = 16
 MAX_RANDOM_COUNT = 8
 MAX_GRID_ANGLES = 1024
@@ -61,8 +62,9 @@ class InvalidInput(ValueError):
 
 REQUIRED, ABSENT = object(), object()
 # One config field.  kind is a key of _KINDS or "object" (read against table); bounds are
-# (operator, constant or Ref) pairs, checked on each entry of a list; rule is (text, predicate) for what
-# bounds cannot say; default is REQUIRED, ABSENT (no value) or the value; a null means a default of None.
+# (operator, constant or Ref) pairs, checked on each entry of a list; rule is (text, predicate of the value
+# and the values read before it) for what bounds cannot say; default is REQUIRED, ABSENT (no value) or the
+# value; a null means a default of None.
 Field = namedtuple("Field", "name kind default bounds rule table", defaults=(ABSENT, (), (), None))
 # a JSON object's fields, read in order; one_of: groups of exactly one given; label + f names f
 Table = namedtuple("Table", "label fields one_of", defaults=((),))
@@ -104,7 +106,7 @@ def _value(field, value, values, label):
         value = [_value(entry, v, values, label) for v in value]
     elif ok:
         ok = all(_COMPARE[op](value, b.value(values) if isinstance(b, Ref) else b) for op, b in field.bounds)
-    if not ok or field.rule and not field.rule[1](value):
+    if not ok or field.rule and not field.rule[1](value, values):
         raise InvalidInput(f"{label}{field.name} must be {' '.join(filter(None, [what, _rule(field)]))}, got {value!r}")
     try:
         return convert(value)
@@ -159,16 +161,21 @@ def _stencil_cap(top):
 
 
 HERGLOTZ_PARAMS = Table("params ", (Field("A", "matrix", REQUIRED), Field("B", "matrix", REQUIRED)))
+# the rules are DiscGrid's own tests: a radius within a few ulps of 1 can round a point onto the circle
 GRID = Table("grid ", (
-    Field("radii", "list", disc.DEFAULT_RADII, ((">", 0), ("<", 1)), ("ascending", lambda v: list(v) == sorted(v))),
     Field("n_angles", "integer", disc.DEFAULT_N_ANGLES, ((">=", 8), ("<=", MAX_GRID_ANGLES))),
+    Field("radii", "list", disc.DEFAULT_RADII, ((">", 0), ("<", 1)),
+          ("ascending, every grid point of modulus < 1",
+           lambda v, values: list(v) == sorted(v) and disc.grid_points_in_disc(v, values["n_angles"]))),
     # a subnormal step makes the Wirtinger quotient inf * 0 = nan
     Field("stencil_h", "number", disc.DEFAULT_STENCIL_H,
-          ((">=", sys.float_info.min), ("<", Ref("1 - max(radii)", lambda v: _stencil_cap(max(v["radii"])))))),
+          ((">=", sys.float_info.min), ("<", Ref("1 - max(radii)", lambda v: _stencil_cap(max(v["radii"]))))),
+          ("every stencil point of modulus < 1",
+           lambda v, values: disc.stencil_in_disc(values["radii"], values["n_angles"], v))),
 ))
 PARAMS = Table("params ", (Field("dim", "integer", REQUIRED, ((">=", 1),)), *HERGLOTZ_PARAMS.fields))
 FUNCTION_RULE = (f"a name in {sorted(rigidity.BUILTIN_FUNCTIONS)} or 'const:re,im' with abs(re), abs(im) "
-                 f"<= {rigidity.MAX_CONSTANT:g}", lambda v: True)  # resolve_function checks it
+                 f"<= {rigidity.MAX_CONSTANT:g}", lambda v, values: True)  # resolve_function checks it
 
 
 def _command(name, tolerances, fields, one_of=()):
@@ -183,7 +190,7 @@ SCHEMA = {
     "rigidity-check": _command("rigidity-check", {"eps_holo": 1e-6, "eps_const": 1e-8}, (
         Field("function", "function id", REQUIRED, rule=FUNCTION_RULE),
         Field("expect_verdict", "string", rigidity.CONSTANT_CONFIRMED,
-              rule=(f"in {list(RIGIDITY_VERDICTS)}", lambda v: v in RIGIDITY_VERDICTS)),
+              rule=(f"in {list(RIGIDITY_VERDICTS)}", lambda v, values: v in RIGIDITY_VERDICTS)),
     )),
     "factorize-verify": _command("factorize-verify", {"factorization": 1e-8, "master": 1e-10}, (
         Field("params", "object", table=PARAMS),
@@ -201,7 +208,7 @@ SCHEMA = {
         Field("function", "function id", rule=FUNCTION_RULE),
         Field("params", "object", table=HERGLOTZ_PARAMS),
         Field("n_samples", "integer", herglotz.DEFAULT_N, ((">=", 16), ("<=", MAX_HERGLOTZ_SAMPLES)),
-              ("a power of two", lambda v: v & (v - 1) == 0)),
+              ("a power of two", lambda v, values: v & (v - 1) == 0)),
         Field("n_moments", "integer", herglotz.DEFAULT_M,
               ((">=", 1), ("<", Ref("n_samples / 4", lambda v: v["n_samples"] / 4)))),
         Field("r", "number", herglotz.DEFAULT_R,

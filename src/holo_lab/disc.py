@@ -14,6 +14,8 @@ import numpy as np
 __all__ = [
     "DomainError",
     "DiscGrid",
+    "grid_points_in_disc",
+    "stencil_in_disc",
     "default_grid",
     "mobius_phi",
     "varphi_t",
@@ -38,8 +40,13 @@ def mobius_phi(z):
     return _maybe_scalar((1 + z) / (1 - z))
 
 
+def _in_disc(z):
+    """True when every point of z has computed modulus < 1, the test each function here applies."""
+    return not np.any(np.abs(z) >= 1)
+
+
 def _require_in_disc(z, who):
-    if np.any(np.abs(z) >= 1):
+    if not _in_disc(z):
         raise DomainError(f"{who} requires |z| < 1")
 
 
@@ -62,13 +69,38 @@ def poisson_factor(z):
     return _maybe_scalar((1 - np.abs(z) ** 2) / np.abs(1 - z) ** 2)
 
 
+def _circles(radii, n_angles):
+    """Points r exp(2 pi i k / n_angles), one circle of radius r per row."""
+    theta = 2 * np.pi * np.arange(n_angles) / n_angles
+    return np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)[None, :]
+
+
+def _stencil(z, h):
+    """The four central-difference points z + h, z - h, z + ih, z - ih, stacked on a new first axis."""
+    return np.stack((z + h, z - h, z + 1j * h, z - 1j * h))
+
+
+def grid_points_in_disc(radii, n_angles):
+    """True when every grid point, as DiscGrid computes it, has modulus < 1.
+
+    r exp(i theta) can round onto the unit circle for r within a few ulps of 1.
+    """
+    return _in_disc(_circles(radii, n_angles))
+
+
+def stencil_in_disc(radii, n_angles, stencil_h):
+    """True when the Wirtinger stencil of every grid point stays inside the disc as computed."""
+    return _in_disc(_stencil(_circles(radii, n_angles), stencil_h))
+
+
 @dataclass(frozen=True)
 class DiscGrid:
     """Finite sampling of the disc: circles of the given radii, equispaced angles.
 
-    stencil_h is the step used by the finite-difference holomorphy test;
-    max(radii) + stencil_h must stay inside the disc.  The default radii
-    stop at 0.95 so no point comes close to the singularity of phi at 1.
+    stencil_h is the step used by the finite-difference holomorphy test.
+    Every grid point and every stencil point must have computed modulus < 1,
+    so no function on the disc rejects a point of the grid.  The default
+    radii stop at 0.95 so no point comes close to the singularity of phi at 1.
     """
 
     radii: tuple
@@ -86,8 +118,10 @@ class DiscGrid:
             raise ValueError("n_angles must be >= 8")
         if not self.stencil_h > 0:
             raise ValueError("stencil_h must be positive")
-        if max(radii) + self.stencil_h >= 1:
-            raise ValueError("stencil leaves the disc: max(radii) + stencil_h >= 1")
+        if not grid_points_in_disc(radii, self.n_angles):
+            raise ValueError("a grid point rounds to modulus >= 1")
+        if not stencil_in_disc(radii, self.n_angles, self.stencil_h):
+            raise ValueError("stencil leaves the disc: a stencil point has modulus >= 1")
 
     def points(self):
         """All grid points as a flat complex array, circle after circle."""
@@ -95,8 +129,7 @@ class DiscGrid:
 
     def circles(self):
         """Grid points one circle per row, shape (len(radii), n_angles), ascending radius."""
-        theta = 2 * np.pi * np.arange(self.n_angles) / self.n_angles
-        return np.asarray(self.radii)[:, None] * np.exp(1j * theta)[None, :]
+        return _circles(self.radii, self.n_angles)
 
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
@@ -119,7 +152,7 @@ def wirtinger_dbar(f, z, h):
     z = np.asarray(z, dtype=complex)
     if not h > 0:
         raise ValueError("stencil step h must be positive")
-    stencil = np.stack((z + h, z - h, z + 1j * h, z - 1j * h))
+    stencil = _stencil(z, h)
     _require_in_disc(stencil, "wirtinger_dbar stencil")
     values = np.asarray(f(stencil.ravel()))
     values = values.reshape(stencil.shape + values.shape[1:])

@@ -10,6 +10,12 @@ and the factorizing pair (psi_1, psi_2) solving
     inverse_cayley(psi_1(z)) + inverse_cayley(psi_2(z)) = phi(z) I.
 
 Internal canonical form: h1(z) = phi(z) B - i A, so phi_{1,t} = exp(-t h1).
+
+The product, commutation, semigroup, master-equation and recovery residuals
+are Frobenius norms, upper bounds on the operator norm: a residual at or
+below a tolerance certifies the operator-norm residual too.  Contractivity
+needs the tight ||Q||_2 and keeps it, from an SVD wherever a cheap
+certificate cannot show ||Q||_2 < 1.
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ from .disc import _require_in_disc, mobius_phi, varphi_t
 from .operators import (
     as_matrix,
     cayley,
+    frobenius_norm,
     im_part,
     inverse_cayley,
     is_positive_contraction,
@@ -168,6 +175,10 @@ def phi_jt(params, j, t, z):
 class FactorizationReport:
     """Worst residual per factorization axiom, plus checked and skipped counts.
 
+    The product, commutation and semigroup residuals are Frobenius norms, at
+    least the operator norm; contractivity_excess is the exact
+    max(0, ||Q||_2 - 1).
+
     n_checked counts (t, z) points inside the exponent-norm budget and
     n_semigroup the (t, s, z) points, s following t in t_list, at which the
     semigroup law was compared; a report with either count 0 does not pass.
@@ -200,8 +211,31 @@ class FactorizationReport:
         )
 
 
-def _largest_norm(stack):
-    return float(np.max(operator_norm(stack)))
+# a slice with ||Q*Q||_inf <= (1 - CONTRACTION_MARGIN)**2 has ||Q||_2 < 1 with room for the
+# round-off of forming Q*Q and of an SVD, so its ||Q||_2 - 1 cannot raise the excess clamped at 0
+CONTRACTION_MARGIN = 1e-8
+
+
+def _certified_contractions(Q):
+    """Per slice of the stack Q: True where ||Q*Q||_inf <= (1 - CONTRACTION_MARGIN)**2.
+
+    ||Q||_2^2 = ||Q*Q||_2 <= ||Q*Q||_inf, the largest row sum of moduli, so a
+    certified slice is a contraction.  Q*Q in einsum, the moduli by hypot.
+    """
+    gram = np.einsum("nki,nkj->nij", Q.conj(), Q, optimize=False)
+    return np.hypot(gram.real, gram.imag).sum(axis=-1).max(axis=-1) <= (1 - CONTRACTION_MARGIN) ** 2
+
+
+def _contractivity_excess(Q):
+    """max(0, max_k ||Q_k||_2 - 1) over the slices of the stack Q, as an SVD of every slice gives it.
+
+    A certified contraction cannot raise the maximum clamped at 0, so only
+    the other slices get the exact operator_norm.
+    """
+    open_ = ~_certified_contractions(Q)
+    if not open_.any():
+        return 0.0
+    return max(float(operator_norm(Q[open_]).max()) - 1, 0.0)
 
 
 def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
@@ -210,10 +244,11 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
     (i) product phi_{1,t} phi_{2,t} = e^{-t phi} I; (ii) the factors
     commute; (iii) each factor is a contraction; (iv) the semigroup law for
     consecutive t, s in t_list, against exp((t + s) exponent) computed
-    directly.  Points whose exponent-norm estimate t (||A|| + |phi(z)|)
-    exceeds EXP_NORM_BUDGET are skipped and counted.  The grid is swept one
-    circle at a time, each as one stack per (t, factor).  Every t must be
-    finite and > 0.
+    directly.  (i), (ii) and (iv) are measured in the Frobenius norm, (iii)
+    in the operator norm.  Points whose exponent-norm estimate
+    t (||A|| + |phi(z)|) exceeds EXP_NORM_BUDGET are skipped and counted.
+    The grid is swept one circle at a time, each as one stack per
+    (t, factor).  Every t must be finite and > 0.
     """
     t_list = sorted(float(t) for t in t_list)
     if not all(np.isfinite(t) and t > 0 for t in t_list):
@@ -246,9 +281,9 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
             Q2 = matrix_exp(t * exps[1][ok])
             factors[t] = (ok, Q1, Q2)
             prod = Q1 @ Q2
-            prod_res = max(prod_res, _largest_norm(prod - varphi_t(t, zs[ok])[:, None, None] * eye))
-            comm_res = max(comm_res, _largest_norm(prod - Q2 @ Q1))
-            contr_exc = max(contr_exc, _largest_norm(Q1) - 1, _largest_norm(Q2) - 1)
+            prod_res = max(prod_res, frobenius_norm(prod - varphi_t(t, zs[ok])[:, None, None] * eye).max())
+            comm_res = max(comm_res, frobenius_norm(prod - Q2 @ Q1).max())
+            contr_exc = max(contr_exc, _contractivity_excess(Q1), _contractivity_excess(Q2))
         for t, s in zip(t_list, t_list[1:]):
             ok_t, ok_s = factors[t][0], factors[s][0]
             ok = ok_t & ok_s & budget_ok(t + s)
@@ -259,12 +294,12 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
             for j in (1, 2):
                 Pts = matrix_exp((t + s) * exps[j - 1][ok])
                 Pt, Ps = factors[t][j][ok[ok_t]], factors[s][j][ok[ok_s]]
-                semi_res = max(semi_res, _largest_norm(Pts - Pt @ Ps))
+                semi_res = max(semi_res, frobenius_norm(Pts - Pt @ Ps).max())
     return FactorizationReport(
-        product_residual=prod_res,
-        commutation_residual=comm_res,
-        contractivity_excess=max(contr_exc, 0.0),
-        semigroup_residual=semi_res,
+        product_residual=float(prod_res),
+        commutation_residual=float(comm_res),
+        contractivity_excess=contr_exc,
+        semigroup_residual=float(semi_res),
         n_checked=n_checked,
         n_skipped=n_skipped,
         n_semigroup=n_semigroup,
@@ -274,7 +309,7 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
 def master_residuals(pair, grid):
     """Per-point residual of the master equation.
 
-    residuals[k] = ||ic(psi1(z_k)) + ic(psi2(z_k)) - phi(z_k) I|| for
+    residuals[k] = ||ic(psi1(z_k)) + ic(psi2(z_k)) - phi(z_k) I||_F for
     z_k = grid.points()[k].  inverse_cayley raises SingularityError where 1
     is (numerically) in the spectrum of psi_j(z).
     """
@@ -283,7 +318,7 @@ def master_residuals(pair, grid):
     for zs in grid.circles():
         P1, P2 = pair.psi1(zs), pair.psi2(zs)
         phi = mobius_phi(zs)[:, None, None]
-        residuals.append(operator_norm(inverse_cayley(P1) + inverse_cayley(P2) - phi * eye))
+        residuals.append(frobenius_norm(inverse_cayley(P1) + inverse_cayley(P2) - phi * eye))
     return np.concatenate(residuals)
 
 
@@ -291,7 +326,7 @@ def recover_params(pair, grid):
     """Read (A, B) back off a factorizing pair.
 
     h1(0) = inverse_cayley(psi1(0)) = B - iA fixes the parameters; the
-    returned residual max_z ||inverse_cayley(psi1(z)) - (phi(z)B - iA)||
+    returned residual max_z ||inverse_cayley(psi1(z)) - (phi(z)B - iA)||_F
     certifies that the pair really is of the classified exponential form.
     """
     h10 = inverse_cayley(pair.psi1(0))
@@ -301,5 +336,5 @@ def recover_params(pair, grid):
     residual = 0.0
     for zs in grid.circles():
         dev = inverse_cayley(pair.psi1(zs)) - build_h1(params, zs)
-        residual = max(residual, _largest_norm(dev))
-    return params, residual
+        residual = max(residual, frobenius_norm(dev).max())
+    return params, float(residual)

@@ -2,10 +2,10 @@
 
 Matrices are plain numpy arrays of shape (d, d), complex dtype, treated as
 immutable values.  The kernels (Cayley transform and inverse, exponential,
-operator norm) also take an (n, d, d) stack and act slice by slice, with
-the same bits per slice as a call on that slice alone.  The matrix Cayley
-transform and its inverse exchange positive-real-part matrices and
-contractions.
+operator and Frobenius norms) also take an (n, d, d) stack and act slice by
+slice, with the same bits per slice as a call on that slice alone.  The
+matrix Cayley transform and its inverse exchange positive-real-part matrices
+and contractions.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ __all__ = [
     "matrix_exp",
     "numerical_abscissa",
     "operator_norm",
+    "frobenius_norm",
     "matrix_to_jsonable",
     "matrix_from_jsonable",
 ]
@@ -88,19 +89,46 @@ def is_positive_contraction(B, tol=1e-10):
     return bool(eigs[0] >= -tol and eigs[-1] <= 1 + tol)
 
 
+def _certified_nonsingular(den):
+    """Per slice of the stack den: True where den is certainly not singular in _right_divide's sense.
+
+    sigma_max <= ||den||_F and sigma_min = 1 / ||den^-1||_2 >= 1 / ||den^-1||_F, so
+    2 * SINGULARITY_RTOL * max(||den||_F, 1) * ||den^-1||_F < 1 puts sigma_min above
+    twice the singularity threshold; the factor 2 covers the round-off of the
+    inverse and of the SVD the decision would otherwise take.  A slice whose
+    inverse overflows or is not finite is left uncertified.
+    """
+    try:
+        inverse = np.linalg.inv(den)
+    except np.linalg.LinAlgError:  # an exactly singular slice; leave every slice to the SVD
+        return np.zeros(len(den), dtype=bool)
+    with np.errstate(over="ignore"):  # an infinite bound certifies nothing
+        bound = 2 * SINGULARITY_RTOL * np.maximum(_frobenius(den), 1.0) * _frobenius(inverse)
+    return bound < 1
+
+
 def _right_divide(num, den):
-    """num @ inv(den) per slice, raising SingularityError if any den is ill-conditioned."""
+    """num @ inv(den) per slice, raising SingularityError if any den is ill-conditioned.
+
+    A slice is singular when its smallest singular value is at most
+    SINGULARITY_RTOL * max(largest, 1).  Only the slices that
+    _certified_nonsingular leaves open get the SVD, so the decision, the
+    index and the message are those of an SVD of every slice.
+    """
     den = _as_square(den)
-    s = np.linalg.svd(den, compute_uv=False)
-    smallest = s[..., -1]
-    singular = smallest <= SINGULARITY_RTOL * np.maximum(s[..., 0], 1.0)
-    if np.any(singular):
-        k = int(np.argmax(singular))
-        where = f" at stack index {k}" if den.ndim == 3 else ""
-        raise SingularityError(
-            f"matrix is numerically singular{where} "
-            f"(smallest singular value {np.ravel(smallest)[k]:.3e})"
-        )
+    stack = den.reshape(-1, *den.shape[-2:])
+    open_ = np.flatnonzero(~_certified_nonsingular(stack))
+    if len(open_):
+        s = np.linalg.svd(stack[open_], compute_uv=False)
+        smallest = s[:, -1]
+        singular = smallest <= SINGULARITY_RTOL * np.maximum(s[:, 0], 1.0)
+        if np.any(singular):
+            i = int(np.argmax(singular))
+            where = f" at stack index {open_[i]}" if den.ndim == 3 else ""
+            raise SingularityError(
+                f"matrix is numerically singular{where} "
+                f"(smallest singular value {smallest[i]:.3e})"
+            )
     return _adjoint(np.linalg.solve(_adjoint(den), _adjoint(_as_square(num))))
 
 
@@ -202,6 +230,26 @@ def operator_norm(M):
     """Largest singular value: a float for a matrix, an (n,) array for a stack."""
     M = _as_square(M)
     s = np.linalg.svd(M, compute_uv=False)[..., 0]
+    return float(s) if M.ndim == 2 else s
+
+
+def _frobenius(M):
+    """frobenius_norm without the input checks; squares beyond about 1e154 overflow to inf."""
+    x = np.ascontiguousarray(M).view(float)
+    return np.sqrt(np.einsum("...ij,...ij->...", x, x, optimize=False))
+
+
+def frobenius_norm(M):
+    """Frobenius norm: a float for a matrix, an (n,) array for a stack.
+
+    An upper bound on the operator norm, ||M||_2 <= ||M||_F <= sqrt(d) ||M||_2
+    (Golub & Van Loan, Matrix Computations, 2.3), so a residual that passes
+    ||M||_F <= tol also passes ||M||_2 <= tol.  A sum of squares of the real
+    and imaginary parts in einsum: no BLAS, the same bits for a slice alone
+    or in any stack.
+    """
+    M = _as_square(M)
+    s = _frobenius(M)
     return float(s) if M.ndim == 2 else s
 
 

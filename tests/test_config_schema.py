@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holo_lab import cli, rigidity
+from holo_lab import cli, disc, rigidity
 from holo_lab.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_INVALID, EXIT_PASS, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -257,6 +257,35 @@ class TestSingularInputs:
         assert code == EXIT_INVALID
         assert report is None
         assert "holo-lab: invalid input: matrix is numerically singular" in err
+
+
+class TestGridPointsInDisc:
+    # every bound holds, but a computed grid point or stencil point has modulus 1
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            ({"command": "recover-params", "params": SCALAR_PARAMS,
+              "grid": {"radii": [0.9999999999999999], "stencil_h": 5e-17, "n_angles": 16}}, "radii"),
+            ({"command": "rigidity-check", "function": "phi",
+              "grid": {"radii": [0.9999999999999998], "stencil_h": 1e-16}}, "radii"),
+            ({"command": "rigidity-check", "function": "phi",
+              "grid": {"radii": [0.9999999999999996], "stencil_h": 3.5e-16}}, "stencil_h"),
+        ],
+        ids=["recover-point-on-circle", "rigidity-point-on-circle", "rigidity-stencil-on-circle"],
+    )
+    def test_rejected_with_the_field(self, cfg, field):
+        grid = cli._parse(cli.GRID, {}) | cfg["grid"]
+        with pytest.raises(ValueError, match="modulus >= 1"):
+            disc.DiscGrid(**grid)
+        code, report, err = run_config(cfg)
+        assert code == EXIT_INVALID, err
+        assert report is None
+        assert f"grid {field} must be" in err, err
+
+    def test_accepted_grid_passes_every_disc_check(self):
+        grid = disc.DiscGrid(radii=(0.5, 0.9999999999999996), n_angles=64, stencil_h=1e-16)
+        disc.wirtinger_dbar(lambda z: z, grid.points(), grid.stencil_h)
+        disc.varphi_t(1.0, grid.points())
 
 
 class TestValueRules:

@@ -1,11 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 
+from holo_lab import factorization, operators
 from holo_lab.disc import DiscGrid, DomainError, default_grid, mobius_phi, varphi_t
 from holo_lab.factorization import (
+    DEFAULT_T_LIST,
     EXP_NORM_BUDGET,
     FactorPair,
     FactorParams,
+    _contractivity_excess,
     build_h1,
     master_residuals,
     pair_from_params,
@@ -14,7 +19,7 @@ from holo_lab.factorization import (
     recover_params,
     verify_factorization,
 )
-from holo_lab.operators import inverse_cayley, numerical_abscissa, operator_norm
+from holo_lab.operators import cayley, frobenius_norm, inverse_cayley, numerical_abscissa, operator_norm
 from holo_lab.rigidity import OperatorFunction
 
 # expm-heavy sweeps use a thinned grid; identities are z-pointwise so
@@ -273,7 +278,7 @@ class TestVerifyMaster:
         residuals = master_residuals(pair, grid=FAST_GRID)
         eye = np.eye(2)
         expected = [
-            operator_norm(inverse_cayley(pair.psi1(z)) + inverse_cayley(pair.psi2(z)) - mobius_phi(z) * eye)
+            frobenius_norm(inverse_cayley(pair.psi1(z)) + inverse_cayley(pair.psi2(z)) - mobius_phi(z) * eye)
             for z in FAST_GRID.points()
         ]
         assert np.array_equal(residuals, expected)
@@ -306,3 +311,159 @@ class TestRecoverParams:
         rec, _ = recover_params(pair, grid=FAST_GRID)
         np.testing.assert_allclose(rec.A, 0, atol=1e-12)
         np.testing.assert_allclose(rec.B, 0, atol=1e-12)
+
+
+# round-off allowance for comparing two computed norms of one matrix
+NORM_SLACK = 1 + 8 * np.finfo(float).eps
+
+
+def residuals(params, grid=FAST_GRID):
+    """The five Frobenius-bounded residuals of params, and the report they come from."""
+    pair = pair_from_params(params)
+    rep = verify_factorization(params, grid=grid)
+    _, recover = recover_params(pair, grid=grid)
+    master = master_residuals(pair, grid=grid).max()
+    return (rep.product_residual, rep.commutation_residual, rep.semigroup_residual, master, recover), rep
+
+
+class TestFrobeniusResiduals:
+    """The residuals in the Frobenius norm, against the same residuals in the exact operator norm."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_between_operator_norm_and_sqrt_d_times_it(self, d, monkeypatch):
+        params = random_params(np.random.default_rng(30 + d), d)
+        fro, rep = residuals(params)
+        monkeypatch.setattr(factorization, "frobenius_norm", operator_norm)
+        exact, exact_rep = residuals(params)
+        for f, e in zip(fro, exact):
+            assert e <= f * NORM_SLACK and f <= np.sqrt(d) * e * NORM_SLACK
+        assert exact_rep.contractivity_excess == rep.contractivity_excess
+        assert (exact_rep.n_checked, exact_rep.n_skipped, exact_rep.n_semigroup) == (
+            rep.n_checked, rep.n_skipped, rep.n_semigroup)
+
+
+PLANT = 1e-6
+
+
+def plant_in_factors(monkeypatch, E):
+    """Every factor matrix_exp returns to verify_factorization gets PLANT * E added."""
+    exp = factorization.matrix_exp
+    monkeypatch.setattr(factorization, "matrix_exp", lambda M: exp(M) + PLANT * E)
+
+
+class TestPlantedErrorsAreCaught:
+    """A 1e-6 error planted in a factor or in psi gives a residual >= 1e-6.
+
+    A = 0, B = diag(1, 0) makes the factors diagonal, phi_{1,t} = diag(q, 1)
+    and phi_{2,t} = diag(1, q) with q = exp(-t phi(z)), so each residual
+    with the plant p = PLANT has a closed form.
+    """
+
+    DIAGONAL = FactorParams(A=np.zeros((2, 2)), B=np.diag([1.0, 0.0]))
+
+    def test_product(self, monkeypatch):
+        # (Q1 + pI)(Q2 + pI) - qI = (p(1 + q) + p^2) I, and Re q > 0 at z = 0.3
+        plant_in_factors(monkeypatch, np.eye(2))
+        assert verify_factorization(self.DIAGONAL, grid=FAST_GRID).product_residual >= PLANT
+
+    def test_commutation(self, monkeypatch):
+        # [Q1 + pN, Q2 + pN] = 2p (q - 1) N for N = e_1 e_2*, and q ~ 0 at z = 0.95
+        plant_in_factors(monkeypatch, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert verify_factorization(self.DIAGONAL, grid=FAST_GRID).commutation_residual >= PLANT
+
+    def test_semigroup(self, monkeypatch):
+        # the (2, 2) entry for phi_{1,t}: (1 + p) - (1 + p)^2 = -p - p^2
+        plant_in_factors(monkeypatch, np.eye(2))
+        assert verify_factorization(self.DIAGONAL, grid=FAST_GRID).semigroup_residual >= PLANT
+
+    def test_master(self):
+        # psi_2 of (A + pI, B): ic(psi_1) + ic(psi_2) - phi I = i p I
+        params = random_params(np.random.default_rng(31), 3)
+        shifted = FactorParams(A=params.A + PLANT * np.eye(3), B=params.B)
+        pair = FactorPair(psi1=pair_from_params(params).psi1, psi2=pair_from_params(shifted).psi2)
+        assert master_residuals(pair, grid=FAST_GRID).max() >= PLANT
+
+    def test_recover(self):
+        # h1(z) + p z I agrees with the recovered h1 at z = 0 only; |z| = 0.95 on the outer circle
+        params = random_params(np.random.default_rng(32), 3)
+        psi1 = OperatorFunction(3, lambda z: cayley(build_h1(params, z.ravel()) + PLANT * z * np.eye(3)), "psi1")
+        _, residual = recover_params(FactorPair(psi1=psi1, psi2=pair_from_params(params).psi2), grid=FAST_GRID)
+        assert residual >= PLANT
+
+
+def svd_excess(Q):
+    """max(0, max_k ||Q_k||_2 - 1) from an SVD of every slice."""
+    return max(float(operator_norm(Q).max()) - 1, 0.0)
+
+
+class TestContractivityCertificate:
+    """The certificate skips the SVD of certified slices, and the excess keeps its bits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_equals_svd_excess(self, d):
+        rng = np.random.default_rng(50 + d)
+        zs = FAST_GRID.points()
+        eye = np.eye(d)
+        # random factors, and B = 0 or I, where one factor is unitary and sits at norm 1
+        for params in [random_params(rng, d) for _ in range(3)] + [
+            FactorParams(A=random_params(rng, d).A, B=b * eye) for b in (0.0, 1.0)
+        ]:
+            for t in DEFAULT_T_LIST:
+                for j in (1, 2):
+                    Q = phi_jt(params, j, t, zs)
+                    for stack in (Q, Q * (1 + PLANT)):  # the plant makes the norm-1 slices non-contractions
+                        assert np.array_equal(_contractivity_excess(stack), svd_excess(stack))
+
+    def test_planted_non_contraction(self):
+        Q = np.stack([np.linalg.qr(np.random.default_rng(k).standard_normal((3, 3)))[0] for k in range(8)])
+        Q[:4] *= 0.5
+        Q[5] *= 1 + PLANT
+        excess = _contractivity_excess(Q)
+        assert excess == svd_excess(Q) and excess >= 0.99 * PLANT
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_report_equals_svd_excess(self, d, monkeypatch):
+        params = [random_params(np.random.default_rng(55 + d), d),
+                  FactorParams(A=random_params(np.random.default_rng(56), d).A, B=np.zeros((d, d)))]
+        certified = [verify_factorization(p, grid=FAST_GRID).contractivity_excess for p in params]
+        monkeypatch.setattr(factorization, "_contractivity_excess", svd_excess)
+        assert certified == [verify_factorization(p, grid=FAST_GRID).contractivity_excess for p in params]
+
+
+class TestSvdOffResidualPath:
+    """No residual reaches an SVD: only the uncertified slices and ||A|| do."""
+
+    def test_svd_slices_at_most_uncertified(self, monkeypatch):
+        svd, certify_contraction = np.linalg.svd, factorization._certified_contractions
+        certify_nonsingular = operators._certified_nonsingular
+        calls, uncertified = [], []
+
+        def counting_svd(a, *args, **kwargs):
+            frames, f = [], sys._getframe(1)
+            while f is not None:
+                frames.append(f.f_code.co_name)
+                f = f.f_back
+            calls.append((int(np.prod(np.shape(a)[:-2])), frames))
+            return svd(a, *args, **kwargs)
+
+        def counted(certify):
+            def wrapper(stack):
+                mask = certify(stack)
+                uncertified.append(int(np.count_nonzero(~mask)))
+                return mask
+            return wrapper
+
+        params = random_params(np.random.default_rng(4), 4)
+        pair = pair_from_params(params)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(factorization, "_certified_contractions", counted(certify_contraction))
+        monkeypatch.setattr(operators, "_certified_nonsingular", counted(certify_nonsingular))
+        verify_factorization(params, grid=default_grid())
+        master_residuals(pair, grid=default_grid())
+        recover_params(pair, grid=default_grid())
+
+        a_norm = [frames for n, frames in calls if frames[:2] == ["operator_norm", "verify_factorization"]]
+        assert len(a_norm) == 1  # ||A||, which sets the exponent-norm budget
+        for n, frames in calls:
+            assert "_right_divide" in frames or "_contractivity_excess" in frames or frames in a_norm, frames
+        assert sum(n for n, _ in calls) <= sum(uncertified) + 1

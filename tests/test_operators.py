@@ -7,9 +7,12 @@ import scipy.linalg
 from holo_lab.disc import default_grid, mobius_phi
 from holo_lab.factorization import EXP_NORM_BUDGET, _exponent, random_params
 from holo_lab.operators import (
+    SINGULARITY_RTOL,
     SingularityError,
+    _right_divide,
     as_matrix,
     cayley,
+    frobenius_norm,
     im_part,
     inverse_cayley,
     is_positive_contraction,
@@ -261,3 +264,127 @@ class TestStacks:
             operator_norm(np.zeros((2, 3, 4)))
         with pytest.raises(ValueError, match="square"):
             as_matrix(np.zeros((2, 3, 3)))  # as_matrix stays the 2-D contract
+
+
+# round-off allowance for comparing two computed norms of one matrix
+NORM_SLACK = 1 + 8 * np.finfo(float).eps
+
+
+class TestFrobeniusNorm:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    def test_bounds_the_operator_norm(self, d):
+        # ||M||_2 <= ||M||_F <= sqrt(d) ||M||_2, with rank-one slices at the lower
+        # bound and scaled unitaries at the upper
+        rng = np.random.default_rng(40 + d)
+        general = [random_matrix(rng, d, scale) for scale in np.logspace(-8, 8, 48)]
+        rank_one = [np.outer(random_matrix(rng, d)[0], random_matrix(rng, d)[0].conj()) for _ in range(8)]
+        unitary = [np.linalg.qr(random_matrix(rng, d))[0] * scale for scale in (1e-3, 1.0, 7.0, 1e5)]
+        M = np.stack(general + rank_one + unitary)
+        op, fro = operator_norm(M), frobenius_norm(M)
+        assert np.all(op <= fro * NORM_SLACK)
+        assert np.all(fro <= np.sqrt(d) * op * NORM_SLACK)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_stack_equals_slices(self, d):
+        M = np.stack([random_matrix(np.random.default_rng(d), d) for _ in range(16)])
+        assert np.array_equal(frobenius_norm(M), [frobenius_norm(x) for x in M])
+
+    def test_examples(self):
+        assert frobenius_norm(np.eye(4)) == 2.0
+        assert frobenius_norm(np.array([[3.0, 4.0j], [0.0, 0.0]])) == 5.0
+        assert frobenius_norm(np.zeros((2, 2))) == 0.0
+        assert isinstance(frobenius_norm(np.eye(2)), float)
+        assert frobenius_norm(np.stack([np.eye(2), 2 * np.eye(2)]).swapaxes(-1, -2)).shape == (2,)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="finite"):
+            frobenius_norm(np.stack([np.eye(2), np.full((2, 2), np.inf)]))
+        with pytest.raises(ValueError, match="square"):
+            frobenius_norm(np.zeros((2, 3)))
+
+
+def svd_right_divide(num, den):
+    """num @ inv(den) with the singularity decided by an SVD of every slice: the oracle for _right_divide."""
+    s = np.linalg.svd(den, compute_uv=False)
+    smallest = s[..., -1]
+    singular = smallest <= SINGULARITY_RTOL * np.maximum(s[..., 0], 1.0)
+    if np.any(singular):
+        k = int(np.argmax(singular))
+        where = f" at stack index {k}" if den.ndim == 3 else ""
+        raise SingularityError(
+            f"matrix is numerically singular{where} (smallest singular value {np.ravel(smallest)[k]:.3e})"
+        )
+    adj = lambda T: T.conj().swapaxes(-1, -2)  # noqa: E731
+    return adj(np.linalg.solve(adj(den), adj(num)))
+
+
+def outcome(divide, num, den):
+    try:
+        return "solved", divide(num, den)
+    except SingularityError as exc:
+        return "singular", str(exc)
+
+
+def assert_same_outcome(num, den):
+    got, want = outcome(_right_divide, num, den), outcome(svd_right_divide, num, den)
+    assert got[0] == want[0]
+    if got[0] == "solved":
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+    return got[0]
+
+
+def with_singular_values(rng, s):
+    """U diag(s) V* for random unitaries U, V."""
+    d = len(s)
+    U, V = (np.linalg.qr(random_matrix(rng, d))[0] for _ in range(2))
+    return (U * s) @ V.conj().T
+
+
+class TestRightDivideCertificate:
+    """The certificate skips the SVD but keeps every decision, message and solved bit of the all-SVD test."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    def test_random_stacks(self, d):
+        rng = np.random.default_rng(60 + d)
+        den = np.stack([random_matrix(rng, d, scale) + shift * np.eye(d)
+                        for scale in np.logspace(-6, 6, 8) for shift in (0.0, 1.0, 3.0)])
+        num = np.stack([random_matrix(rng, d) for _ in den])
+        assert assert_same_outcome(num, den) == "solved"
+        for k in range(len(den)):
+            assert_same_outcome(num[k], den[k])
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    @pytest.mark.parametrize("largest", [0.5, 1.0, 40.0, 1e6])
+    @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+    def test_edge_of_the_threshold(self, d, largest, side):
+        # one slice with smallest singular value within 1e-3 relative of the threshold
+        rng = np.random.default_rng(80 + d)
+        if d == 1:  # the one singular value is also the largest: the threshold is SINGULARITY_RTOL
+            edge = with_singular_values(rng, [SINGULARITY_RTOL * side])
+        else:
+            edge = with_singular_values(rng, np.linspace(largest, SINGULARITY_RTOL * max(largest, 1.0) * side, d))
+        den = np.stack([with_singular_values(rng, rng.uniform(0.5, 2.0, d)) for _ in range(5)])
+        den[3] = edge
+        num = np.stack([random_matrix(rng, d) for _ in den])
+        result = assert_same_outcome(num, den)
+        assert result == ("singular" if side < 1 else "solved")
+        if result == "singular":
+            assert "at stack index 3" in outcome(_right_divide, num, den)[1]
+        assert assert_same_outcome(num[3], den[3]) == result
+
+    def test_overflowing_bound(self):
+        # ||den||_F^2 and ||den^-1||_F^2 overflow to inf: no certificate, the SVD decides
+        den = np.stack([np.eye(2), np.diag([1e200, 1e-200]), np.diag([1e200, 1.0])]).astype(complex)
+        num = np.stack([np.eye(2)] * 3)
+        assert assert_same_outcome(num, den) == "singular"
+        assert assert_same_outcome(num[[0, 2]], den[[0, 2]]) == "singular"
+        assert assert_same_outcome(num[2], np.diag([1e160, 1e160]).astype(complex)) == "solved"
+
+    def test_exactly_singular_slice(self):
+        # np.linalg.inv raises on the zero slice, so every slice goes to the SVD
+        den = np.stack([np.eye(3), 2 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
+        assert assert_same_outcome(np.stack([np.eye(3)] * 4), den) == "singular"
+        with pytest.raises(SingularityError, match="stack index 2"):
+            _right_divide(np.stack([np.eye(3)] * 4), den)
