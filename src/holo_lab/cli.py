@@ -156,7 +156,7 @@ def _smallest_r(n_moments):
 
 @functools.lru_cache
 def _stencil_cap(top):
-    """The smallest stencil_h with top + stencil_h >= 1 in floating point, which DiscGrid rejects."""
+    """The smallest stencil_h with top + stencil_h >= 1 in floating point: a stencil point then leaves the disc."""
     return _edge(lambda h: top + h >= 1)
 
 
@@ -167,8 +167,11 @@ GRID = Table("grid ", (
     Field("radii", "list", disc.DEFAULT_RADII, ((">", 0), ("<", 1)),
           ("ascending, every grid point of modulus < 1",
            lambda v, values: list(v) == sorted(v) and disc.grid_points_in_disc(v, values["n_angles"]))),
-    # a subnormal step makes the Wirtinger quotient inf * 0 = nan
-    Field("stencil_h", "number", disc.DEFAULT_STENCIL_H,
+))
+# rigidity-check alone takes a derivative; the rule is wirtinger_dbar's own test, and a subnormal step makes
+# the Wirtinger quotient inf * 0 = nan
+RIGIDITY_GRID = GRID._replace(fields=GRID.fields + (
+    Field("stencil_h", "number", rigidity.DEFAULT_STENCIL_H,
           ((">=", sys.float_info.min), ("<", Ref("1 - max(radii)", lambda v: _stencil_cap(max(v["radii"]))))),
           ("every stencil point of modulus < 1",
            lambda v, values: disc.stencil_in_disc(values["radii"], values["n_angles"], v))),
@@ -178,21 +181,22 @@ FUNCTION_RULE = (f"a name in {sorted(rigidity.BUILTIN_FUNCTIONS)} or 'const:re,i
                  f"<= {rigidity.MAX_CONSTANT:g}", lambda v, values: True)  # resolve_function checks it
 
 
-def _command(name, tolerances, fields, one_of=()):
-    """A command's table: the command, the grid, its tolerances (name: default), then its own fields."""
+def _command(name, grid, tolerances, fields, one_of=()):
+    """A command's table: the command, its grid table or None, its tolerances (name: default), its own fields."""
     tolerances = tuple(Field(k, "number", v, ((">=", 0),)) for k, v in tolerances.items())
-    common = (Field("command", "string", REQUIRED), Field("grid", "object", {}, table=GRID),
+    grid = (Field("grid", "object", {}, table=grid),) if grid else ()
+    common = (Field("command", "string", REQUIRED), *grid,
               Field("tolerances", "object", {}, table=Table("tolerance ", tolerances)))
     return Table(name + " ", common + fields, one_of)
 
 
 SCHEMA = {
-    "rigidity-check": _command("rigidity-check", {"eps_holo": 1e-6, "eps_const": 1e-8}, (
+    "rigidity-check": _command("rigidity-check", RIGIDITY_GRID, {"eps_holo": 1e-6, "eps_const": 1e-8}, (
         Field("function", "function id", REQUIRED, rule=FUNCTION_RULE),
         Field("expect_verdict", "string", rigidity.CONSTANT_CONFIRMED,
               rule=(f"in {list(RIGIDITY_VERDICTS)}", lambda v, values: v in RIGIDITY_VERDICTS)),
     )),
-    "factorize-verify": _command("factorize-verify", {"factorization": 1e-8, "master": 1e-10}, (
+    "factorize-verify": _command("factorize-verify", GRID, {"factorization": 1e-8, "master": 1e-10}, (
         Field("params", "object", table=PARAMS),
         Field("params_file", "string"),
         Field("random", "object", table=Table("random.", (
@@ -201,10 +205,10 @@ SCHEMA = {
         ))),
         Field("t_list", "list", DEFAULT_T_LIST, ((">", 0),)),
     ), one_of=[("params", "params_file", "random")]),
-    "recover-params": _command("recover-params", {"recover": 1e-10, "residual": 1e-9}, (
+    "recover-params": _command("recover-params", GRID, {"recover": 1e-10, "residual": 1e-9}, (
         Field("params", "object", table=PARAMS), Field("params_file", "string"),
     ), one_of=[("params", "params_file")]),
-    "herglotz-analyze": _command("herglotz-analyze", {"moment_symmetry": 1e-10}, (
+    "herglotz-analyze": _command("herglotz-analyze", None, {"moment_symmetry": 1e-10}, (
         Field("function", "function id", rule=FUNCTION_RULE),
         Field("params", "object", table=HERGLOTZ_PARAMS),
         Field("n_samples", "integer", herglotz.DEFAULT_N, ((">=", 16), ("<=", MAX_HERGLOTZ_SAMPLES)),
@@ -217,7 +221,7 @@ SCHEMA = {
         Field("tol_atom", "number", None, ((">=", 0),)),
         Field("expect_concentrated", "boolean", True),
     ), one_of=[("function", "params")]),
-    "shift-sim": _command("shift-sim", {"conjugation": 1e-6, "lower_triangle": 1e-8, "gram": 1e-8}, (
+    "shift-sim": _command("shift-sim", None, {"conjugation": 1e-6, "lower_triangle": 1e-8, "gram": 1e-8}, (
         Field("t", "number", 1.0, ((">=", 0), ("<=", MAX_SHIFT_T))),
         Field("order", "integer", 32, ((">=", 2), ("<=", MAX_SHIFT_ORDER))),
         Field("n_check", "integer", 8, ((">=", 1), ("<=", Ref("order / 2", lambda v: v["order"] / 2)))),
@@ -271,8 +275,15 @@ def _write_csv(path, header, rows):
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _run_rigidity(cfg, grid, tols, seed, out_dir, emit_plots):
-    report = rigidity.rigidity_verdict(cfg["function"], grid, eps_holo=tols["eps_holo"], eps_const=tols["eps_const"])
+def _grid(cfg):
+    """The DiscGrid of cfg's grid section."""
+    return disc.DiscGrid(cfg["grid"]["radii"], cfg["grid"]["n_angles"])
+
+
+def _run_rigidity(cfg, seed, emit_plots):
+    grid, tols = _grid(cfg), cfg["tolerances"]
+    report = rigidity.rigidity_verdict(cfg["function"], grid, eps_holo=tols["eps_holo"], eps_const=tols["eps_const"],
+                                       stencil_h=cfg["grid"]["stencil_h"])
     checks = [_verdict_check("verdict", cfg["expect_verdict"], report.verdict)]
     verdicts = {
         "verdict": report.verdict,
@@ -280,19 +291,13 @@ def _run_rigidity(cfg, grid, tols, seed, out_dir, emit_plots):
         "holo_residual": float(report.holo_residual),
         "constancy_deviation": float(report.constancy_deviation),
     }
-    artifacts = []
-    if emit_plots:
-        rows = [
-            (float(z.real), float(z.imag), float(res))
-            for z, res in zip(grid.points(), report.dbar_residuals)
-        ]
-        name = "rigidity_residuals.csv"
-        _write_csv(os.path.join(out_dir, name), ["re_z", "im_z", "dbar_residual"], rows)
-        artifacts.append(name)
-    return checks, verdicts, artifacts
+    plots = {"rigidity_residuals.csv": (["re_z", "im_z", "dbar_residual"], [
+        (float(z.real), float(z.imag), float(res)) for z, res in zip(grid.points(), report.dbar_residuals)
+    ])} if emit_plots else {}
+    return checks, verdicts, plots
 
 
-def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
+def _run_factorize(cfg, seed, emit_plots):
     if "random" in cfg:
         if seed is None:
             raise InvalidInput("factorize-verify: randomized runs require --seed")
@@ -301,7 +306,7 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
     else:
         params_list = [_load_params(cfg, "factorize-verify")]
 
-    checks, artifacts = [], []
+    grid, tols = _grid(cfg), cfg["tolerances"]
     worst = {"product": 0.0, "commutation": 0.0, "contractivity": 0.0, "semigroup": 0.0, "master": 0.0}
     first_residuals = None
     for params in params_list:
@@ -327,35 +332,31 @@ def _run_factorize(cfg, grid, tols, seed, out_dir, emit_plots):
             first_residuals = residuals
         worst["master"] = max(worst["master"], float(residuals.max()))
     tol = tols["factorization"]
-    checks.append(_check("product_identity", worst["product"], tol))
-    checks.append(_check("commutation", worst["commutation"], tol))
-    checks.append(_check("contractivity", worst["contractivity"], tol))
-    checks.append(_check("semigroup_law", worst["semigroup"], tol))
-    checks.append(_check("master_equation", worst["master"], tols["master"]))
-    if emit_plots:
-        rows = [
-            (float(abs(z)), float(np.angle(z)), float(res))
-            for z, res in zip(grid.points(), first_residuals)
-        ]
-        name = "factorize_residuals.csv"
-        _write_csv(os.path.join(out_dir, name), ["radius", "angle", "master_residual"], rows)
-        artifacts.append(name)
-    return checks, {}, artifacts
+    checks = [
+        _check("product_identity", worst["product"], tol),
+        _check("commutation", worst["commutation"], tol),
+        _check("contractivity", worst["contractivity"], tol),
+        _check("semigroup_law", worst["semigroup"], tol),
+        _check("master_equation", worst["master"], tols["master"]),
+    ]
+    plots = {"factorize_residuals.csv": (["radius", "angle", "master_residual"], [
+        (float(abs(z)), float(np.angle(z)), float(res)) for z, res in zip(grid.points(), first_residuals)
+    ])} if emit_plots else {}
+    return checks, {}, plots
 
 
-def _run_recover(cfg, grid, tols, seed, out_dir, emit_plots):
+def _run_recover(cfg, seed, emit_plots):
     params = _load_params(cfg, "recover-params")
-    pair = pair_from_params(params)
-    recovered, residual = recover_params(pair, grid)
+    recovered, residual = recover_params(pair_from_params(params), _grid(cfg))
     dev = max(
         float(np.max(np.abs(recovered.A - params.A))),
         float(np.max(np.abs(recovered.B - params.B))),
     )
     checks = [
-        _check("roundtrip_params", dev, tols["recover"]),
-        _check("exponential_form_residual", residual, tols["residual"]),
+        _check("roundtrip_params", dev, cfg["tolerances"]["recover"]),
+        _check("exponential_form_residual", residual, cfg["tolerances"]["residual"]),
     ]
-    return checks, {}, []
+    return checks, {}, {}
 
 
 def _herglotz_function(cfg):
@@ -368,40 +369,35 @@ def _herglotz_function(cfg):
         raise InvalidInput(f"herglotz-analyze params: {exc}") from exc
 
 
-def _run_herglotz(cfg, grid, tols, seed, out_dir, emit_plots):
+def _run_herglotz(cfg, seed, emit_plots):
     h = _herglotz_function(cfg)
     M = cfg["n_moments"]
     approx, concentrated = herglotz.analyze(h, r=cfg["r"], N=cfg["n_samples"], M=M, tol_atom=cfg["tol_atom"])
     moments = approx.moments  # moment(n) at index n + M
     sym = float(np.max(np.abs(moments[M::-1] - moments[M:].conj().swapaxes(-1, -2))))
-    checks = [_check("moment_symmetry", sym, tols["moment_symmetry"])]
+    checks = [_check("moment_symmetry", sym, cfg["tolerances"]["moment_symmetry"])]
     checks.append(_verdict_check("concentrated_at_1", cfg["expect_concentrated"], concentrated))
     verdicts = {
         "concentrated": concentrated,
         "leak_mass": float(approx.leak_mass),
         "atom_norm": float(operator_norm(approx.atom_mass_at_1)),
     }
-    artifacts = []
+    plots = {}
     if emit_plots:
         norms = operator_norm(moments)
         distances = operator_norm(moments - approx.atom_mass_at_1)
-        rows = [(n, float(a), float(b)) for n, a, b in zip(range(-M, M + 1), norms, distances)]
-        name = "moment_profile.csv"
-        _write_csv(os.path.join(out_dir, name), ["n", "moment_norm", "distance_to_atom"], rows)
-        artifacts.append(name)
+        plots["moment_profile.csv"] = (["n", "moment_norm", "distance_to_atom"], [
+            (n, float(a), float(b)) for n, a, b in zip(range(-M, M + 1), norms, distances)
+        ])
         thetas, mass = herglotz.arc_mass_profile(approx)
-        name2 = "arc_mass_profile.csv"
-        _write_csv(
-            os.path.join(out_dir, name2),
-            ["theta", "fejer_mass_norm"],
-            [(float(t), float(m)) for t, m in zip(thetas, mass)],
-        )
-        artifacts.append(name2)
-    return checks, verdicts, artifacts
+        plots["arc_mass_profile.csv"] = (["theta", "fejer_mass_norm"], [
+            (float(t), float(m)) for t, m in zip(thetas, mass)
+        ])
+    return checks, verdicts, plots
 
 
-def _run_shiftsim(cfg, grid, tols, seed, out_dir, emit_plots):
-    t, order = cfg["t"], cfg["order"]
+def _run_shiftsim(cfg, seed, emit_plots):
+    t, order, tols = cfg["t"], cfg["order"], cfg["tolerances"]
     quad = shiftsim.laguerre_quadrature(basis_order=order)
     result = shiftsim.conjugation_check(t, n_check=cfg["n_check"], quad=quad)
     checks = [
@@ -410,19 +406,14 @@ def _run_shiftsim(cfg, grid, tols, seed, out_dir, emit_plots):
         _check("lower_triangle", result.lower_violation, tols["lower_triangle"]),
     ]
     verdicts = {"sign_convention": result.convention}
-    artifacts = []
-    if emit_plots:
-        coeffs = shiftsim.taylor_varphi_t(t, order)
-        name = "taylor_coefficients.csv"
-        _write_csv(
-            os.path.join(out_dir, name),
-            ["n", "c_n"],
-            [(n, float(c)) for n, c in enumerate(coeffs)],
-        )
-        artifacts.append(name)
-    return checks, verdicts, artifacts
+    plots = {"taylor_coefficients.csv": (["n", "c_n"], [
+        (n, float(c)) for n, c in enumerate(shiftsim.taylor_varphi_t(t, order))
+    ])} if emit_plots else {}
+    return checks, verdicts, plots
 
 
+# A runner takes (parsed config, seed, emit_plots) and returns (checks, verdicts, plots); plots maps a CSV file
+# name to (header, rows), and run() writes the files
 _RUNNERS = {
     "rigidity-check": _run_rigidity,
     "factorize-verify": _run_factorize,
@@ -456,23 +447,25 @@ def _with_flags(config, grid_radii_flag, tol_flags):
 
 
 def run(config, seed=None, out_dir=".", grid_radii=None, tol_overrides=None, emit_plots=False):
-    """Execute one config and return (report dict, exit code)."""
+    """Execute one config, write its CSV plot data to out_dir, and return (report dict, exit code)."""
+    if seed is not None and seed < 0:
+        raise InvalidInput(f"--seed must be a non-negative integer, got {seed}")
     command = config.get("command")
     if command not in list(SCHEMA):
         raise InvalidInput(f"unknown command {command!r}; known: {list(SCHEMA)}")
     cfg = _parse(SCHEMA[command], _with_flags(config, grid_radii, tol_overrides))
-    grid = disc.default_grid(**cfg["grid"])
-    tols = cfg["tolerances"]
-    checks, verdicts, artifacts = _RUNNERS[command](cfg, grid, tols, seed, out_dir, emit_plots)
+    checks, verdicts, plots = _RUNNERS[command](cfg, seed, emit_plots)
+    for name, (header, rows) in plots.items():
+        _write_csv(os.path.join(out_dir, name), header, rows)
     overall = all(c["passed"] for c in checks)
     report = {
         "command": command,
         "config": config,
         "seed": seed,
-        "tolerances": tols,
+        "tolerances": cfg["tolerances"],
         "checks": checks,
         "verdicts": verdicts,
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(plots),
         "overall_pass": overall,
     }
     return report, (EXIT_PASS if overall else EXIT_FAIL)
@@ -490,7 +483,8 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
     parser.add_argument("--out", default=".", help="output directory for report.json and CSVs")
-    parser.add_argument("--grid-radii", default=None, help="comma-separated radii override")
+    parser.add_argument("--grid-radii", default=None,
+                        help="comma-separated radii override (rigidity-check, factorize-verify, recover-params)")
     parser.add_argument(
         "--tol", action="append", default=None, metavar="NAME=VALUE", help="tolerance override"
     )

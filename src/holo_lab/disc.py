@@ -89,7 +89,7 @@ def grid_points_in_disc(radii, n_angles):
 
 
 def stencil_in_disc(radii, n_angles, stencil_h):
-    """True when the Wirtinger stencil of every grid point stays inside the disc as computed."""
+    """True when the Wirtinger stencil of step stencil_h stays inside the disc as computed at every grid point."""
     return _in_disc(_stencil(_circles(radii, n_angles), stencil_h))
 
 
@@ -97,15 +97,15 @@ def stencil_in_disc(radii, n_angles, stencil_h):
 class DiscGrid:
     """Finite sampling of the disc: circles of the given radii, equispaced angles.
 
-    stencil_h is the step used by the finite-difference holomorphy test.
-    Every grid point and every stencil point must have computed modulus < 1,
-    so no function on the disc rejects a point of the grid.  The default
-    radii stop at 0.95 so no point comes close to the singularity of phi at 1.
+    A grid is its points only; a check that takes derivatives, such as the
+    Wirtinger stencil of rigidity_verdict, brings its own step.  Every grid
+    point must have computed modulus < 1, so no function on the disc rejects
+    a point of the grid.  The default radii stop at 0.95 so no point comes
+    close to the singularity of phi at 1.
     """
 
     radii: tuple
     n_angles: int
-    stencil_h: float
 
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
@@ -116,12 +116,8 @@ class DiscGrid:
             raise ValueError("radii must be ascending")
         if self.n_angles < 8:
             raise ValueError("n_angles must be >= 8")
-        if not self.stencil_h > 0:
-            raise ValueError("stencil_h must be positive")
         if not grid_points_in_disc(radii, self.n_angles):
             raise ValueError("a grid point rounds to modulus >= 1")
-        if not stencil_in_disc(radii, self.n_angles, self.stencil_h):
-            raise ValueError("stencil leaves the disc: a stencil point has modulus >= 1")
 
     def points(self):
         """All grid points as a flat complex array, circle after circle."""
@@ -134,11 +130,11 @@ class DiscGrid:
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
 DEFAULT_N_ANGLES = 64
-DEFAULT_STENCIL_H = 1e-4
 
 
-def default_grid(radii=DEFAULT_RADII, n_angles=DEFAULT_N_ANGLES, stencil_h=DEFAULT_STENCIL_H):
-    return DiscGrid(radii=tuple(radii), n_angles=n_angles, stencil_h=stencil_h)
+def default_grid(radii=DEFAULT_RADII, n_angles=DEFAULT_N_ANGLES):
+    """DiscGrid of the given radii and angle count, the ten default circles of 64 points unless told otherwise."""
+    return DiscGrid(radii=tuple(radii), n_angles=n_angles)
 
 
 def wirtinger_dbar(f, z, h):

@@ -134,7 +134,7 @@ def dirac_concentration_test(approx, tol_atom=None):
     if tol_atom is None:
         tol_atom = default_tol_atom(approx)
     atom = atom_at_angle(approx, 0.0)
-    atom = (atom + atom.conj().T) / 2
+    atom = re_part(atom)
     leak = operator_norm(approx.moment(0) - atom)
     return atom, leak, bool(leak <= tol_atom)
 
@@ -163,14 +163,12 @@ def split_additivity_check(h1, h2, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M):
     """
     if h1.dim != h2.dim:
         raise ValueError("h1 and h2 must share a dimension")
-    from .rigidity import OperatorFunction  # local import avoids a cycle
-
     eye = np.eye(h1.dim)
     phi_eye = OperatorFunction(h1.dim, lambda z: mobius_phi(z) * eye, "phi*I")
     m1 = estimate_moments(sample_boundary(h1, r, N), M).moments
     m2 = estimate_moments(sample_boundary(h2, r, N), M).moments
     m = estimate_moments(sample_boundary(phi_eye, r, N), M).moments
-    return float(np.linalg.svd(m1 + m2 - m, compute_uv=False)[:, 0].max())
+    return float(operator_norm(m1 + m2 - m).max())
 
 
 def arc_mass_profile(approx):
@@ -180,7 +178,7 @@ def arc_mass_profile(approx):
     thetas = 2 * np.pi * np.arange(360) / 360
     phases = np.exp(1j * np.outer(thetas, ns)) * weights
     density = np.tensordot(phases, approx.moments, axes=(1, 0))
-    return thetas, np.linalg.svd(density, compute_uv=False)[:, 0]
+    return thetas, operator_norm(density)
 
 
 def analyze(h, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M, tol_atom=None):

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .disc import DomainError, mobius_phi, poisson_factor, wirtinger_dbar
-from .operators import _as_square, as_matrix, re_part
+from .operators import _as_square, as_matrix, operator_norm, re_part
 
 __all__ = [
     "CONSTANT_CONFIRMED",
@@ -33,6 +33,7 @@ __all__ = [
     "re_h1_identity_check",
     "convexity_diagnostic",
     "rigidity_verdict",
+    "DEFAULT_STENCIL_H",
     "BUILTIN_FUNCTIONS",
     "resolve_function",
 ]
@@ -41,6 +42,9 @@ CONSTANT_CONFIRMED = "CONSTANT_CONFIRMED"
 HYPOTHESIS_VIOLATED = "HYPOTHESIS_VIOLATED"
 INCONCLUSIVE = "INCONCLUSIVE"
 DEGENERATE = "DEGENERATE"
+
+# step of the Wirtinger stencil in rigidity_verdict
+DEFAULT_STENCIL_H = 1e-4
 
 
 @dataclass(frozen=True)
@@ -171,12 +175,14 @@ class RigidityReport:
     dbar_residuals: np.ndarray  # max |dbar g| entry per point, in grid.points() order
 
 
-def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8):
+def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8, stencil_h=DEFAULT_STENCIL_H):
     """Classify F against the rigidity theorem.
 
     Checks (i) Re F(z) has spectrum in [0, 1] (up to 1e-10) at every grid
-    point, (ii) the transform F(z) + z F(z)^* is numerically holomorphic,
-    (iii) F deviates from F(0) by at most eps_const.  CONSTANT_CONFIRMED
+    point, (ii) the transform F(z) + z F(z)^* is numerically holomorphic:
+    its Wirtinger derivative, central differences of step stencil_h (every
+    stencil point inside the disc), is at most eps_holo, (iii) F deviates
+    from F(0) by at most eps_const.  CONSTANT_CONFIRMED
     needs all three; a failure of (i) or (ii) is HYPOTHESIS_VIOLATED; the
     remaining case is INCONCLUSIVE and would contradict the theorem.
     """
@@ -186,12 +192,12 @@ def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8):
     eigs = np.linalg.eigvalsh(re_part(values))
     strip_ok = bool(eigs.min() >= -1e-10 and eigs.max() <= 1 + 1e-10)
 
-    dbar = wirtinger_dbar(g_transform(F), pts, grid.stencil_h)
+    dbar = wirtinger_dbar(g_transform(F), pts, stencil_h)
     dbar_residuals = np.max(np.abs(dbar), axis=(1, 2))
     holo_residual = float(dbar_residuals.max())
 
     F0 = F(0)
-    deviation = float(np.linalg.svd(values - F0, compute_uv=False)[:, 0].max())
+    deviation = float(operator_norm(values - F0).max())
 
     if strip_ok and holo_residual <= eps_holo and deviation <= eps_const:
         verdict = CONSTANT_CONFIRMED

@@ -148,6 +148,17 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["factorize-verify-random", *GOLDEN_CASES])
+    def test_negative_seed_is_invalid(self, tmp_path, capsys, case):
+        if case == "factorize-verify-random":
+            cfg = {"command": "factorize-verify", "random": {"dim": 1}, "grid": {"radii": [0.5], "n_angles": 8}}
+        else:
+            cfg = json.loads(Path(GOLDEN_DIR, case, "config.json").read_text())
+        code, report, _ = run_cli(tmp_path, cfg, "--seed", "-1")
+        assert code == EXIT_INVALID
+        assert report is None
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         code = main(["--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
         assert code == EXIT_INVALID
@@ -430,12 +441,12 @@ class TestExitCodes:
 
 class TestInternalErrors:
     @staticmethod
-    def _raising(cfg, grid, tols, seed, out_dir, emit_plots):
+    def _raising(cfg, seed, emit_plots):
         raise RuntimeError("boom")
 
     @staticmethod
-    def _unserialisable(cfg, grid, tols, seed, out_dir, emit_plots):
-        return [], {"verdict": object()}, []
+    def _unserialisable(cfg, seed, emit_plots):
+        return [], {"verdict": object()}, {}
 
     @pytest.mark.parametrize(
         "runner, phase",
@@ -528,6 +539,47 @@ class TestGridOptions:
         cfg = {"command": "rigidity-check", "function": "phi", "grid": {"n_points": 10}}
         code, _, _ = run_cli(tmp_path, cfg)
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("command", ["factorize-verify", "recover-params"])
+    def test_grid_near_the_circle_needs_no_stencil(self, tmp_path, command):
+        # only rigidity-check takes a derivative; 0.99995 + 1e-4 would leave the disc
+        cfg = {"command": command, "params": scalar_params_json(0.0, 0.5),
+               "grid": {"radii": [0.3, 0.99995], "n_angles": 16}}
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code in (EXIT_PASS, EXIT_FAIL)
+        assert report["overall_pass"] is (code == EXIT_PASS)
+
+    def test_stencil_h_reaches_the_verdict(self, tmp_path):
+        grid = {"radii": [0.3, 0.9], "n_angles": 16}
+        cfg = {"command": "rigidity-check", "function": "phi", "expect_verdict": "HYPOTHESIS_VIOLATED",
+               "grid": dict(grid, stencil_h=1e-3)}
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == EXIT_PASS
+        phi, points = BUILTIN_FUNCTIONS["phi"], default_grid(**grid)
+        coarse = rigidity_verdict(phi, points, stencil_h=1e-3).holo_residual
+        assert report["verdicts"]["holo_residual"] == coarse != rigidity_verdict(phi, points).holo_residual
+
+    def test_stencil_h_belongs_to_rigidity_check(self, tmp_path, capsys):
+        cfg = {"command": "factorize-verify", "params": scalar_params_json(0.0, 0.5),
+               "grid": {"radii": [0.3, 0.9], "n_angles": 16, "stencil_h": 1e-4}}
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == EXIT_INVALID
+        assert report is None
+        assert "factorize-verify grid: unknown field(s) ['stencil_h']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["section", "flag"])
+    @pytest.mark.parametrize("cfg", [
+        {"command": "herglotz-analyze", "function": "phi", "r": 0.9, "n_samples": 64, "n_moments": 4},
+        {"command": "shift-sim", "order": 8, "n_check": 4},
+    ], ids=["herglotz-analyze", "shift-sim"])
+    def test_commands_without_a_grid_reject_one(self, tmp_path, capsys, cfg, how):
+        if how == "section":
+            code, report, _ = run_cli(tmp_path, dict(cfg, grid={"radii": [0.5], "n_angles": 8, "stencil_h": 0.1}))
+        else:
+            code, report, _ = run_cli(tmp_path, cfg, "--grid-radii", "0.5")
+        assert code == EXIT_INVALID
+        assert report is None
+        assert f"{cfg['command']}: unknown field(s) ['grid']" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -179,9 +179,9 @@ def _probes():
                     if is_list and entry is not None:
                         new = list(current)
                         new[entry] = value
-                        if side == "inside" and new != sorted(new) and field.rule:
-                            continue
                         value = new
+                    if side == "inside" and field.rule and not field.rule[1](value, values):
+                        continue  # a bound's edge that breaks the field's own rule, such as a radius rounding onto 1
                     if side == "inside" and not _still_valid(table, field, value, values):
                         continue
                     probes.append((case, path + (field.name,), value, side, field.name))
@@ -224,6 +224,51 @@ class TestBoundaryValues:
                     assert (field.name, "inside") in probed and (field.name, "outside") in probed, field.name
 
 
+# ------------------------------------------------------------ dead knobs
+
+class _ReadRecorder(dict):
+    """A parsed section that records each field looked up by key.
+
+    Passing a section on with ** does not count as a read: the callee may
+    drop what it receives, as default_grid once dropped stencil_h for every
+    command but rigidity-check.
+    """
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestEveryFieldIsRead:
+    """A config field exists only on the commands that read it."""
+
+    @pytest.mark.parametrize("emit_plots", [False, True], ids=["report", "plots"])
+    @pytest.mark.parametrize("case", sorted(_base_configs()))
+    def test_run_reads_every_parsed_field(self, monkeypatch, tmp_path, case, emit_plots):
+        parse, sections = cli._parse, []
+
+        def recording_parse(table, data, label=""):
+            values = _ReadRecorder(parse(table, data, label))
+            sections.append((label + table.label, table, values))
+            return values
+
+        monkeypatch.setattr(cli, "_parse", recording_parse)
+        _, code = cli.run(_base_configs()[case], seed=1, out_dir=str(tmp_path), emit_plots=emit_plots)
+        assert code in (EXIT_PASS, EXIT_FAIL)
+        assert sections
+        unread = [f"{label}{name}" for label, table, values in sections for name in values
+                  if name not in values.read and not (name == "command" and table in cli.SCHEMA.values())]
+        assert not unread, f"parsed but never read: {unread}"  # the command picks the table before parsing
+
+
 # ------------------------------------------------------------ single cases
 
 class TestInputDecoding:
@@ -237,7 +282,7 @@ class TestInputDecoding:
 
 
 SCALAR_PARAMS = {"dim": 1, "A": [[[0.0, 0.0]]], "B": [[[0.5, 0.0]]]}
-NEAR_EDGE_GRID = {"radii": [0.3, 0.99999999999], "stencil_h": 1e-12, "n_angles": 8}
+NEAR_EDGE_GRID = {"radii": [0.3, 0.99999999999], "n_angles": 8}
 
 
 class TestSingularInputs:
@@ -265,7 +310,7 @@ class TestGridPointsInDisc:
         "cfg, field",
         [
             ({"command": "recover-params", "params": SCALAR_PARAMS,
-              "grid": {"radii": [0.9999999999999999], "stencil_h": 5e-17, "n_angles": 16}}, "radii"),
+              "grid": {"radii": [0.9999999999999999], "n_angles": 16}}, "radii"),
             ({"command": "rigidity-check", "function": "phi",
               "grid": {"radii": [0.9999999999999998], "stencil_h": 1e-16}}, "radii"),
             ({"command": "rigidity-check", "function": "phi",
@@ -274,17 +319,18 @@ class TestGridPointsInDisc:
         ids=["recover-point-on-circle", "rigidity-point-on-circle", "rigidity-stencil-on-circle"],
     )
     def test_rejected_with_the_field(self, cfg, field):
-        grid = cli._parse(cli.GRID, {}) | cfg["grid"]
-        with pytest.raises(ValueError, match="modulus >= 1"):
-            disc.DiscGrid(**grid)
+        grid = cli._parse(cli.RIGIDITY_GRID, {}) | cfg["grid"]
+        with pytest.raises(ValueError, match="modulus >= 1" if field == "radii" else "stencil requires"):
+            points = disc.DiscGrid(grid["radii"], grid["n_angles"]).points()
+            disc.wirtinger_dbar(lambda z: z, points, grid["stencil_h"])
         code, report, err = run_config(cfg)
         assert code == EXIT_INVALID, err
         assert report is None
         assert f"grid {field} must be" in err, err
 
     def test_accepted_grid_passes_every_disc_check(self):
-        grid = disc.DiscGrid(radii=(0.5, 0.9999999999999996), n_angles=64, stencil_h=1e-16)
-        disc.wirtinger_dbar(lambda z: z, grid.points(), grid.stencil_h)
+        grid = disc.DiscGrid(radii=(0.5, 0.9999999999999996), n_angles=64)
+        disc.wirtinger_dbar(lambda z: z, grid.points(), 1e-16)
         disc.varphi_t(1.0, grid.points())
 
 
@@ -351,8 +397,8 @@ class TestValueRules:
 
 class TestStrictReport:
     @staticmethod
-    def _nan_residual(cfg, grid, tols, seed, out_dir, emit_plots):
-        return [cli._check("residual", float("nan"), 1.0)], {}, []
+    def _nan_residual(cfg, seed, emit_plots):
+        return [cli._check("residual", float("nan"), 1.0)], {}, {}
 
     def test_non_finite_value_is_an_internal_error(self, monkeypatch):
         monkeypatch.setitem(cli._RUNNERS, "shift-sim", self._nan_residual)

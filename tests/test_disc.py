@@ -10,6 +10,7 @@ from holo_lab.disc import (
     varphi_t,
     wirtinger_dbar,
 )
+from holo_lab.rigidity import DEFAULT_STENCIL_H
 
 
 class TestMobius:
@@ -76,6 +77,10 @@ class TestWirtinger:
         with pytest.raises(DomainError):
             wirtinger_dbar(lambda z: z, 0.99999, 1e-4)
 
+    def test_step_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            wirtinger_dbar(lambda z: z, 0.5, 0.0)
+
 
 class TestHolomorphyResidual:
     """wirtinger_dbar on a whole grid, the way rigidity_verdict calls it."""
@@ -83,7 +88,7 @@ class TestHolomorphyResidual:
     GRID = default_grid()
 
     def dbar(self, f):
-        return wirtinger_dbar(f, self.GRID.points(), self.GRID.stencil_h)
+        return wirtinger_dbar(f, self.GRID.points(), DEFAULT_STENCIL_H)
 
     def test_polynomial(self):
         assert np.max(np.abs(self.dbar(lambda z: z**3))) <= 1e-7
@@ -105,16 +110,14 @@ class TestDiscGrid:
         grid = default_grid()
         pts = grid.points()
         assert pts.size == len(grid.radii) * grid.n_angles
-        assert np.max(np.abs(pts)) + grid.stencil_h < 1
+        assert np.max(np.abs(pts)) + DEFAULT_STENCIL_H < 1  # room for rigidity_verdict's stencil
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DiscGrid(radii=(0.5, 0.3), n_angles=16, stencil_h=1e-4)  # not ascending
+            DiscGrid(radii=(0.5, 0.3), n_angles=16)  # not ascending
         with pytest.raises(ValueError):
-            DiscGrid(radii=(0.5,), n_angles=4, stencil_h=1e-4)  # too few angles
+            DiscGrid(radii=(0.5,), n_angles=4)  # too few angles
+        with pytest.raises(DomainError):
+            wirtinger_dbar(lambda z: z, DiscGrid(radii=(0.9999,), n_angles=16).points(), 1e-3)  # stencil escapes
         with pytest.raises(ValueError):
-            DiscGrid(radii=(0.9999,), n_angles=16, stencil_h=1e-3)  # stencil escapes
-        with pytest.raises(ValueError):
-            DiscGrid(radii=(1.2,), n_angles=16, stencil_h=1e-4)
-        with pytest.raises(ValueError):
-            DiscGrid(radii=(0.5,), n_angles=16, stencil_h=0.0)
+            DiscGrid(radii=(1.2,), n_angles=16)

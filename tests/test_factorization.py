@@ -24,7 +24,7 @@ from holo_lab.rigidity import OperatorFunction
 
 # expm-heavy sweeps use a thinned grid; identities are z-pointwise so
 # coverage in z, not density, is what matters
-FAST_GRID = DiscGrid(radii=(0.3, 0.6, 0.9, 0.95), n_angles=16, stencil_h=1e-4)
+FAST_GRID = DiscGrid(radii=(0.3, 0.6, 0.9, 0.95), n_angles=16)
 
 
 def scalar_params(a, b):
@@ -286,7 +286,7 @@ class TestVerifyMaster:
     def test_non_factorizing_pair(self):
         zero = OperatorFunction(1, lambda z: np.array([[0.0]]), "0")
         pair = FactorPair(psi1=zero, psi2=zero)
-        residual = master_residuals(pair, grid=DiscGrid((0.5,), 8, 1e-4)).max()
+        residual = master_residuals(pair, grid=DiscGrid((0.5,), 8)).max()
         assert residual >= 1 - 1e-12  # |2 - phi(0.5)| = 1 at z = 0.5
 
 
