@@ -13,7 +13,7 @@ from .disc import (
 from .factorization import (
     FactorPair,
     FactorParams,
-    build_h1,
+    build_h,
     master_residuals,
     pair_from_params,
     phi_jt,

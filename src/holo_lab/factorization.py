@@ -1,15 +1,15 @@
 """Classification of commuting factorizations of the truncated-shift symbol.
 
 Every factorization is parametrized by a self-adjoint A and a positive
-contraction B: the two factor symbols are matrix exponentials
-phi_{1,t}(z) = exp(t[iA - phi(z)B]) and phi_{2,t}(z) = exp(t[-iA -
-phi(z)(I-B)]), whose exponents commute for every z, so their product is
-exp(-t phi(z)) I exactly.  The Cayley transform converts between (A, B)
-and the factorizing pair (psi_1, psi_2) solving
+contraction B through h_1(z) = phi(z) B - i A and h_2(z) = phi(z) I - h_1(z),
+built by build_h alone.  The factor symbols are phi_{j,t}(z) = exp(-t h_j(z)),
+whose exponents commute for every z, so their product is exp(-t phi(z)) I
+exactly; the factorizing pair is psi_j = cayley(h_j), which solves
 
     inverse_cayley(psi_1(z)) + inverse_cayley(psi_2(z)) = phi(z) I.
 
-Internal canonical form: h1(z) = phi(z) B - i A, so phi_{1,t} = exp(-t h1).
+The paper writes h_1 = phi B + i A; here A enters with the opposite sign, so
+recover_params reads back the A of this convention.
 
 The product, commutation, semigroup, master-equation and recovery residuals
 are Frobenius norms, upper bounds on the operator norm: a residual at or
@@ -44,7 +44,7 @@ __all__ = [
     "FactorParams",
     "FactorPair",
     "random_params",
-    "build_h1",
+    "build_h",
     "pair_from_params",
     "phi_jt",
     "FactorizationReport",
@@ -119,56 +119,38 @@ def random_params(rng, dim):
     return FactorParams(A=(A + A.conj().T) / 2, B=(B + B.conj().T) / 2)
 
 
-def _phi_column(z, who):
-    """phi(z) shaped (..., 1, 1) to scale (d, d) matrices; z scalar or array in the disc."""
-    z = np.asarray(z, dtype=complex)
-    _require_in_disc(z, who)
-    return np.asarray(mobius_phi(z))[..., None, None]
-
-
-def build_h1(params, z):
-    """h1(z) = phi(z) B - i A; exp(-t h1) is the first factor symbol.
+def build_h(params, j, z):
+    """h_1(z) = phi(z) B - i A or h_2(z) = phi(z) I - h_1(z), for j = 1 or 2.
 
     A scalar z gives a (d, d) matrix, an (n,) array of z an (n, d, d) stack.
     """
-    return _phi_column(z, "build_h1") * params.B - 1j * params.A
+    if j not in (1, 2):
+        raise ValueError("j must be 1 or 2")
+    z = np.asarray(z, dtype=complex)
+    _require_in_disc(z, "build_h")
+    phi = np.asarray(mobius_phi(z))[..., None, None]
+    h1 = phi * params.B - 1j * params.A
+    return h1 if j == 1 else phi * np.eye(params.dim) - h1
 
 
 def pair_from_params(params):
-    """Cayley-transform (A, B) into the factorizing pair (psi_1, psi_2)."""
-    eye = np.eye(params.dim)
+    """Cayley-transform (A, B) into the factorizing pair psi_j = cayley(h_j)."""
 
-    # the evaluators receive z shaped (n, 1, 1); build_h1 takes the flat points
-    def psi1(z, params=params):
-        return cayley(build_h1(params, z.ravel()))
+    # the evaluators receive z shaped (n, 1, 1); build_h takes the flat points
+    def psi(j):
+        return OperatorFunction(params.dim, lambda z: cayley(build_h(params, j, z.ravel())), f"psi{j}")
 
-    def psi2(z, params=params, eye=eye):
-        return cayley(mobius_phi(z) * eye - build_h1(params, z.ravel()))
-
-    return FactorPair(
-        psi1=OperatorFunction(params.dim, psi1, "psi1"),
-        psi2=OperatorFunction(params.dim, psi2, "psi2"),
-    )
-
-
-def _exponent(params, j, z):
-    """exponent_j(z), so phi_{j,t}(z) = exp(t exponent_j(z)); stacked like build_h1."""
-    phi = _phi_column(z, "phi_jt")
-    if j == 1:
-        return 1j * params.A - phi * params.B
-    if j == 2:
-        return -1j * params.A - phi * (np.eye(params.dim) - params.B)
-    raise ValueError("j must be 1 or 2")
+    return FactorPair(psi1=psi(1), psi2=psi(2))
 
 
 def phi_jt(params, j, t, z):
-    """Factor symbol phi_{j,t}(z) = exp(t * exponent_j(z)); a contraction.
+    """Factor symbol phi_{j,t}(z) = exp(-t h_j(z)); a contraction.
 
     A scalar z gives a (d, d) matrix, an (n,) array of z an (n, d, d) stack.
     """
     if t < 0:
         raise ValueError("phi_jt requires t >= 0")
-    return matrix_exp(t * _exponent(params, j, z))
+    return matrix_exp(-t * build_h(params, j, z))
 
 
 @dataclass(frozen=True)
@@ -243,7 +225,7 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
 
     (i) product phi_{1,t} phi_{2,t} = e^{-t phi} I; (ii) the factors
     commute; (iii) each factor is a contraction; (iv) the semigroup law for
-    consecutive t, s in t_list, against exp((t + s) exponent) computed
+    consecutive t, s in t_list, against exp(-(t + s) h_j) computed
     directly.  (i), (ii) and (iv) are measured in the Frobenius norm, (iii)
     in the operator norm.  Points whose exponent-norm estimate
     t (||A|| + |phi(z)|) exceeds EXP_NORM_BUDGET are skipped and counted.
@@ -263,7 +245,7 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
         # hypot gives abs(phi) of each point bit for bit (np.abs may not), so
         # the points on the budget's edge do not depend on the batching
         phi_abs = np.hypot(phi.real, phi.imag)
-        exps = (_exponent(params, 1, zs), _exponent(params, 2, zs))
+        hs = (build_h(params, 1, zs), build_h(params, 2, zs))
 
         def budget_ok(t):
             with np.errstate(over="ignore"):  # a product that overflows to inf is over budget too
@@ -277,8 +259,8 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
             if not ok.any():
                 factors[t] = (ok, None, None)
                 continue
-            Q1 = matrix_exp(t * exps[0][ok])
-            Q2 = matrix_exp(t * exps[1][ok])
+            Q1 = matrix_exp(-t * hs[0][ok])
+            Q2 = matrix_exp(-t * hs[1][ok])
             factors[t] = (ok, Q1, Q2)
             prod = Q1 @ Q2
             prod_res = max(prod_res, frobenius_norm(prod - varphi_t(t, zs[ok])[:, None, None] * eye).max())
@@ -292,7 +274,7 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
             if not ok.any():
                 continue
             for j in (1, 2):
-                Pts = matrix_exp((t + s) * exps[j - 1][ok])
+                Pts = matrix_exp(-(t + s) * hs[j - 1][ok])
                 Pt, Ps = factors[t][j][ok[ok_t]], factors[s][j][ok[ok_s]]
                 semi_res = max(semi_res, frobenius_norm(Pts - Pt @ Ps).max())
     return FactorizationReport(
@@ -325,8 +307,8 @@ def master_residuals(pair, grid):
 def recover_params(pair, grid):
     """Read (A, B) back off a factorizing pair.
 
-    h1(0) = inverse_cayley(psi1(0)) = B - iA fixes the parameters; the
-    returned residual max_z ||inverse_cayley(psi1(z)) - (phi(z)B - iA)||_F
+    h_1(0) = inverse_cayley(psi1(0)) = B - iA fixes the parameters; the
+    returned residual max_z ||inverse_cayley(psi1(z)) - h_1(z)||_F
     certifies that the pair really is of the classified exponential form.
     """
     h10 = inverse_cayley(pair.psi1(0))
@@ -335,6 +317,6 @@ def recover_params(pair, grid):
     params = FactorParams(A=A, B=B)
     residual = 0.0
     for zs in grid.circles():
-        dev = inverse_cayley(pair.psi1(zs)) - build_h1(params, zs)
+        dev = inverse_cayley(pair.psi1(zs)) - build_h(params, 1, zs)
         residual = max(residual, frobenius_norm(dev).max())
     return params, float(residual)

@@ -376,17 +376,42 @@ class TestValueRules:
         assert code in (EXIT_PASS, EXIT_FAIL), err
         strict_json(report)
 
-    def test_smallest_r_is_the_overflow_edge(self):
-        with np.errstate(over="ignore"):
-            for M in (1, 8, 32, 16383):
-                r = cli._smallest_r(M)
-                assert np.isfinite(r ** -np.array([M]))[0]
-                assert not np.isfinite(np.nextafter(r, 0) ** -np.array([M]))[0]
+    @staticmethod
+    def _smallest_float_where(holds, lo, hi):
+        """The smallest float in (lo, hi] at which holds(), false at lo, true at hi and switching once, is true."""
+        while np.nextafter(lo, hi) < hi:
+            mid = lo + (hi - lo) / 2
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        assert holds(hi) and not holds(np.nextafter(hi, lo))
+        return float(hi)
 
-    def test_stencil_cap_is_the_grid_edge(self):
-        for top in (1e-300, 0.3, 0.5, 0.9, 0.95, 0.99999999999, np.nextafter(1, 0)):
-            h = cli._stencil_cap(top)
-            assert top + h >= 1 and top + np.nextafter(h, 0) < 1
+    @pytest.mark.parametrize("n_moments", [1, 8, 32, 16383])
+    def test_r_floor_is_the_overflow_edge(self, n_moments):
+        def power_finite(r):  # r ** -n_moments, the largest factor of estimate_moments, in its float64 power
+            with np.errstate(over="ignore"):
+                return np.isfinite(r ** -np.array([n_moments]))[0]
+
+        r = self._smallest_float_where(power_finite, 0.0, 1.0)
+        cfg = {"command": "herglotz-analyze", "function": "phi", "n_moments": n_moments,
+               "n_samples": 2 ** max(4, (4 * n_moments).bit_length()), "expect_concentrated": False}
+        code, report, err = run_config(dict(cfg, r=r))
+        assert code in (EXIT_PASS, EXIT_FAIL), err
+        strict_json(report)
+        code, report, err = run_config(dict(cfg, r=float(np.nextafter(r, 0))))
+        assert code == EXIT_INVALID, err
+        assert report is None
+        assert "herglotz-analyze r must be" in err, err
+
+    @pytest.mark.parametrize("top", [1e-300, 0.3, 0.5, 0.95, 0.99999999999, 0.9999999999999996])
+    def test_stencil_h_reaching_the_circle_is_rejected(self, top):
+        # from this h on, the stencil point top + h of the angle-0 grid point has modulus >= 1
+        h = self._smallest_float_where(lambda h: top + h >= 1, 0.0, 1.0)
+        for step in (h, float(np.nextafter(h, 2))):
+            cfg = {"command": "rigidity-check", "function": "phi", "grid": {"radii": [top], "stencil_h": step}}
+            code, report, err = run_config(cfg)
+            assert code == EXIT_INVALID, err
+            assert report is None
+            assert "grid stencil_h must be" in err, err
 
     def test_resolve_function_bounds_constants(self):
         assert rigidity.resolve_function(f"const:{rigidity.MAX_CONSTANT!r},0").name.startswith("const:")

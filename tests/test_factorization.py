@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from holo_lab import factorization, operators
-from holo_lab.disc import DiscGrid, DomainError, default_grid, mobius_phi, varphi_t
+from holo_lab.disc import DiscGrid, DomainError, default_grid, mobius_phi, poisson_factor, varphi_t
 from holo_lab.factorization import (
     DEFAULT_T_LIST,
     EXP_NORM_BUDGET,
     FactorPair,
     FactorParams,
     _contractivity_excess,
-    build_h1,
+    build_h,
     master_residuals,
     pair_from_params,
     phi_jt,
@@ -19,7 +19,15 @@ from holo_lab.factorization import (
     recover_params,
     verify_factorization,
 )
-from holo_lab.operators import cayley, frobenius_norm, inverse_cayley, numerical_abscissa, operator_norm
+from holo_lab.operators import (
+    cayley,
+    frobenius_norm,
+    inverse_cayley,
+    matrix_exp,
+    numerical_abscissa,
+    operator_norm,
+    re_part,
+)
 from holo_lab.rigidity import OperatorFunction
 
 # expm-heavy sweeps use a thinned grid; identities are z-pointwise so
@@ -65,18 +73,52 @@ class TestBuildH1:
     def test_examples(self):
         eye = np.eye(2)
         p = FactorParams(A=0 * eye, B=eye)
-        np.testing.assert_allclose(build_h1(p, 0.5), 3 * eye)
+        np.testing.assert_allclose(build_h(p, 1, 0.5), 3 * eye)
 
         p2 = FactorParams(A=1.5 * eye, B=0 * eye)
         for z in (0.0, 0.3j, -0.5):
-            np.testing.assert_allclose(build_h1(p2, z), -1.5j * eye)
+            np.testing.assert_allclose(build_h(p2, 1, z), -1.5j * eye)
 
         p3 = FactorParams(A=np.diag([1.0, -1.0]), B=0.5 * eye)
-        np.testing.assert_allclose(build_h1(p3, 0), 0.5 * eye - 1j * np.diag([1.0, -1.0]))
+        np.testing.assert_allclose(build_h(p3, 1, 0), 0.5 * eye - 1j * np.diag([1.0, -1.0]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            build_h1(scalar_params(0.0, 0.5), 1.0)
+            build_h(scalar_params(0.0, 0.5), 1, 1.0)
+
+
+class TestBuildH:
+    """build_h is the one definition of h_j: every factor symbol and Cayley factor is built from it."""
+
+    CASES = [(d, z) for d in (1, 2, 4) for z in (0.3 - 0.4j, FAST_GRID.points())]
+    IDS = [f"d{d}-{'stack' if np.ndim(z) else 'scalar'}" for d, z in CASES]
+
+    @pytest.mark.parametrize("d, z", CASES, ids=IDS)
+    def test_factors_are_built_from_h(self, d, z):
+        p = random_params(np.random.default_rng(70 + d), d)
+        pair = pair_from_params(p)
+        for j, psi in ((1, pair.psi1), (2, pair.psi2)):
+            for t in (0.5, 2.0):
+                assert np.array_equal(phi_jt(p, j, t, z), matrix_exp(-t * build_h(p, j, z)))
+            assert np.array_equal(psi(z), cayley(build_h(p, j, z)))
+
+    @pytest.mark.parametrize("d, z", CASES, ids=IDS)
+    def test_real_parts_split_the_poisson_factor(self, d, z):
+        # Re h_1 = P(z) B and Re h_2 = P(z) (I - B): B splits the Poisson kernel at the point 1
+        p = random_params(np.random.default_rng(80 + d), d)
+        P = np.asarray(poisson_factor(z))[..., None, None]
+        for j, mass in ((1, p.B), (2, np.eye(d) - p.B)):
+            expected = P * mass
+            error = frobenius_norm(re_part(build_h(p, j, z)) - expected)
+            assert np.all(error <= 1e-13 * frobenius_norm(expected)), np.max(error / frobenius_norm(expected))
+
+    def test_validation(self):
+        p = scalar_params(0.0, 0.5)
+        with pytest.raises(ValueError, match="j must be 1 or 2"):
+            build_h(p, 3, 0.5)
+        for z in (1.0, 1j, np.array([0.5, -1.0])):
+            with pytest.raises(DomainError):
+                build_h(p, 2, z)
 
 
 class TestPairFromParams:
@@ -127,7 +169,8 @@ class TestPhiJt:
         zs = FAST_GRID.points()
         for d in (1, 3):
             p = random_params(rng, d)
-            np.testing.assert_array_equal(build_h1(p, zs), np.stack([build_h1(p, z) for z in zs]))
+            for j in (1, 2):
+                np.testing.assert_array_equal(build_h(p, j, zs), np.stack([build_h(p, j, z) for z in zs]))
             for j in (1, 2):
                 stacked = phi_jt(p, j, 0.75, zs)
                 assert np.array_equal(stacked, np.stack([phi_jt(p, j, 0.75, z) for z in zs]))
@@ -384,9 +427,9 @@ class TestPlantedErrorsAreCaught:
         assert master_residuals(pair, grid=FAST_GRID).max() >= PLANT
 
     def test_recover(self):
-        # h1(z) + p z I agrees with the recovered h1 at z = 0 only; |z| = 0.95 on the outer circle
+        # h_1(z) + p z I agrees with the recovered h1 at z = 0 only; |z| = 0.95 on the outer circle
         params = random_params(np.random.default_rng(32), 3)
-        psi1 = OperatorFunction(3, lambda z: cayley(build_h1(params, z.ravel()) + PLANT * z * np.eye(3)), "psi1")
+        psi1 = OperatorFunction(3, lambda z: cayley(build_h(params, 1, z.ravel()) + PLANT * z * np.eye(3)), "psi1")
         _, residual = recover_params(FactorPair(psi1=psi1, psi2=pair_from_params(params).psi2), grid=FAST_GRID)
         assert residual >= PLANT
 

@@ -8,6 +8,7 @@ from holo_lab.herglotz import (
     analyze,
     arc_mass_profile,
     atom_at_angle,
+    atom_model,
     dirac_concentration_test,
     estimate_moments,
     herglotz_reconstruct,
@@ -28,10 +29,6 @@ def scalar_fn(f, name=""):
 
 
 PHI = scalar_fn(mobius_phi, "phi")
-
-
-def atom_model(A, B):
-    return OperatorFunction(A.shape[0], lambda z: herglotz_reconstruct(B, A, z), "atom-model")
 
 
 class TestSampling:

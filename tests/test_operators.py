@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from holo_lab.disc import default_grid, mobius_phi
-from holo_lab.factorization import EXP_NORM_BUDGET, _exponent, random_params
+from holo_lab.factorization import EXP_NORM_BUDGET, build_h, random_params
 from holo_lab.operators import (
     SINGULARITY_RTOL,
     SingularityError,
@@ -174,7 +174,7 @@ class TestMatrixExp:
         params = random_params(np.random.default_rng(60 + d), d)
         a_norm = operator_norm(params.A)
         for j in (1, 2):
-            E = _exponent(params, j, z)
+            E = -build_h(params, j, z)
             for t in (0.25, 0.5, 1.0, 2.0, 5.0, 20.0, 40.0):
                 ok = t * (a_norm + np.abs(phi)) <= EXP_NORM_BUDGET  # the points verify_factorization checks
                 assert ok.any()

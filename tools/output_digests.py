@@ -1,0 +1,93 @@
+"""Digest every output of the benchmark's jobs, so that two checkouts can be compared.
+
+    python tools/output_digests.py SRC OUT.json
+
+SRC is the `src` directory of the checkout under test; holo_lab is imported
+from there.  The jobs are those of perfbench/jobs.py in this repository: every
+job of the three workloads at seeds 0 and 7, each CLI job run with
+--emit-plots.  OUT.json maps each job to the exit code and the sha256 of every
+file its CLI run wrote, or, for a library job, to the repr of its result (full
+precision, no array summarised).  Run it on two checkouts and diff the two
+files: equal entries mean byte-identical outputs.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 7)
+
+
+def _run_cli(job, work):
+    """Exit code and {file name: sha256} of one CLI job, run with --emit-plots in the directory work."""
+    from holo_lab import cli
+
+    config, out = work / "config.json", work / "out"
+    config.write_text(json.dumps(job["config"]))
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["--config", str(config), "--out", str(out), "--seed", str(job["seed"]), "--emit-plots"])
+    files = sorted(out.iterdir()) if out.exists() else []
+    return {"exit": code, "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}}
+
+
+def _run_library(job):
+    """repr of a library job's result, or of the exception it raised."""
+    from holo_lab import disc, factorization, rigidity, shiftsim
+    from jobs import _matrix
+
+    try:
+        if job["kind"] == "rigidity_verdict":
+            mats = [_matrix(re) + 1j * _matrix(im) for re, im in job["coeffs"]]
+            F = rigidity.OperatorFunction(
+                mats[0].shape[0], lambda z: sum(C * z**k for k, C in enumerate(mats)), "poly")
+            result = rigidity.rigidity_verdict(F, disc.default_grid())
+        else:
+            p = job["params"]
+            params = factorization.FactorParams(A=_matrix(p["A"]), B=_matrix(p["B"]))
+            result = shiftsim.truncated_factorization_check(params, job["t"], N=job["N"])
+    except Exception as exc:
+        return {"raised": f"{type(exc).__name__}: {exc}"}
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        return {"repr": repr(result)}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="the src directory of the checkout to run")
+    parser.add_argument("out", help="the JSON file to write")
+    args = parser.parse_args(argv)
+
+    src = Path(args.src).resolve()
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    import holo_lab
+    import jobs
+
+    if not Path(holo_lab.__file__).resolve().is_relative_to(src):
+        sys.exit(f"holo_lab was imported from {holo_lab.__file__}, not from {src}")
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            for workload in sorted(jobs.WORKLOADS):
+                for job in jobs.generate(workload, seed):
+                    key = f"{job['id']} seed {seed}"
+                    if job["kind"] == "cli":
+                        work = Path(tmp, key.replace(" ", "-"))
+                        work.mkdir()
+                        digests[key] = _run_cli(job, work)
+                    else:
+                        digests[key] = _run_library(job)
+    Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"{len(digests)} jobs -> {args.out}")
+
+
+if __name__ == "__main__":
+    main()
