@@ -32,15 +32,16 @@ from .factorization import (
     recover_params,
     verify_factorization,
 )
-from .operators import SingularityError, matrix_from_jsonable, operator_norm
+from .operators import SingularityError, operator_norm
 
 __all__ = ["main"]
 
 EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_INTERNAL = 0, 1, 2, 3
 
-# size caps, so that a config cannot ask for gigabytes: herglotz-analyze holds
-# n_samples d x d matrices, shift-sim a few order x order matrices
+# size caps, so that a config cannot ask for gigabytes: herglotz-analyze holds n_samples d x d
+# matrices, at most MAX_HERGLOTZ_ENTRIES entries (16 MB complex), shift-sim a few order x order matrices
 MAX_HERGLOTZ_SAMPLES = 2**16
+MAX_HERGLOTZ_ENTRIES = 2**20
 MAX_SHIFT_ORDER = 256
 # or hours: factorize-verify takes 1.5 s at dim 16 on the default grid, and
 # 134 s and 144 MB at all three caps below (2 vCPUs; see the README)
@@ -79,7 +80,12 @@ _KINDS = {
     "boolean": ("true or false", lambda v: isinstance(v, bool), bool),
     "string": ("a string", lambda v: isinstance(v, str), str),
     "list": ("a non-empty list of finite numbers", lambda v: isinstance(v, (list, tuple)) and len(v) > 0, tuple),
-    "matrix": ("rows of [re, im] entries", lambda v: True, lambda v: v),  # checked by the library
+    # read as a float array, then re + 1j * im
+    "matrix": ("d rows of d [re, im] pairs of finite numbers",
+               lambda v: isinstance(v, list) and len(v) > 0 and all(
+                   isinstance(row, list) and len(row) == len(v)
+                   and all(isinstance(pair, list) and len(pair) == 2 for pair in row) for row in v),
+               lambda v: v[..., 0] + 1j * v[..., 1]),
     "function id": ("a function id", lambda v: True, rigidity.resolve_function),
 }
 
@@ -99,9 +105,11 @@ def _value(field, value, values, label):
         return _parse(field.table, value, label)
     what, test, convert = _KINDS[field.kind]
     ok = test(value)
-    if ok and field.kind == "list":  # the bounds hold for each entry
+    if ok and field.kind in ("list", "matrix"):  # each entry is a number, and the bounds hold for it
         entry = field._replace(name=field.name + " entry", kind="number", rule=())
-        value = [_value(entry, v, values, label) for v in value]
+        flat = value if field.kind == "list" else [v for row in value for pair in row for v in pair]
+        numbers = [_value(entry, v, values, label) for v in flat]
+        value = numbers if field.kind == "list" else np.reshape(numbers, (len(value), len(value), 2))
     elif ok:
         ok = all(_COMPARE[op](value, b.value(values) if isinstance(b, Ref) else b) for op, b in field.bounds)
     if not ok or field.rule and not field.rule[1](value, values):
@@ -192,7 +200,9 @@ SCHEMA = {
         Field("function", "function id", rule=FUNCTION_RULE),
         Field("params", "object", table=HERGLOTZ_PARAMS),
         Field("n_samples", "integer", herglotz.DEFAULT_N, ((">=", 16), ("<=", MAX_HERGLOTZ_SAMPLES)),
-              ("a power of two", lambda v, values: v & (v - 1) == 0)),
+              (f"a power of two, n_samples * d**2 <= {MAX_HERGLOTZ_ENTRIES} (d the size of params A, 1 for a "
+               "function)", lambda v, values: v & (v - 1) == 0
+               and v * (len(values["params"]["A"]) if "params" in values else 1) ** 2 <= MAX_HERGLOTZ_ENTRIES)),
         Field("n_moments", "integer", herglotz.DEFAULT_M,
               ((">=", 1), ("<", Ref("n_samples / 4", lambda v: v["n_samples"] / 4)))),
         Field("r", "number", herglotz.DEFAULT_R, ((">", 0), ("<", 1)),
@@ -241,8 +251,11 @@ def _load_params(cfg, command):
             data = _parse(PARAMS, _read_json(cfg["params_file"], f"{command} params_file"), command + " ")
         except OSError as exc:
             raise InvalidInput(f"{command}: cannot read params_file {cfg['params_file']!r}: {exc}") from exc
+    if data["dim"] != len(data["A"]):
+        raise InvalidInput(f"{command} params dim must be the size of A, got {data['dim']} for a "
+                           f"{len(data['A'])} x {len(data['A'])} A")
     try:
-        return FactorParams.from_jsonable(data)
+        return FactorParams(A=data["A"], B=data["B"])
     except ValueError as exc:
         raise InvalidInput(f"{command}: {exc}") from exc
 
@@ -330,20 +343,19 @@ def _run_recover(cfg, seed, emit_plots):
     return checks, {}, {}
 
 
-def _herglotz_function(cfg):
-    if "function" in cfg:
-        return cfg["function"]
-    try:
-        A, B = (matrix_from_jsonable(cfg["params"][k], self_adjoint=True, name=k) for k in ("A", "B"))
-        return herglotz.atom_model(A, B)
-    except ValueError as exc:
-        raise InvalidInput(f"herglotz-analyze params: {exc}") from exc
-
-
 def _run_herglotz(cfg, seed, emit_plots):
-    h = _herglotz_function(cfg)
     M = cfg["n_moments"]
-    approx, concentrated = herglotz.analyze(h, r=cfg["r"], N=cfg["n_samples"], M=M, tol_atom=cfg["tol_atom"])
+    args = {"r": cfg["r"], "N": cfg["n_samples"], "M": M, "tol_atom": cfg["tol_atom"]}
+    if "function" in cfg:
+        approx, concentrated = herglotz.analyze(cfg["function"], **args)
+    else:
+        # the schema has read r, N and M, so a ValueError is the params': atom_model rejects (A, B), or a sample
+        # of Re h on |z| = r is not finite
+        try:
+            h = herglotz.atom_model(cfg["params"]["A"], cfg["params"]["B"])
+            approx, concentrated = herglotz.analyze(h, **args)
+        except ValueError as exc:
+            raise InvalidInput(f"herglotz-analyze params: {exc}") from exc
     moments = approx.moments  # moment(n) at index n + M
     sym = float(np.max(np.abs(moments[M::-1] - moments[M:].conj().swapaxes(-1, -2))))
     checks = [_check("moment_symmetry", sym, cfg["tolerances"]["moment_symmetry"])]

@@ -32,8 +32,6 @@ from .operators import (
     inverse_cayley,
     is_positive_contraction,
     matrix_exp,
-    matrix_from_jsonable,
-    matrix_to_jsonable,
     operator_norm,
     re_part,
     require_self_adjoint,
@@ -74,7 +72,7 @@ class FactorParams:
         B = as_matrix(self.B)
         if A.shape != B.shape:
             raise ValueError("A and B must have the same dimension")
-        if not is_positive_contraction(B, tol=1e-12):
+        if not is_positive_contraction(require_self_adjoint(B, tol=1e-12, name="B"), tol=1e-12):
             raise ValueError("B violates the 0 <= B <= I invariant")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -82,19 +80,6 @@ class FactorParams:
     @property
     def dim(self):
         return self.A.shape[0]
-
-    def to_jsonable(self):
-        return {"dim": self.dim, "A": matrix_to_jsonable(self.A), "B": matrix_to_jsonable(self.B)}
-
-    @classmethod
-    def from_jsonable(cls, data):
-        if set(data) != {"dim", "A", "B"}:
-            raise ValueError(f"params must have exactly the fields dim, A, B; got {sorted(data)}")
-        A = matrix_from_jsonable(data["A"], name="A")
-        B = matrix_from_jsonable(data["B"], name="B")
-        if A.shape[0] != data["dim"]:
-            raise ValueError("dim field does not match matrix size")
-        return cls(A=A, B=B)
 
 
 @dataclass(frozen=True)
@@ -163,7 +148,7 @@ class FactorizationReport:
 
     n_checked counts (t, z) points inside the exponent-norm budget and
     n_semigroup the (t, s, z) points, s following t in t_list, at which the
-    semigroup law was compared; a report with either count 0 does not pass.
+    semigroup law was compared; factorize-verify rejects a report with either count 0.
     """
 
     product_residual: float
@@ -173,24 +158,6 @@ class FactorizationReport:
     n_checked: int
     n_skipped: int
     n_semigroup: int
-
-    def passed(self, tol):
-        return (
-            self.n_checked > 0
-            and self.n_semigroup > 0
-            and self.product_residual <= tol
-            and self.commutation_residual <= tol
-            and self.contractivity_excess <= tol
-            and self.semigroup_residual <= tol
-        )
-
-    def worst(self):
-        return max(
-            self.product_residual,
-            self.commutation_residual,
-            self.contractivity_excess,
-            self.semigroup_residual,
-        )
 
 
 # a slice with ||Q*Q||_inf <= (1 - CONTRACTION_MARGIN)**2 has ||Q||_2 < 1 with room for the

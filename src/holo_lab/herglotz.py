@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .disc import DomainError, _require_in_disc, mobius_phi
-from .operators import as_matrix, im_part, operator_norm, re_part
+from .operators import as_matrix, operator_norm, re_part, require_self_adjoint
 from .rigidity import OperatorFunction
 
 __all__ = [
@@ -68,7 +68,6 @@ class HerglotzApprox:
     r: float
     M: int
     moments: np.ndarray  # shape (2M + 1, d, d), index n + M
-    im_at_0: np.ndarray
     atom_mass_at_1: np.ndarray | None = None
     leak_mass: float | None = None
 
@@ -83,13 +82,18 @@ class HerglotzApprox:
 
 
 def sample_boundary(h, r, N):
-    """Sample Re h at N equispaced angles on the circle of radius r."""
+    """Sample Re h at N equispaced angles on the circle of radius r; every sample must be finite."""
     if not 0 < r < 1:
         raise DomainError("sample_boundary requires 0 < r < 1")
     if N < 16 or N & (N - 1):
         raise ValueError("N must be a power of two, >= 16")
     theta = 2 * np.pi * np.arange(N) / N
-    return BoundaryProfile(r=r, samples=re_part(h(r * np.exp(1j * theta))))
+    # h or Re h may overflow: h rejects a value that is not finite, the test below a sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = re_part(h(r * np.exp(1j * theta)))
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"Re h is not finite at every sample on |z| = {r!r}")
+    return BoundaryProfile(r=r, samples=samples)
 
 
 def estimate_moments(profile, M):
@@ -105,9 +109,7 @@ def estimate_moments(profile, M):
     fft = np.fft.fft(profile.samples, axis=0) / N
     ns = np.arange(-M, M + 1)
     moments = fft[ns % N] * (profile.r ** (-np.abs(ns)))[:, None, None]
-    return HerglotzApprox(
-        r=profile.r, M=M, moments=moments, im_at_0=np.zeros((profile.dim,) * 2)
-    )
+    return HerglotzApprox(r=profile.r, M=M, moments=moments)
 
 
 def atom_at_angle(approx, theta0):
@@ -146,7 +148,8 @@ def herglotz_reconstruct(atom_mass, im_at_0, z):
 
 
 def atom_model(A, B):
-    """The pure-atom Herglotz function i*A + phi(z)*B as an OperatorFunction; the mass B must be >= 0."""
+    """The pure-atom Herglotz function i*A + phi(z)*B as an OperatorFunction; A = A*, and the mass B = B* >= 0."""
+    A, B = require_self_adjoint(A, name="A"), require_self_adjoint(B, name="B")
     if A.shape != B.shape:
         raise ValueError(f"A is {A.shape}, B is {B.shape}")
     lowest = float(np.linalg.eigvalsh(B)[0])
@@ -182,8 +185,8 @@ def arc_mass_profile(approx):
 
 
 def analyze(h, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M, tol_atom=None):
-    """Full pipeline: sample -> moments -> atom/leak, with im_at_0 from h(0)."""
+    """Full pipeline: sample -> moments -> atom/leak."""
     approx = estimate_moments(sample_boundary(h, r, N), M)
     atom, leak, concentrated = dirac_concentration_test(approx, tol_atom=tol_atom)
-    approx = replace(approx, im_at_0=im_part(h(0)), atom_mass_at_1=atom, leak_mass=leak)
+    approx = replace(approx, atom_mass_at_1=atom, leak_mass=leak)
     return approx, concentrated

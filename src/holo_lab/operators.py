@@ -24,8 +24,6 @@ __all__ = [
     "numerical_abscissa",
     "operator_norm",
     "frobenius_norm",
-    "matrix_to_jsonable",
-    "matrix_from_jsonable",
 ]
 
 # smallest singular value below this (relative) marks a matrix singular
@@ -76,7 +74,8 @@ def im_part(T):
 
 def require_self_adjoint(T, tol=1e-10, name="matrix"):
     T = as_matrix(T)
-    dev = np.max(np.abs(T - T.conj().T))
+    with np.errstate(over="ignore"):  # a deviation that overflows to inf is not self-adjoint either
+        dev = np.max(np.abs(T - T.conj().T))
     if dev > tol:
         raise ValueError(f"{name} is not self-adjoint (deviation {dev:.3e} > {tol:.1e})")
     return T
@@ -102,7 +101,7 @@ def _certified_nonsingular(den):
         inverse = np.linalg.inv(den)
     except np.linalg.LinAlgError:  # an exactly singular slice; leave every slice to the SVD
         return np.zeros(len(den), dtype=bool)
-    with np.errstate(over="ignore"):  # an infinite bound certifies nothing
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite or NaN (inf * 0) bound certifies nothing
         bound = 2 * SINGULARITY_RTOL * np.maximum(_frobenius(den), 1.0) * _frobenius(inverse)
     return bound < 1
 
@@ -251,27 +250,3 @@ def frobenius_norm(M):
     M = _as_square(M)
     s = _frobenius(M)
     return float(s) if M.ndim == 2 else s
-
-
-def matrix_to_jsonable(M):
-    """Matrix literal: list of rows, each entry a two-element [re, im] list."""
-    M = as_matrix(M)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
-
-
-def matrix_from_jsonable(rows, self_adjoint=False, name="matrix"):
-    """Parse the [re, im] row format; optionally validate self-adjointness."""
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name}: malformed matrix literal") from exc
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        raise ValueError(f"{name}: expected d x d entries of [re, im], got shape {arr.shape}")
-    # asarray(dtype=float) also reads strings and booleans; a JSON matrix holds numbers only
-    for v in np.asarray(rows, dtype=object).flat:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"{name}: matrix entries must be JSON numbers, got {v!r}")
-    M = as_matrix(arr[..., 0] + 1j * arr[..., 1])
-    if self_adjoint:
-        require_self_adjoint(M, name=name)
-    return M

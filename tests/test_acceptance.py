@@ -172,7 +172,8 @@ def test_c5_master_equation_and_classification():
         pair = pair_from_params(params)
         worst_master = max(worst_master, master_residuals(pair, grid=GRID).max())
         rep = verify_factorization(params, grid=GRID)
-        worst_factor = max(worst_factor, rep.worst())
+        worst_factor = max(worst_factor, rep.product_residual, rep.commutation_residual,
+                           rep.contractivity_excess, rep.semigroup_residual)
         recovered, _ = recover_params(pair, grid=GRID)
         worst_roundtrip = max(
             worst_roundtrip,

@@ -25,7 +25,6 @@ from holo_lab.cli import (
     run,
 )
 from holo_lab.disc import default_grid
-from holo_lab.operators import matrix_to_jsonable
 from holo_lab.rigidity import BUILTIN_FUNCTIONS, rigidity_verdict
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -76,11 +75,15 @@ def run_cli(tmp_path, cfg, *extra):
     return code, report, out
 
 
+def matrix_json(M):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+
+
 def scalar_params_json(a, b):
     return {
         "dim": 1,
-        "A": matrix_to_jsonable(np.array([[a]], dtype=complex)),
-        "B": matrix_to_jsonable(np.array([[b]], dtype=complex)),
+        "A": matrix_json(np.array([[a]], dtype=complex)),
+        "B": matrix_json(np.array([[b]], dtype=complex)),
     }
 
 
@@ -124,8 +127,8 @@ class TestExitCodes:
             "command": "recover-params",
             "params": {
                 "dim": 1,
-                "A": matrix_to_jsonable(np.array([[1j]])),
-                "B": matrix_to_jsonable(np.array([[0.5]])),
+                "A": matrix_json(np.array([[1j]])),
+                "B": matrix_json(np.array([[0.5]])),
             },
         }
         code, _, _ = run_cli(tmp_path, cfg)
@@ -255,23 +258,23 @@ class TestExitCodes:
         assert "params_file" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, field",
         [
-            {"command": "recover-params",
-             "params": {"dim": 1, "A": [[["0", "0"]]], "B": [[["0.5", "0"]]]}},
-            {"command": "factorize-verify", "params": {"dim": 1, "A": [[[True, 0]]], "B": [[[0.5, 0]]]},
-             "grid": {"radii": [0.3, 0.9], "n_angles": 16}},
-            {"command": "herglotz-analyze", "params": {"A": [[[0, 0]]], "B": [[["1", 0]]]},
-             "n_samples": 64, "n_moments": 4},
+            ({"command": "recover-params",
+              "params": {"dim": 1, "A": [[["0", "0"]]], "B": [[["0.5", "0"]]]}}, "recover-params params A"),
+            ({"command": "factorize-verify", "params": {"dim": 1, "A": [[[True, 0]]], "B": [[[0.5, 0]]]},
+              "grid": {"radii": [0.3, 0.9], "n_angles": 16}}, "factorize-verify params A"),
+            ({"command": "herglotz-analyze", "params": {"A": [[[0, 0]]], "B": [[["1", 0]]]},
+              "n_samples": 64, "n_moments": 4}, "herglotz-analyze params B"),
         ],
         ids=["recover-params-string", "factorize-verify-bool", "herglotz-analyze-string"],
     )
-    def test_matrix_entries_must_be_numbers(self, tmp_path, capsys, cfg):
-        # np.asarray(dtype=float) reads "0.5" as 0.5 and true as 1.0
+    def test_matrix_entries_must_be_numbers(self, tmp_path, capsys, cfg, field):
+        # float() reads "0.5" as 0.5 and true as 1.0
         code, report, _ = run_cli(tmp_path, cfg)
         assert code == EXIT_INVALID
         assert report is None
-        assert "matrix entries must be JSON numbers" in capsys.readouterr().err
+        assert f"{field} entry must be a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("order", [40, 64, 128, 256])
     def test_shiftsim_passes_at_every_order(self, tmp_path, order):
@@ -739,8 +742,8 @@ class TestHerglotzCommand:
         cfg = {
             "command": "herglotz-analyze",
             "params": {
-                "A": matrix_to_jsonable(np.zeros((2, 2))),
-                "B": matrix_to_jsonable(np.diag([1.0, 0.5])),
+                "A": matrix_json(np.zeros((2, 2))),
+                "B": matrix_json(np.diag([1.0, 0.5])),
             },
             "r": 0.99,
             "n_samples": 2048,
@@ -775,7 +778,7 @@ class TestHerglotzCommand:
     def test_invalid_mass_rejected(self, tmp_path, capsys, A, B, message):
         cfg = {
             "command": "herglotz-analyze",
-            "params": {"A": matrix_to_jsonable(A), "B": matrix_to_jsonable(B)},
+            "params": {"A": matrix_json(A), "B": matrix_json(B)},
             "n_samples": 1024,
             "n_moments": 16,
         }
@@ -799,8 +802,8 @@ class TestHerglotzCommand:
             "command": "herglotz-analyze",
             "function": "phi",
             "params": {
-                "A": matrix_to_jsonable(np.zeros((1, 1))),
-                "B": matrix_to_jsonable(np.ones((1, 1))),
+                "A": matrix_json(np.zeros((1, 1))),
+                "B": matrix_json(np.ones((1, 1))),
             },
         }
         code, _, _ = run_cli(tmp_path, cfg)

@@ -6,6 +6,7 @@ wrong kind.  A value inside must run (exit 0 or 1) and write strict JSON; a
 value outside must exit 2 with a message that names the field.  The
 hand-listed cases in test_cli.py stay as the independent oracle.
 """
+import ast
 import contextlib
 import io
 import json
@@ -67,7 +68,7 @@ def readme_rows():
                 if id(field.table) not in seen:
                     seen.add(id(field.table))
                     walk(field.table, (label if uses[id(field.table)] == 1 else "") + field.table.label)
-            elif field.kind != "matrix" and field.name != "command":
+            elif field.name != "command":
                 default = {id(cli.REQUIRED): "required", id(cli.ABSENT): "—"}.get(id(field.default))
                 rows.append([f"`{label}{field.name}`", field.kind, cli._rule(field),
                              default or f"`{json.dumps(field.default)}`"])
@@ -418,6 +419,144 @@ class TestValueRules:
         for spec in ("const:1e301,0", "const:0,-1e301", "const:nan,0", "const:inf,0"):
             with pytest.raises(ValueError, match="abs"):
                 rigidity.resolve_function(spec)
+
+
+def _scalar_herglotz(a, b, r, n_samples, n_moments):
+    return {"command": "herglotz-analyze", "params": {"A": [[[a, 0.0]]], "B": [[[b, 0.0]]]}, "r": r,
+            "n_samples": n_samples, "n_moments": n_moments}
+
+
+class TestOverflowingParams:
+    """Params whose arithmetic overflows exit 0, 1 or 2 and print one line; the suite turns a warning into exit 3."""
+
+    @pytest.mark.parametrize("cfg, code, message", [
+        (_scalar_herglotz(0.0, 1e308, 0.9, 64, 4), EXIT_INVALID, "herglotz-analyze params: "),
+        # phi(r) is about 2e10 here
+        (_scalar_herglotz(0.0, 1e300, 0.9999999999, 65536, 16), EXIT_INVALID, "herglotz-analyze params: "),
+        (_scalar_herglotz(0.0, 1e300, 0.999999, 64, 4), EXIT_FAIL, "FAIL"),
+        (_scalar_herglotz(1e308, 0.5, 0.9, 64, 4), EXIT_PASS, "PASS"),
+        ({"command": "recover-params", "params": dict(SCALAR_PARAMS, A=[[[1e300, 0.0]]]),
+          "grid": {"radii": [0.5], "n_angles": 8}}, EXIT_INVALID, "numerically singular"),
+        ({"command": "factorize-verify",
+          "params": {"dim": 2, "A": [[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]],
+                     "B": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}},
+         EXIT_INVALID, "A is not self-adjoint (deviation inf"),
+    ], ids=["herglotz-B-1e308", "herglotz-B-1e300-near-circle", "herglotz-B-1e300", "herglotz-A-1e308",
+            "recover-A-1e300", "factorize-A-skew-1e308"])
+    def test_exit_code_and_one_line(self, cfg, code, message):
+        got, report, err = run_config(cfg)
+        assert got == code, err
+        assert message in err and err.count("\n") == 1, err
+
+
+class TestMatrixKind:
+    """The matrix kind reads every [re, im] entry as a number; the library receives arrays."""
+
+    # ints, signed zeros, the smallest subnormal and the largest float
+    LITERAL = [[[3, -0.0], [5e-324, -2]], [[-0.0, 1.7976931348623157e308], [0, -5e-324]]]
+
+    def test_decoding(self):
+        values = cli._parse(cli.PARAMS, {"dim": 2, "A": self.LITERAL, "B": self.LITERAL})
+        # the reference is the arithmetic the (A, B) reader has always used: a float array, then re + 1j * im
+        parts = np.asarray(self.LITERAL, dtype=float)
+        reference = parts[..., 0] + 1j * parts[..., 1]
+        for name in ("A", "B"):
+            M = values[name]
+            assert M.dtype == complex and M.shape == (2, 2)
+            assert np.array_equal(M, reference)
+            assert np.array_equal(np.signbit(M.real), np.signbit(reference.real))
+            assert np.array_equal(np.signbit(M.imag), np.signbit(reference.imag))
+            assert np.array_equal(M.real, parts[..., 0]) and np.array_equal(M.imag, parts[..., 1])
+
+    BAD = {
+        "bool": [[[True, 0.0]]],
+        "string": [[["0.5", 0.0]]],
+        "nan": [[[float("nan"), 0.0]]],
+        "int-beyond-float": [[[10**400, 0.0]]],
+        "ragged": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+        "not-square": [[[0.0, 0.0], [0.0, 0.0]]],
+        "entry-of-1": [[[0.0]]],
+        "entry-of-3": [[[0.0, 0.0, 0.0]]],
+        "empty": [],
+        "not-a-list": 0.5,
+    }
+    COMMANDS = {
+        "factorize-verify": {"dim": 1},
+        "recover-params": {"dim": 1},
+        "herglotz-analyze": {},
+        "params_file": {"dim": 1},
+    }
+
+    @pytest.mark.parametrize("name", ["A", "B"])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_rejected_with_the_field(self, tmp_path, command, case, name):
+        params = dict(self.COMMANDS[command], A=[[[0.0, 0.0]]], B=[[[0.5, 0.0]]])
+        params[name] = self.BAD[case]
+        if command == "params_file":
+            path = tmp_path / "params.json"
+            path.write_text(json.dumps(params))
+            command, cfg = "recover-params", {"command": "recover-params", "params_file": str(path)}
+        else:
+            cfg = {"command": command, "params": params}
+        code, report, err = run_config(cfg)
+        assert code == EXIT_INVALID, err
+        assert report is None
+        assert f"{command} params {name} must be" in err or f"{command} params {name} entry must be" in err, err
+
+    @pytest.mark.parametrize("command", ["factorize-verify", "recover-params"])
+    def test_dim_must_be_the_size(self, command):
+        code, report, err = run_config({"command": command, "params": dict(SCALAR_PARAMS, dim=2)})
+        assert code == EXIT_INVALID, err
+        assert f"{command} params dim must be" in err, err
+
+
+class TestHerglotzSampleCap:
+    """n_samples * d**2 <= 2**20: a rejected config is rejected while parsing, before any sample is taken."""
+
+    @staticmethod
+    def _cfg(d, n_samples):
+        zero = [[[0.0, 0.0]] * d] * d
+        return {"command": "herglotz-analyze", "params": {"A": zero, "B": zero}, "n_samples": n_samples}
+
+    def test_edge(self):
+        assert 2**14 * 8**2 == cli.MAX_HERGLOTZ_ENTRIES
+        code, report, err = run_config(self._cfg(8, 2**14))
+        assert code in (EXIT_PASS, EXIT_FAIL), err
+        strict_json(report)
+
+    @pytest.mark.parametrize("d, n_samples", [(8, 2**15), (5, 2**16), (64, 2**16)])
+    def test_above_the_cap_is_rejected(self, monkeypatch, d, n_samples):
+        def no_sampling(*args):
+            raise AssertionError("a config above the cap reached sample_boundary")
+
+        monkeypatch.setattr(cli.herglotz, "sample_boundary", no_sampling)
+        code, report, err = run_config(self._cfg(d, n_samples))
+        assert code == EXIT_INVALID, err
+        assert report is None
+        assert "herglotz-analyze n_samples must be" in err, err
+
+    def test_params_of_size_1_take_every_n_samples(self):
+        cfg = {"command": "herglotz-analyze", "params": {"A": [[[0.0, 0.0]]], "B": [[[0.5, 0.0]]]}, "n_samples": 2**16}
+        assert cli._parse(cli.SCHEMA["herglotz-analyze"], cfg)["n_samples"] == cli.MAX_HERGLOTZ_SAMPLES
+
+
+class TestOneMatrixReader:
+    def test_only_cli_reads_json(self):
+        # the [re, im] literal is read by the schema's matrix kind alone; the library takes arrays
+        for path in sorted((ROOT / "src" / "holo_lab").glob("*.py")):
+            imported, defined = set(), set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.name for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    imported.add(node.module)
+                elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    defined.add(node.id)
+            assert ("json" in imported) == (path.name == "cli.py"), path.name
+            assert not [name for name in defined if "jsonable" in name], path.name
 
 
 class TestStrictReport:

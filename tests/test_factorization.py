@@ -39,6 +39,11 @@ def scalar_params(a, b):
     return FactorParams(A=np.array([[a]], dtype=complex), B=np.array([[b]], dtype=complex))
 
 
+def axiom_residuals(rep):
+    """The four residuals of a FactorizationReport."""
+    return rep.product_residual, rep.commutation_residual, rep.contractivity_excess, rep.semigroup_residual
+
+
 class TestFactorParams:
     def test_validation(self):
         with pytest.raises(ValueError, match="self-adjoint"):
@@ -49,24 +54,13 @@ class TestFactorParams:
             scalar_params(0.0, -0.2)
         with pytest.raises(ValueError, match="dimension"):
             FactorParams(A=np.eye(2), B=np.eye(3) / 2)
+        with pytest.raises(ValueError, match="B is not self-adjoint"):
+            FactorParams(A=np.zeros((2, 2)), B=np.array([[0.5, 2e-12], [0.0, 0.5]]))
 
     def test_boundary_B_allowed(self):
         scalar_params(1.0, 0.0)
         scalar_params(1.0, 1.0)
         FactorParams(A=np.zeros((2, 2)), B=np.diag([0.0, 1.0]))
-
-    def test_json_roundtrip(self):
-        rng = np.random.default_rng(0)
-        p = random_params(rng, 3)
-        q = FactorParams.from_jsonable(p.to_jsonable())
-        np.testing.assert_array_equal(p.A, q.A)
-        np.testing.assert_array_equal(p.B, q.B)
-
-    def test_json_rejects_extra_fields(self):
-        data = scalar_params(0.0, 0.5).to_jsonable()
-        data["extra"] = 1
-        with pytest.raises(ValueError, match="exactly the fields"):
-            FactorParams.from_jsonable(data)
 
 
 class TestBuildH1:
@@ -183,18 +177,19 @@ class TestPhiJt:
 class TestVerifyFactorization:
     def test_scalar_full_mass(self):
         rep = verify_factorization(scalar_params(0.0, 1.0), t_list=(0.5, 1.0), grid=FAST_GRID)
-        assert rep.worst() <= 1e-12
+        assert max(axiom_residuals(rep)) <= 1e-12
 
     def test_commuting_diagonal(self):
         # oracle: [iA - phi B, -iA - phi(I-B)] = 0 by direct expansion
         p = FactorParams(A=np.diag([1.0, -1.0]), B=np.diag([1.0, 0.0]))
         rep = verify_factorization(p, t_list=(1.0,), grid=FAST_GRID)
-        assert rep.worst() <= 1e-9
+        assert max(axiom_residuals(rep)) <= 1e-9
 
     def test_random(self):
         rng = np.random.default_rng(2)
         rep = verify_factorization(random_params(rng, 3), grid=FAST_GRID)
-        assert rep.passed(1e-8)
+        assert rep.n_semigroup > 0
+        assert max(axiom_residuals(rep)) <= 1e-8
         # the budget may skip the far corner (t=2 near z=0.95) for large ||A||:
         # at most 20 of the 4 * 64 (t, z) points
         assert rep.n_checked >= 236
@@ -202,7 +197,7 @@ class TestVerifyFactorization:
     def test_degenerate_edges(self):
         for b in (0.0, 1.0):
             rep = verify_factorization(scalar_params(0.7, b), t_list=(0.5, 1.0), grid=FAST_GRID)
-            assert rep.worst() <= 1e-12
+            assert max(axiom_residuals(rep)) <= 1e-12
 
     def test_budget_skipping(self):
         rep = verify_factorization(scalar_params(0.0, 1.0), t_list=(50.0,), grid=FAST_GRID)
@@ -228,13 +223,13 @@ class TestVerifyFactorization:
         rep = verify_factorization(p, t_list=t_list, grid=FAST_GRID)
         assert 0 < rep.n_skipped and 0 < rep.n_checked < len(t_list) * len(FAST_GRID.points())
         assert (rep.n_checked, rep.n_skipped) == (checked, skipped)
-        assert rep.passed(1e-8)
+        assert rep.n_semigroup > 0
+        assert max(axiom_residuals(rep)) <= 1e-8
 
     def test_nothing_checked_does_not_pass(self):
         rep = verify_factorization(scalar_params(0.0, 0.5), t_list=(5000.0,), grid=FAST_GRID)
-        assert rep.n_checked == 0
-        assert rep.worst() == 0.0
-        assert not rep.passed(1e-8)
+        assert rep.n_checked == 0 and rep.n_semigroup == 0
+        assert max(axiom_residuals(rep)) == 0.0
 
     def test_semigroup_points_counted(self):
         # oracle: the (t, s, z) points with t, s and t + s inside the budget, from the definition
@@ -265,8 +260,7 @@ class TestVerifyFactorization:
         # one t gives no (t, s) pair: the other three axioms are checked, the semigroup law is not
         rep = verify_factorization(scalar_params(0.0, 0.5), t_list=(1.0,), grid=FAST_GRID)
         assert rep.n_checked > 0 and rep.n_semigroup == 0
-        assert rep.worst() <= 1e-12
-        assert not rep.passed(1e-8)
+        assert max(axiom_residuals(rep)) <= 1e-12
 
     def test_exponent_commutation(self):
         rng = np.random.default_rng(3)

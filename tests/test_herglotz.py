@@ -52,6 +52,27 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_boundary(PHI, 0.5, 8)
 
+    @pytest.mark.parametrize("h", [
+        atom_model(np.zeros((1, 1)), np.array([[1e308]])),  # phi(z) * B overflows in h
+        scalar_fn(lambda z: 1e308 + 0 * z),  # h is finite, (h + h*) / 2 overflows
+    ], ids=["h-overflows", "re-h-overflows"])
+    def test_sample_not_finite(self, h):
+        # the suite turns warnings into errors, so the overflow must stay silent
+        with pytest.raises(ValueError, match="finite"):
+            sample_boundary(h, 0.9, 64)
+
+
+class TestAtomModel:
+    @pytest.mark.parametrize("name", ["A", "B"])
+    def test_self_adjoint_to_1e_10(self, name):
+        def model(dev):
+            off = np.array([[0.5, dev], [0.0, 0.5]])
+            return atom_model(**{"A": np.zeros((2, 2)), "B": np.eye(2) / 2, name: off})
+
+        model(1e-10)
+        with pytest.raises(ValueError, match=f"{name} is not self-adjoint"):
+            model(2e-10)
+
 
 class TestMoments:
     def test_diffuse_constant(self):
@@ -173,9 +194,8 @@ class TestReconstruct:
         h = atom_model(A, B)
         approx, concentrated = analyze(h, r=R, N=N_SHARP, M=M)
         assert concentrated
-        np.testing.assert_allclose(approx.im_at_0, im_part(h(0)))
         for z in (0.0, 0.5, 0.2 - 0.6j, 0.9):
-            dev = herglotz_reconstruct(approx.atom_mass_at_1, approx.im_at_0, z) - h(z)
+            dev = herglotz_reconstruct(approx.atom_mass_at_1, im_part(h(0)), z) - h(z)
             assert np.max(np.abs(dev)) <= 1e-4
 
     def test_atom_error_improves_in_M(self):

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from holo_lab.operators import (
     inverse_cayley,
     is_positive_contraction,
     matrix_exp,
-    matrix_from_jsonable,
-    matrix_to_jsonable,
     numerical_abscissa,
     operator_norm,
     re_part,
@@ -212,25 +209,6 @@ class TestAbscissaAndNorm:
         assert operator_norm(np.eye(3)) == pytest.approx(1)
         assert operator_norm(np.diag([2.0, -1.0])) == pytest.approx(2)
         assert operator_norm(np.array([[0.0, 3.0], [0.0, 0.0]])) == pytest.approx(3)
-
-
-class TestMatrixJson:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(1)
-        M = random_matrix(rng, 3)
-        data = json.loads(json.dumps(matrix_to_jsonable(M)))
-        np.testing.assert_array_equal(matrix_from_jsonable(data), M)
-
-    def test_self_adjoint_validated_on_load(self):
-        bad = matrix_to_jsonable(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="self-adjoint"):
-            matrix_from_jsonable(bad, self_adjoint=True)
-
-    def test_malformed(self):
-        with pytest.raises(ValueError):
-            matrix_from_jsonable([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            matrix_from_jsonable([[[1.0, 0.0], [0.0, 0.0]]])  # 1x2 not square
 
 
 class TestStacks:

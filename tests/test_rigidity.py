@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from holo_lab.cli import _herglotz_function
 from holo_lab.disc import DiscGrid, DomainError, default_grid, mobius_phi
 from holo_lab.factorization import pair_from_params, random_params
-from holo_lab.herglotz import sample_boundary
-from holo_lab.operators import matrix_to_jsonable
+from holo_lab.herglotz import atom_model, sample_boundary
 from holo_lab.rigidity import (
     BUILTIN_FUNCTIONS,
     CONSTANT_CONFIRMED,
@@ -236,9 +234,7 @@ def library_functions():
         pair = pair_from_params(random_params(rng, d))
         fns[f"psi1-d{d}"], fns[f"psi2-d{d}"] = pair.psi1, pair.psi2
     p = random_params(rng, 3)
-    fns["atom-model"] = _herglotz_function(
-        {"params": {"A": matrix_to_jsonable(p.A), "B": matrix_to_jsonable(p.B)}}
-    )
+    fns["atom-model"] = atom_model(p.A, p.B)
     return fns
 
 
