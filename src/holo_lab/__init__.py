@@ -6,7 +6,6 @@ from .disc import (
     DomainError,
     default_grid,
     mobius_phi,
-    poisson_factor,
     varphi_t,
     wirtinger_dbar,
 )
@@ -27,7 +26,6 @@ from .herglotz import (
     estimate_moments,
     herglotz_reconstruct,
     sample_boundary,
-    split_additivity_check,
 )
 from .operators import (
     SingularityError,
@@ -36,22 +34,16 @@ from .operators import (
     inverse_cayley,
     is_positive_contraction,
     matrix_exp,
-    numerical_abscissa,
     operator_norm,
     re_part,
 )
 from .rigidity import (
     CONSTANT_CONFIRMED,
-    DEGENERATE,
     HYPOTHESIS_VIOLATED,
     INCONCLUSIVE,
     OperatorFunction,
-    L_transform,
     constant_function,
-    convexity_diagnostic,
     g_transform,
-    h_split,
-    recover_F,
     rigidity_verdict,
 )
 from .shiftsim import (

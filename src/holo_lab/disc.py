@@ -1,9 +1,8 @@
 """Scalar complex-analytic primitives on the open unit disc.
 
 Everything here is elementary: the half-plane map, the semigroup symbol,
-the Poisson factor, sampling grids, and a finite-difference test for
-holomorphy.  All functions accept scalars or numpy arrays of complex
-numbers and are pure.
+sampling grids, and a finite-difference test for holomorphy.  All functions
+accept scalars or numpy arrays of complex numbers and are pure.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ __all__ = [
     "default_grid",
     "mobius_phi",
     "varphi_t",
-    "poisson_factor",
     "wirtinger_dbar",
 ]
 
@@ -57,16 +55,6 @@ def varphi_t(t, z):
     z = np.asarray(z, dtype=complex)
     _require_in_disc(z, "varphi_t")
     return _maybe_scalar(np.exp(-t * mobius_phi(z)))
-
-
-def poisson_factor(z):
-    """(1 - |z|^2)/|1 - z|^2, the Poisson kernel at the boundary point 1.
-
-    Equals Re mobius_phi(z) and is strictly positive on the disc.
-    """
-    z = np.asarray(z, dtype=complex)
-    _require_in_disc(z, "poisson_factor")
-    return _maybe_scalar((1 - np.abs(z) ** 2) / np.abs(1 - z) ** 2)
 
 
 def _circles(radii, n_angles):

@@ -30,7 +30,6 @@ __all__ = [
     "dirac_concentration_test",
     "herglotz_reconstruct",
     "atom_model",
-    "split_additivity_check",
     "arc_mass_profile",
     "analyze",
     "DEFAULT_R",
@@ -56,10 +55,6 @@ class BoundaryProfile:
     def n_samples(self):
         return self.samples.shape[0]
 
-    @property
-    def dim(self):
-        return self.samples.shape[1]
-
 
 @dataclass(frozen=True)
 class HerglotzApprox:
@@ -75,10 +70,6 @@ class HerglotzApprox:
         if abs(n) > self.M:
             raise IndexError(f"moment index |{n}| exceeds M = {self.M}")
         return self.moments[n + self.M]
-
-    @property
-    def dim(self):
-        return self.moments.shape[1]
 
 
 def sample_boundary(h, r, N):
@@ -156,22 +147,6 @@ def atom_model(A, B):
     if lowest < -MASS_TOL:
         raise ValueError(f"the atom mass B must be positive semidefinite (smallest eigenvalue {lowest:.3e})")
     return OperatorFunction(A.shape[0], lambda z: herglotz_reconstruct(B, A, z), "atom-model")
-
-
-def split_additivity_check(h1, h2, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M):
-    """Max over n of ||moments_{h1}(n) + moments_{h2}(n) - moments_{phi*I}(n)||.
-
-    The moment map is linear in the measure, so for h1 + h2 = phi*I this
-    measures round-off only.
-    """
-    if h1.dim != h2.dim:
-        raise ValueError("h1 and h2 must share a dimension")
-    eye = np.eye(h1.dim)
-    phi_eye = OperatorFunction(h1.dim, lambda z: mobius_phi(z) * eye, "phi*I")
-    m1 = estimate_moments(sample_boundary(h1, r, N), M).moments
-    m2 = estimate_moments(sample_boundary(h2, r, N), M).moments
-    m = estimate_moments(sample_boundary(phi_eye, r, N), M).moments
-    return float(operator_norm(m1 + m2 - m).max())
 
 
 def arc_mass_profile(approx):

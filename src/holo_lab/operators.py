@@ -21,7 +21,6 @@ __all__ = [
     "cayley",
     "inverse_cayley",
     "matrix_exp",
-    "numerical_abscissa",
     "operator_norm",
     "frobenius_norm",
 ]
@@ -218,11 +217,6 @@ def matrix_exp(M):
         left = s > k
         R[left] = R[left] @ R[left]
     return R.reshape(M.shape)
-
-
-def numerical_abscissa(M):
-    """Largest eigenvalue of (M + M*)/2; bounds log of the norm of e^M."""
-    return float(np.linalg.eigvalsh(re_part(M))[-1])
 
 
 def operator_norm(M):

@@ -1,11 +1,10 @@
 """Rigidity checks for functions on the disc whose real part lives in [0, I].
 
 The central objects: the real-linear transform F -> F(z) + z*conj(F(z))
-(operator form F(z) + z F(z)^*), its exact algebraic inverse, the split of
-the transformed function into two positive-real-part pieces, a convexity
-diagnostic in the scalar case, and a verdict procedure that classifies a
+(operator form F(z) + z F(z)^*), and a verdict procedure that classifies a
 candidate function as constant, hypothesis-violating, or (never, if the
-theorem holds) inconclusive.
+theorem holds) inconclusive.  The split of the transformed function into
+h_1 and h_2 is factorization.build_h, stated in (A, B).
 """
 from __future__ import annotations
 
@@ -14,24 +13,17 @@ from typing import Callable
 
 import numpy as np
 
-from .disc import DomainError, mobius_phi, poisson_factor, wirtinger_dbar
+from .disc import mobius_phi, wirtinger_dbar
 from .operators import _as_square, as_matrix, operator_norm, re_part
 
 __all__ = [
     "CONSTANT_CONFIRMED",
     "HYPOTHESIS_VIOLATED",
     "INCONCLUSIVE",
-    "DEGENERATE",
     "OperatorFunction",
     "constant_function",
     "RigidityReport",
-    "ConvexityResult",
-    "L_transform",
     "g_transform",
-    "recover_F",
-    "h_split",
-    "re_h1_identity_check",
-    "convexity_diagnostic",
     "rigidity_verdict",
     "DEFAULT_STENCIL_H",
     "BUILTIN_FUNCTIONS",
@@ -41,7 +33,6 @@ __all__ = [
 CONSTANT_CONFIRMED = "CONSTANT_CONFIRMED"
 HYPOTHESIS_VIOLATED = "HYPOTHESIS_VIOLATED"
 INCONCLUSIVE = "INCONCLUSIVE"
-DEGENERATE = "DEGENERATE"
 
 # step of the Wirtinger stencil in rigidity_verdict
 DEFAULT_STENCIL_H = 1e-4
@@ -77,92 +68,12 @@ def constant_function(C, name=""):
     return OperatorFunction(dim=C.shape[0], evaluator=lambda z, C=C: C, name=name or "const")
 
 
-def L_transform(f):
-    """Scalar real-linear transform: z -> f(z) + z*conj(f(z))."""
-    return lambda z: f(z) + z * np.conj(f(z))
-
-
 def g_transform(F):
-    """Operator transform: z -> F(z) + z F(z)^* (agrees with L_transform at d = 1)."""
+    """Operator transform: z -> F(z) + z F(z)^*, the scalar f(z) + z conj(f(z)) at d = 1."""
     def ev(z, F=F):
         M = F(z)
         return M + z * M.conj().swapaxes(-1, -2)
     return OperatorFunction(dim=F.dim, evaluator=ev, name=f"g[{F.name}]")
-
-
-def recover_F(g, z):
-    """Exact inverse of g_transform: (g(z) - z g(z)^*)/(1 - |z|^2); z a point or an array of points."""
-    z = np.asarray(z, dtype=complex)
-    # hypot gives abs(z) bit for bit at any batch size (np.abs may not)
-    r = np.hypot(z.real, z.imag)[..., None, None]
-    if np.any(r >= 1):
-        raise DomainError("recover_F requires |z| < 1")
-    G = g(z)
-    return (G - z[..., None, None] * G.conj().swapaxes(-1, -2)) / (1 - r**2)
-
-
-def h_split(g):
-    """Split g into h1(z) = g(z)/(1 - z) and h2(z) = phi(z) I - h1(z).
-
-    h1 + h2 = phi*I identically; both have positive-semidefinite real part
-    whenever g arises from a function with real part in [0, I].
-    """
-    def h1(z, g=g):
-        if np.any(z == 1):
-            raise DomainError("h1 is singular at z = 1")
-        return g(z) / (1 - z)
-
-    def h2(z, g=g, h1=h1):
-        return mobius_phi(z) * np.eye(g.dim) - h1(z)
-
-    return (
-        OperatorFunction(dim=g.dim, evaluator=h1, name=f"h1[{g.name}]"),
-        OperatorFunction(dim=g.dim, evaluator=h2, name=f"h2[{g.name}]"),
-    )
-
-
-def re_h1_identity_check(F, grid):
-    """Max deviation of Re h1(z) from re_part(F(z)) * poisson_factor(z).
-
-    This is an exact algebraic identity, so the return value measures
-    round-off only.
-    """
-    h1, _ = h_split(g_transform(F))
-    zs = grid.points()
-    dev = re_part(h1(zs)) - re_part(F(zs)) * poisson_factor(zs)[:, None, None]
-    return float(np.max(np.abs(dev)))
-
-
-@dataclass(frozen=True)
-class ConvexityResult:
-    status: str  # "OK" or DEGENERATE
-    deviation: float  # max_j max_z |f_j(z) - phi(z)|; nan when degenerate
-
-
-def convexity_diagnostic(F, grid):
-    """Scalar diagnostic for the extreme-point argument.
-
-    Builds f_j(z) = (h_j(z) - i Im h_j(0)) / Re h_j(0), normalized members
-    of the class {f holomorphic, f(0) = 1, Re f > 0} that average to phi.
-    When the hypotheses hold both must coincide with phi, so the returned
-    deviation is ~0.  Re h_j(0) <= 1e-12 is the constant-h boundary case and
-    is reported as DEGENERATE rather than a failure.
-    """
-    if F.dim != 1:
-        raise ValueError("convexity_diagnostic is scalar-only (dim 1)")
-    h1, h2 = h_split(g_transform(F))
-    zs = grid.points()
-    deviation = 0.0
-    for h in (h1, h2):
-        values = h(np.concatenate(([0], zs)))[:, 0, 0]  # h(0), then h on the grid
-        h0 = values[0]
-        if h0.real <= 1e-12:
-            return ConvexityResult(status=DEGENERATE, deviation=float("nan"))
-        f = (values - 1j * h0.imag) / h0.real
-        if not abs(f[0] - 1) <= 1e-12:
-            raise ArithmeticError(f"normalized {h.name} has f(0) = {complex(f[0])}, not 1")
-        deviation = max(deviation, float(np.max(np.abs(f[1:] - mobius_phi(zs)))))
-    return ConvexityResult(status="OK", deviation=deviation)
 
 
 @dataclass(frozen=True)
@@ -222,9 +133,6 @@ BUILTIN_FUNCTIONS = {
     "abs-shift": OperatorFunction(1, lambda z: 0.5 * np.hypot(z.real, z.imag) + 0.25, "abs-shift"),
     "phi": OperatorFunction(1, mobius_phi, "phi"),
 }
-
-# members expected to fail the rigidity hypotheses (used as negative controls)
-NONCONSTANT_FAMILY = ("linear", "re-plus-half", "abs-shift")
 
 # largest |re|, |im| of a 'const:re,im' function: the Herglotz FFT sums up to
 # 2**16 samples (1e305 overflows there) and the g-transform F + zF* adds two

@@ -1,0 +1,140 @@
+"""Test oracles: independent routes to what the library computes, and the paper's constructions that no run reads.
+
+Nothing in holo_lab, perfbench or tools calls these; the tests use them to
+check the library from a second direction:
+
+- poisson_factor, the Poisson kernel at the point 1;
+- numerical_abscissa, which bounds the norm of a matrix exponential;
+- L_transform, the scalar g-transform, and recover_F, its exact inverse;
+- h_split, the paper's route g -> h_1 = g/(1 - z), h_2 = phi I - h_1, which
+  factorization.build_h states directly in (A, B);
+- re_h1_identity_check and convexity_diagnostic, two statements about that
+  split;
+- split_additivity_check, linearity of the Herglotz moment map;
+- NONCONSTANT_FAMILY, the built-in functions that must fail the rigidity
+  hypotheses.
+"""
+from dataclasses import dataclass
+
+import numpy as np
+
+from holo_lab.disc import DomainError, _maybe_scalar, _require_in_disc, mobius_phi
+from holo_lab.herglotz import DEFAULT_M, DEFAULT_N, DEFAULT_R, estimate_moments, sample_boundary
+from holo_lab.operators import operator_norm, re_part
+from holo_lab.rigidity import OperatorFunction, g_transform
+
+DEGENERATE = "DEGENERATE"
+
+# members of rigidity.BUILTIN_FUNCTIONS expected to fail the rigidity hypotheses (negative controls)
+NONCONSTANT_FAMILY = ("linear", "re-plus-half", "abs-shift")
+
+
+def poisson_factor(z):
+    """(1 - |z|^2)/|1 - z|^2, the Poisson kernel at the boundary point 1.
+
+    Equals Re mobius_phi(z) and is strictly positive on the disc.
+    """
+    z = np.asarray(z, dtype=complex)
+    _require_in_disc(z, "poisson_factor")
+    return _maybe_scalar((1 - np.abs(z) ** 2) / np.abs(1 - z) ** 2)
+
+
+def numerical_abscissa(M):
+    """Largest eigenvalue of (M + M*)/2; bounds log of the norm of e^M."""
+    return float(np.linalg.eigvalsh(re_part(M))[-1])
+
+
+def L_transform(f):
+    """Scalar real-linear transform: z -> f(z) + z*conj(f(z))."""
+    return lambda z: f(z) + z * np.conj(f(z))
+
+
+def recover_F(g, z):
+    """Exact inverse of g_transform: (g(z) - z g(z)^*)/(1 - |z|^2); z a point or an array of points."""
+    z = np.asarray(z, dtype=complex)
+    # hypot gives abs(z) bit for bit at any batch size (np.abs may not)
+    r = np.hypot(z.real, z.imag)[..., None, None]
+    if np.any(r >= 1):
+        raise DomainError("recover_F requires |z| < 1")
+    G = g(z)
+    return (G - z[..., None, None] * G.conj().swapaxes(-1, -2)) / (1 - r**2)
+
+
+def h_split(g):
+    """Split g into h1(z) = g(z)/(1 - z) and h2(z) = phi(z) I - h1(z).
+
+    h1 + h2 = phi*I identically; both have positive-semidefinite real part
+    whenever g arises from a function with real part in [0, I].
+    """
+    def h1(z, g=g):
+        if np.any(z == 1):
+            raise DomainError("h1 is singular at z = 1")
+        return g(z) / (1 - z)
+
+    def h2(z, g=g, h1=h1):
+        return mobius_phi(z) * np.eye(g.dim) - h1(z)
+
+    return (
+        OperatorFunction(dim=g.dim, evaluator=h1, name=f"h1[{g.name}]"),
+        OperatorFunction(dim=g.dim, evaluator=h2, name=f"h2[{g.name}]"),
+    )
+
+
+def re_h1_identity_check(F, grid):
+    """Max deviation of Re h1(z) from re_part(F(z)) * poisson_factor(z).
+
+    This is an exact algebraic identity, so the return value measures
+    round-off only.
+    """
+    h1, _ = h_split(g_transform(F))
+    zs = grid.points()
+    dev = re_part(h1(zs)) - re_part(F(zs)) * poisson_factor(zs)[:, None, None]
+    return float(np.max(np.abs(dev)))
+
+
+@dataclass(frozen=True)
+class ConvexityResult:
+    status: str  # "OK" or DEGENERATE
+    deviation: float  # max_j max_z |f_j(z) - phi(z)|; nan when degenerate
+
+
+def convexity_diagnostic(F, grid):
+    """Scalar diagnostic for the extreme-point argument.
+
+    Builds f_j(z) = (h_j(z) - i Im h_j(0)) / Re h_j(0), normalized members
+    of the class {f holomorphic, f(0) = 1, Re f > 0} that average to phi.
+    When the hypotheses hold both must coincide with phi, so the returned
+    deviation is ~0.  Re h_j(0) <= 1e-12 is the constant-h boundary case and
+    is reported as DEGENERATE rather than a failure.
+    """
+    if F.dim != 1:
+        raise ValueError("convexity_diagnostic is scalar-only (dim 1)")
+    h1, h2 = h_split(g_transform(F))
+    zs = grid.points()
+    deviation = 0.0
+    for h in (h1, h2):
+        values = h(np.concatenate(([0], zs)))[:, 0, 0]  # h(0), then h on the grid
+        h0 = values[0]
+        if h0.real <= 1e-12:
+            return ConvexityResult(status=DEGENERATE, deviation=float("nan"))
+        f = (values - 1j * h0.imag) / h0.real
+        if not abs(f[0] - 1) <= 1e-12:
+            raise ArithmeticError(f"normalized {h.name} has f(0) = {complex(f[0])}, not 1")
+        deviation = max(deviation, float(np.max(np.abs(f[1:] - mobius_phi(zs)))))
+    return ConvexityResult(status="OK", deviation=deviation)
+
+
+def split_additivity_check(h1, h2, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M):
+    """Max over n of ||moments_{h1}(n) + moments_{h2}(n) - moments_{phi*I}(n)||.
+
+    The moment map is linear in the measure, so for h1 + h2 = phi*I this
+    measures round-off only.
+    """
+    if h1.dim != h2.dim:
+        raise ValueError("h1 and h2 must share a dimension")
+    eye = np.eye(h1.dim)
+    phi_eye = OperatorFunction(h1.dim, lambda z: mobius_phi(z) * eye, "phi*I")
+    m1 = estimate_moments(sample_boundary(h1, r, N), M).moments
+    m2 = estimate_moments(sample_boundary(h2, r, N), M).moments
+    m = estimate_moments(sample_boundary(phi_eye, r, N), M).moments
+    return float(operator_norm(m1 + m2 - m).max())

@@ -26,18 +26,15 @@ from holo_lab.herglotz import analyze
 from holo_lab.operators import operator_norm
 from holo_lab.rigidity import (
     CONSTANT_CONFIRMED,
-    DEGENERATE,
     HYPOTHESIS_VIOLATED,
     INCONCLUSIVE,
-    NONCONSTANT_FAMILY,
     OperatorFunction,
     constant_function,
-    convexity_diagnostic,
     g_transform,
-    recover_F,
     resolve_function,
     rigidity_verdict,
 )
+from oracles import DEGENERATE, NONCONSTANT_FAMILY, convexity_diagnostic, recover_F
 
 GRID = default_grid()
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")

@@ -6,11 +6,11 @@ from holo_lab.disc import (
     DomainError,
     default_grid,
     mobius_phi,
-    poisson_factor,
     varphi_t,
     wirtinger_dbar,
 )
 from holo_lab.rigidity import DEFAULT_STENCIL_H
+from oracles import poisson_factor
 
 
 class TestMobius:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holo_lab import factorization, operators
-from holo_lab.disc import DiscGrid, DomainError, default_grid, mobius_phi, poisson_factor, varphi_t
+from holo_lab.disc import DiscGrid, DomainError, default_grid, mobius_phi, varphi_t
 from holo_lab.factorization import (
     DEFAULT_T_LIST,
     EXP_NORM_BUDGET,
@@ -24,11 +24,11 @@ from holo_lab.operators import (
     frobenius_norm,
     inverse_cayley,
     matrix_exp,
-    numerical_abscissa,
     operator_norm,
     re_part,
 )
-from holo_lab.rigidity import OperatorFunction
+from holo_lab.rigidity import OperatorFunction, constant_function, g_transform
+from oracles import h_split, numerical_abscissa, poisson_factor
 
 # expm-heavy sweeps use a thinned grid; identities are z-pointwise so
 # coverage in z, not density, is what matters
@@ -105,6 +105,21 @@ class TestBuildH:
             expected = P * mass
             error = frobenius_norm(re_part(build_h(p, j, z)) - expected)
             assert np.all(error <= 1e-13 * frobenius_norm(expected)), np.max(error / frobenius_norm(expected))
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_paper_route_through_g(self, d):
+        # the paper: F = B + iA, g = F + zF*, h_1 = g/(1 - z) = phi B + iA, h_2 = phi I - h_1; build_h writes
+        # phi B - iA, so the paper's h_j is build_h of (-A, B).  Each route rounds a few eps per term, and
+        # g/(1 - z) scales g by 2/(1 - z) = 1 + phi; the error measured at d = 1, 2, 4, 8 (20 seeds each) stays
+        # below 0.6 eps (1 + |phi|)(||A||_F + ||B||_F + sqrt(d))
+        p = random_params(np.random.default_rng(90 + d), d)
+        h1, h2 = h_split(g_transform(constant_function(p.B + 1j * p.A)))
+        z = default_grid().points()
+        eps = np.finfo(float).eps
+        bound = 4 * eps * (1 + np.abs(mobius_phi(z))) * (frobenius_norm(p.A) + frobenius_norm(p.B) + np.sqrt(d))
+        for j, h in ((1, h1), (2, h2)):
+            assert np.all(frobenius_norm(h(z) - build_h(FactorParams(A=-p.A, B=p.B), j, z)) <= bound)
+            assert np.all(frobenius_norm(h(z) - build_h(p, j, z)) > bound)  # the sign of A matters
 
     def test_validation(self):
         p = scalar_params(0.0, 0.5)

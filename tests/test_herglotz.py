@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from holo_lab.disc import DomainError, mobius_phi, poisson_factor
+from holo_lab.disc import DomainError, mobius_phi
 from holo_lab.herglotz import (
     analyze,
     arc_mass_profile,
@@ -13,10 +13,10 @@ from holo_lab.herglotz import (
     estimate_moments,
     herglotz_reconstruct,
     sample_boundary,
-    split_additivity_check,
 )
 from holo_lab.operators import im_part, operator_norm
 from holo_lab.rigidity import OperatorFunction, constant_function
+from oracles import poisson_factor, split_additivity_check
 
 # the spec-sheet default N = 4096 at r = 0.999 carries an aliasing floor
 # r^(N-2M) + r^N ~ 3.5e-2; the sharp assertions below use N = 16384 where

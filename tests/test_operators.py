@@ -16,10 +16,10 @@ from holo_lab.operators import (
     inverse_cayley,
     is_positive_contraction,
     matrix_exp,
-    numerical_abscissa,
     operator_norm,
     re_part,
 )
+from oracles import numerical_abscissa
 
 
 def random_matrix(rng, d, scale=1.0):

@@ -7,20 +7,22 @@ from holo_lab.herglotz import atom_model, sample_boundary
 from holo_lab.rigidity import (
     BUILTIN_FUNCTIONS,
     CONSTANT_CONFIRMED,
-    DEGENERATE,
     HYPOTHESIS_VIOLATED,
     INCONCLUSIVE,
-    NONCONSTANT_FAMILY,
-    L_transform,
     OperatorFunction,
     constant_function,
-    convexity_diagnostic,
     g_transform,
+    resolve_function,
+    rigidity_verdict,
+)
+from oracles import (
+    DEGENERATE,
+    NONCONSTANT_FAMILY,
+    L_transform,
+    convexity_diagnostic,
     h_split,
     re_h1_identity_check,
     recover_F,
-    resolve_function,
-    rigidity_verdict,
 )
 
 GRID = default_grid()
@@ -223,7 +225,7 @@ class TestRegistry:
 
 
 def library_functions():
-    """Every OperatorFunction the library builds, by name."""
+    """Every OperatorFunction the library builds, by name, and the test oracles' h_1 and h_2."""
     rng = np.random.default_rng(12)
     fns = dict(BUILTIN_FUNCTIONS)
     fns["const"] = constant_function(np.array([[0.3 + 0.1j, 1.0], [0.0, 0.7]]))
