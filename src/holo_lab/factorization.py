@@ -6,7 +6,9 @@ built by build_h alone.  The factor symbols are phi_{j,t}(z) = exp(-t h_j(z)),
 whose exponents commute for every z, so their product is exp(-t phi(z)) I
 exactly; the factorizing pair is psi_j = cayley(h_j), which solves
 
-    inverse_cayley(psi_1(z)) + inverse_cayley(psi_2(z)) = phi(z) I.
+    inverse_cayley(psi_1(z)) + inverse_cayley(psi_2(z)) = phi(z) I,
+
+checked as 2 (I - psi_1 psi_2) = phi (I - psi_1)(I - psi_2), which inverts nothing.
 
 The paper writes h_1 = phi B + i A; here A enters with the opposite sign, so
 recover_params reads back the A of this convention.
@@ -25,6 +27,7 @@ import numpy as np
 
 from .disc import _require_in_disc, mobius_phi, varphi_t
 from .operators import (
+    _require_nonsingular,
     as_matrix,
     cayley,
     frobenius_norm,
@@ -255,19 +258,41 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
     )
 
 
-def master_residuals(pair, grid):
-    """Per-point residual of the master equation.
+def _product(X, Y):
+    """X @ Y per slice of two stacks, in einsum: no BLAS, so the same bits under every BLAS kernel."""
+    return np.einsum("nij,njk->nik", X, Y, optimize=False)
 
-    residuals[k] = ||ic(psi1(z_k)) + ic(psi2(z_k)) - phi(z_k) I||_F for
-    z_k = grid.points()[k].  inverse_cayley raises SingularityError where 1
-    is (numerically) in the spectrum of psi_j(z).
+
+def master_residuals(pair, grid):
+    """Per-point residual of the master equation, in a form that inverts nothing.
+
+    Multiplying ic(psi1) + ic(psi2) = phi I (ic the inverse Cayley transform)
+    on the left by I - psi1 and on the right by I - psi2 gives
+
+        2 (I - psi1 psi2) = phi (I - psi1)(I - psi2),
+
+    exact whether or not psi1 and psi2 commute, and equivalent to the master
+    equation wherever I - psi_j is invertible; a point where it is
+    numerically singular raises SingularityError, as inverse_cayley would.
+    residuals[k] is the Frobenius norm of the difference of the two sides
+    at z_k = grid.points()[k].  With h_j = ic(psi_j),
+    (I - psi_j)^-1 = (I + h_j)/2, so the residual of the first form is
+    bounded by this one:
+
+        ||ic(psi1) + ic(psi2) - phi I|| <= ||(I + h1)/2|| ||(I + h2)/2|| residuals[k].
+
+    Forming ic(psi_j) would amplify its round-off by about ||(I - psi_j)^-1||,
+    which grows like |phi| near the circle; this form does not.
     """
     eye = np.eye(pair.psi1.dim)
     residuals = []
     for zs in grid.circles():
         P1, P2 = pair.psi1(zs), pair.psi2(zs)
+        L, R = eye - P1, eye - P2
+        _require_nonsingular(L)
+        _require_nonsingular(R)
         phi = mobius_phi(zs)[:, None, None]
-        residuals.append(frobenius_norm(inverse_cayley(P1) + inverse_cayley(P2) - phi * eye))
+        residuals.append(frobenius_norm(2 * (eye - _product(P1, P2)) - phi * _product(L, R)))
     return np.concatenate(residuals)
 
 
@@ -275,15 +300,25 @@ def recover_params(pair, grid):
     """Read (A, B) back off a factorizing pair.
 
     h_1(0) = inverse_cayley(psi1(0)) = B - iA fixes the parameters; the
-    returned residual max_z ||inverse_cayley(psi1(z)) - h_1(z)||_F
+    returned residual max_z ||(I + psi1(z)) - h_1(z)(I - psi1(z))||_F
     certifies that the pair really is of the classified exponential form.
+    It is ic(psi1) = h_1 multiplied on the right by I - psi1, so it inverts
+    nothing and bounds the residual of the first form:
+
+        ||ic(psi1(z)) - h_1(z)|| <= ||(I + ic(psi1(z)))/2|| residual.
+
+    As in master_residuals, a point where I - psi1 is numerically singular
+    raises SingularityError.
     """
     h10 = inverse_cayley(pair.psi1(0))
     B = re_part(h10)
     A = -im_part(h10)
     params = FactorParams(A=A, B=B)
+    eye = np.eye(params.dim)
     residual = 0.0
     for zs in grid.circles():
-        dev = inverse_cayley(pair.psi1(zs)) - build_h(params, 1, zs)
+        P1 = pair.psi1(zs)
+        _require_nonsingular(eye - P1)
+        dev = (eye + P1) - _product(build_h(params, 1, zs), eye - P1)
         residual = max(residual, frobenius_norm(dev).max())
     return params, float(residual)

@@ -105,15 +105,14 @@ def _certified_nonsingular(den):
     return bound < 1
 
 
-def _right_divide(num, den):
-    """num @ inv(den) per slice, raising SingularityError if any den is ill-conditioned.
+def _require_nonsingular(den):
+    """Raise SingularityError if the matrix den, or a slice of the stack den, is ill-conditioned.
 
     A slice is singular when its smallest singular value is at most
     SINGULARITY_RTOL * max(largest, 1).  Only the slices that
     _certified_nonsingular leaves open get the SVD, so the decision, the
     index and the message are those of an SVD of every slice.
     """
-    den = _as_square(den)
     stack = den.reshape(-1, *den.shape[-2:])
     open_ = np.flatnonzero(~_certified_nonsingular(stack))
     if len(open_):
@@ -127,14 +126,32 @@ def _right_divide(num, den):
                 f"matrix is numerically singular{where} "
                 f"(smallest singular value {smallest[i]:.3e})"
             )
+
+
+def _right_divide(num, den):
+    """num @ inv(den) per slice, raising SingularityError if any den is ill-conditioned (_require_nonsingular)."""
+    den = _as_square(den)
+    _require_nonsingular(den)
     return _adjoint(np.linalg.solve(_adjoint(den), _adjoint(_as_square(num))))
+
+
+def _cayley_divide(num, den):
+    """_right_divide, but 1 x 1 matrices divide as numbers.
+
+    LAPACK's solve of a 1 x 1 system rounds differently under different
+    BLAS kernels, and a complex division does not.
+    """
+    if den.shape[-1] == 1:
+        _require_nonsingular(den)
+        return num / den
+    return _right_divide(num, den)
 
 
 def cayley(h):
     """Cayley transform (h - I)(h + I)^{-1}; maps Re h >= 0 into contractions."""
     h = _as_square(h)
     eye = np.eye(h.shape[-1])
-    return _right_divide(h - eye, h + eye)
+    return _cayley_divide(h - eye, h + eye)
 
 
 def inverse_cayley(psi):
@@ -144,7 +161,7 @@ def inverse_cayley(psi):
     """
     psi = _as_square(psi)
     eye = np.eye(psi.shape[-1])
-    return _right_divide(eye + psi, eye - psi)
+    return _cayley_divide(eye + psi, eye - psi)
 
 
 # Padé degree m -> coefficients b_0..b_m of the [m/m] approximant to exp, and

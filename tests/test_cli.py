@@ -552,6 +552,14 @@ class TestGridOptions:
         assert code in (EXIT_PASS, EXIT_FAIL)
         assert report["overall_pass"] is (code == EXIT_PASS)
 
+    @pytest.mark.parametrize("command", ["factorize-verify", "recover-params"])
+    def test_exact_params_pass_near_the_circle(self, tmp_path, command):
+        # the master and recovery residuals invert nothing, so |phi| ~ 4e4 on the outer circle costs no accuracy
+        cfg = {"command": command, "params": scalar_params_json(0.0, 0.5),
+               "grid": {"radii": [0.3, 0.99995], "n_angles": 16}}
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == EXIT_PASS, report["checks"]
+
     def test_stencil_h_reaches_the_verdict(self, tmp_path):
         grid = {"radii": [0.3, 0.9], "n_angles": 16}
         cfg = {"command": "rigidity-check", "function": "phi", "expect_verdict": "HYPOTHESIS_VIOLATED",

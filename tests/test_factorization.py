@@ -329,17 +329,47 @@ class TestVerifyMaster:
         pair = pair_from_params(random_params(rng, 2))
         residuals = master_residuals(pair, grid=FAST_GRID)
         eye = np.eye(2)
-        expected = [
-            frobenius_norm(inverse_cayley(pair.psi1(z)) + inverse_cayley(pair.psi2(z)) - mobius_phi(z) * eye)
-            for z in FAST_GRID.points()
-        ]
+        expected = []
+        for z in FAST_GRID.points():
+            P1, P2 = pair.psi1(z), pair.psi2(z)
+            product = lambda X, Y: np.einsum("ij,jk->ik", X, Y, optimize=False)  # no BLAS, as master_residuals
+            expected.append(frobenius_norm(2 * (eye - product(P1, P2)) - mobius_phi(z) * product(eye - P1, eye - P2)))
         assert np.array_equal(residuals, expected)
+
+    def test_bounds_the_inverse_cayley_form(self):
+        # ||ic(psi1) + ic(psi2) - phi I|| <= ||(I + ic(psi1))/2|| ||(I + ic(psi2))/2|| * residual, for any pair
+        rng = np.random.default_rng(10)
+        for d in (1, 3):
+            X = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+            X = 0.4 * X / operator_norm(X)[:, None, None]
+            # psi_k(z) = X_k + z X_{k+2}: contractions, but not a factorizing pair
+            psi = [OperatorFunction(d, lambda z, k=k: X[k] + z * X[k + 2], f"psi{k + 1}") for k in (0, 1)]
+            for z, residual in zip(FAST_GRID.points(), master_residuals(FactorPair(*psi), grid=FAST_GRID)):
+                h1, h2 = inverse_cayley(psi[0](z)), inverse_cayley(psi[1](z))
+                old = operator_norm(h1 + h2 - mobius_phi(z) * np.eye(d))
+                factor = operator_norm((np.eye(d) + h1) / 2) * operator_norm((np.eye(d) + h2) / 2)
+                assert residual > 0.1 and old <= factor * residual * NORM_SLACK
 
     def test_non_factorizing_pair(self):
         zero = OperatorFunction(1, lambda z: np.array([[0.0]]), "0")
         pair = FactorPair(psi1=zero, psi2=zero)
         residual = master_residuals(pair, grid=DiscGrid((0.5,), 8)).max()
         assert residual >= 1 - 1e-12  # |2 - phi(0.5)| = 1 at z = 0.5
+
+
+class TestNearTheCircle:
+    """Exact parameters pass the master and recovery checks at their default tolerances up to |z| = 0.99999."""
+
+    GRID = DiscGrid(radii=(0.3, 0.9, 0.999, 0.99995, 0.99999), n_angles=16)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_exact_params_pass(self, d):
+        params = scalar_params(0.0, 0.5) if d == 1 else random_params(np.random.default_rng(4), 4)
+        pair = pair_from_params(params)
+        assert master_residuals(pair, grid=self.GRID).max() <= 1e-10
+        recovered, residual = recover_params(pair, grid=self.GRID)
+        assert residual <= 1e-9
+        assert np.max(np.abs(recovered.A - params.A)) <= 1e-10 and np.max(np.abs(recovered.B - params.B)) <= 1e-10
 
 
 class TestRecoverParams:

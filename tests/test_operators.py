@@ -118,6 +118,15 @@ class TestCayley:
         with pytest.raises(SingularityError):
             inverse_cayley(np.eye(3))  # 1 in the point spectrum
 
+    def test_one_by_one_divides_as_numbers(self):
+        # a complex division has the same bits under every BLAS kernel; LAPACK's 1 x 1 solve does not
+        rng = np.random.default_rng(12)
+        h = (rng.standard_normal(32) + 1j * rng.standard_normal(32)).reshape(-1, 1, 1)
+        assert np.array_equal(cayley(h), (h - 1) / (h + 1))
+        assert np.array_equal(inverse_cayley(h), (1 + h) / (1 - h))
+        with pytest.raises(SingularityError, match="stack index 1"):
+            cayley(np.array([2.0, -1.0, 3.0]).reshape(-1, 1, 1))
+
     def test_accretive_to_contraction(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
