@@ -3,11 +3,13 @@
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 input (config, parameters, flags), 3 internal/IO error.  Reports are
 byte-stable for a fixed (config, seed): volatile data such as wall time goes
-to stderr, never into report.json.  The golden reports are also the same
-across the BLAS kernels a run-time-dispatched OpenBLAS may pick and across
-its thread counts; a factorization report with d > 1 can change in its last
-bits with the BLAS kernel, through the stacked matmul and LAPACK solve of the
-matrix exponential and the Cayley transform (see the README).
+to stderr, never into report.json; a report's config has the --grid-radii and
+--tol flags merged in, so rerunning it without flags reproduces the report.
+The golden reports are also the same across the BLAS kernels a
+run-time-dispatched OpenBLAS may pick and across its thread counts; a
+factorization report with d > 1 can change in its last bits with the BLAS
+kernel, through the stacked matmul and LAPACK solve of the matrix exponential
+and the Cayley transform (see the README).
 """
 from __future__ import annotations
 
@@ -436,7 +438,8 @@ def run(config, seed=None, out_dir=".", grid_radii=None, tol_overrides=None, emi
     command = config.get("command")
     if command not in list(SCHEMA):
         raise InvalidInput(f"unknown command {command!r}; known: {list(SCHEMA)}")
-    cfg = _parse(SCHEMA[command], _with_flags(config, grid_radii, tol_overrides))
+    config = _with_flags(config, grid_radii, tol_overrides)  # the report records the config as run
+    cfg = _parse(SCHEMA[command], config)
     checks, verdicts, plots = _RUNNERS[command](cfg, seed, emit_plots)
     for name, (header, rows) in plots.items():
         _write_csv(os.path.join(out_dir, name), header, rows)

@@ -4,11 +4,8 @@ Every factorization is parametrized by a self-adjoint A and a positive
 contraction B through h_1(z) = phi(z) B - i A and h_2(z) = phi(z) I - h_1(z),
 built by build_h alone.  The factor symbols are phi_{j,t}(z) = exp(-t h_j(z)),
 whose exponents commute for every z, so their product is exp(-t phi(z)) I
-exactly; the factorizing pair is psi_j = cayley(h_j), which solves
-
-    inverse_cayley(psi_1(z)) + inverse_cayley(psi_2(z)) = phi(z) I,
-
-checked as 2 (I - psi_1 psi_2) = phi (I - psi_1)(I - psi_2), which inverts nothing.
+exactly; the factorizing pair is psi_j = cayley(h_j), which solves the master
+equation inverse_cayley(psi_1(z)) + inverse_cayley(psi_2(z)) = phi(z) I.
 
 The paper writes h_1 = phi B + i A; here A enters with the opposite sign, so
 recover_params reads back the A of this convention.
@@ -264,25 +261,15 @@ def _product(X, Y):
 
 
 def master_residuals(pair, grid):
-    """Per-point residual of the master equation, in a form that inverts nothing.
+    """residuals[k] = ||2(I - psi1 psi2) - phi (I - psi1)(I - psi2)||_F at z_k = grid.points()[k].
 
-    Multiplying ic(psi1) + ic(psi2) = phi I (ic the inverse Cayley transform)
-    on the left by I - psi1 and on the right by I - psi2 gives
-
-        2 (I - psi1 psi2) = phi (I - psi1)(I - psi2),
-
-    exact whether or not psi1 and psi2 commute, and equivalent to the master
-    equation wherever I - psi_j is invertible; a point where it is
-    numerically singular raises SingularityError, as inverse_cayley would.
-    residuals[k] is the Frobenius norm of the difference of the two sides
-    at z_k = grid.points()[k].  With h_j = ic(psi_j),
-    (I - psi_j)^-1 = (I + h_j)/2, so the residual of the first form is
-    bounded by this one:
-
-        ||ic(psi1) + ic(psi2) - phi I|| <= ||(I + h1)/2|| ||(I + h2)/2|| residuals[k].
-
-    Forming ic(psi_j) would amplify its round-off by about ||(I - psi_j)^-1||,
-    which grows like |phi| near the circle; this form does not.
+    This is the master equation ic(psi1) + ic(psi2) = phi I (ic = inverse_cayley)
+    multiplied by I - psi1 on the left and by I - psi2 on the right: exact
+    whether or not psi1 and psi2 commute, and equivalent wherever I - psi_j is
+    invertible, so a numerically singular I - psi_j raises SingularityError.
+    It forms no inverse, whose round-off would grow like |phi| near the
+    circle, and as (I - psi_j)^-1 = (I + ic(psi_j))/2 it bounds the first form:
+    ||ic(psi1) + ic(psi2) - phi I|| <= ||(I + ic(psi1))/2|| ||(I + ic(psi2))/2|| residuals[k].
     """
     eye = np.eye(pair.psi1.dim)
     residuals = []
@@ -302,18 +289,12 @@ def recover_params(pair, grid):
     h_1(0) = inverse_cayley(psi1(0)) = B - iA fixes the parameters; the
     returned residual max_z ||(I + psi1(z)) - h_1(z)(I - psi1(z))||_F
     certifies that the pair really is of the classified exponential form.
-    It is ic(psi1) = h_1 multiplied on the right by I - psi1, so it inverts
-    nothing and bounds the residual of the first form:
-
-        ||ic(psi1(z)) - h_1(z)|| <= ||(I + ic(psi1(z)))/2|| residual.
-
-    As in master_residuals, a point where I - psi1 is numerically singular
-    raises SingularityError.
+    It is ic(psi1) = h_1 multiplied by I - psi1 on the right, inverts nothing
+    (a numerically singular I - psi1 raises SingularityError) and bounds the
+    first form: ||ic(psi1(z)) - h_1(z)|| <= ||(I + ic(psi1(z)))/2|| residual.
     """
     h10 = inverse_cayley(pair.psi1(0))
-    B = re_part(h10)
-    A = -im_part(h10)
-    params = FactorParams(A=A, B=B)
+    params = FactorParams(A=-im_part(h10), B=re_part(h10))
     eye = np.eye(params.dim)
     residual = 0.0
     for zs in grid.circles():

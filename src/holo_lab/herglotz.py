@@ -93,13 +93,18 @@ def estimate_moments(profile, M):
     moment(n) = r^{-|n|} * (1/N) * sum_k samples_k e^{-in theta_k}; the
     r^{-|n|} factor undoes the Poisson smoothing, at the price of
     amplifying the O(r^{N-|n|}) aliasing wrap, hence the M < N/4 margin.
+    Every moment must be finite: finite samples can still sum past the
+    float range, and that raises ValueError.
     """
     N = profile.n_samples
     if not M < N / 4:
         raise ValueError(f"anti-aliasing margin requires M < N/4 (M={M}, N={N})")
-    fft = np.fft.fft(profile.samples, axis=0) / N
     ns = np.arange(-M, M + 1)
-    moments = fft[ns % N] * (profile.r ** (-np.abs(ns)))[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # the test below reports an overflow
+        fft = np.fft.fft(profile.samples, axis=0) / N
+        moments = fft[ns % N] * (profile.r ** (-np.abs(ns)))[:, None, None]
+    if not np.all(np.isfinite(moments)):
+        raise ValueError(f"the moments of Re h on |z| = {profile.r!r} are not finite")
     return HerglotzApprox(r=profile.r, M=M, moments=moments)
 
 

@@ -136,11 +136,7 @@ def _right_divide(num, den):
 
 
 def _cayley_divide(num, den):
-    """_right_divide, but 1 x 1 matrices divide as numbers.
-
-    LAPACK's solve of a 1 x 1 system rounds differently under different
-    BLAS kernels, and a complex division does not.
-    """
+    """_right_divide, but a 1 x 1 den divides as a number: unlike LAPACK's solve, the same bits under every BLAS."""
     if den.shape[-1] == 1:
         _require_nonsingular(den)
         return num / den

@@ -608,6 +608,18 @@ class TestDeterminism:
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_report_config_is_the_config_as_run(self, tmp_path):
+        # the flags are merged into the report's config, so that config run without flags gives the same bytes
+        cfg = {"command": "recover-params", "params": scalar_params_json(0.0, 0.5)}
+        flagged, rerun = tmp_path / "flagged", tmp_path / "rerun"
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(flagged),
+                     "--grid-radii", "0.3", "--tol", "residual=1e-8"]) == EXIT_PASS
+        report = json.loads((flagged / "report.json").read_text())
+        assert report["config"] == dict(cfg, grid={"radii": [0.3]}, tolerances={"residual": 1e-8})
+        config = write_config(tmp_path, report["config"], "as-run.json")
+        assert main(["--config", config, "--out", str(rerun)]) == EXIT_PASS
+        assert (rerun / "report.json").read_bytes() == (flagged / "report.json").read_bytes()
+
     @pytest.mark.parametrize("case", GOLDEN_CASES)
     def test_golden_report(self, tmp_path, case):
         cfg_path = os.path.join(GOLDEN_DIR, case, "config.json")

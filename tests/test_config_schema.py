@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -426,6 +427,9 @@ def _scalar_herglotz(a, b, r, n_samples, n_moments):
             "n_samples": n_samples, "n_moments": n_moments}
 
 
+FFT_OVERFLOW = _scalar_herglotz(0.0, 1e305, 0.5, 65536, 16)
+
+
 class TestOverflowingParams:
     """Params whose arithmetic overflows exit 0, 1 or 2 and print one line; the suite turns a warning into exit 3."""
 
@@ -435,6 +439,8 @@ class TestOverflowingParams:
         (_scalar_herglotz(0.0, 1e300, 0.9999999999, 65536, 16), EXIT_INVALID, "herglotz-analyze params: "),
         (_scalar_herglotz(0.0, 1e300, 0.999999, 64, 4), EXIT_FAIL, "FAIL"),
         (_scalar_herglotz(1e308, 0.5, 0.9, 64, 4), EXIT_PASS, "PASS"),
+        # every sample is finite, their FFT sum is not
+        (FFT_OVERFLOW, EXIT_INVALID, "herglotz-analyze params: the moments of Re h on |z| = 0.5 are not finite"),
         ({"command": "recover-params", "params": dict(SCALAR_PARAMS, A=[[[1e300, 0.0]]]),
           "grid": {"radii": [0.5], "n_angles": 8}}, EXIT_INVALID, "numerically singular"),
         ({"command": "factorize-verify",
@@ -442,11 +448,20 @@ class TestOverflowingParams:
                      "B": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}},
          EXIT_INVALID, "A is not self-adjoint (deviation inf"),
     ], ids=["herglotz-B-1e308", "herglotz-B-1e300-near-circle", "herglotz-B-1e300", "herglotz-A-1e308",
-            "recover-A-1e300", "factorize-A-skew-1e308"])
+            "herglotz-B-1e305-fft", "recover-A-1e300", "factorize-A-skew-1e308"])
     def test_exit_code_and_one_line(self, cfg, code, message):
         got, report, err = run_config(cfg)
         assert got == code, err
         assert message in err and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("warnings", ["default", "error", "ignore"])
+    def test_fft_overflow_under_every_warning_setting(self, tmp_path, warnings):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(FFT_OVERFLOW))
+        proc = subprocess.run([sys.executable, "-W", warnings, "-m", "holo_lab", "--config", str(path),
+                               "--out", str(tmp_path / "out")], capture_output=True, text=True)
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        assert proc.stderr.count("\n") == 1 and "are not finite" in proc.stderr, proc.stderr
 
 
 class TestMatrixKind:

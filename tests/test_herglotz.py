@@ -5,6 +5,7 @@ import pytest
 
 from holo_lab.disc import DomainError, mobius_phi
 from holo_lab.herglotz import (
+    BoundaryProfile,
     analyze,
     arc_mass_profile,
     atom_at_angle,
@@ -95,6 +96,12 @@ class TestMoments:
         prof = sample_boundary(PHI, R, 64)
         with pytest.raises(ValueError, match="N/4"):
             estimate_moments(prof, 16)
+
+    def test_moments_not_finite(self):
+        # every sample is finite, their sum is not; the suite turns warnings into errors, so the overflow is silent
+        prof = BoundaryProfile(r=0.5, samples=np.full((64, 1, 1), 1e307 + 0j))
+        with pytest.raises(ValueError, match=r"moments of Re h on \|z\| = 0.5 are not finite"):
+            estimate_moments(prof, 4)
 
     def test_moment_symmetry(self):
         rng = np.random.default_rng(0)
