@@ -144,12 +144,6 @@ def _parse(table, data, label=""):
     return values
 
 
-@np.errstate(over="ignore")
-def _largest_factor_finite(r, n_moments):
-    """True when r ** -n_moments, the largest factor estimate_moments applies, is finite in its float64 power."""
-    return bool(np.isfinite(r ** -np.array([n_moments]))[0])
-
-
 HERGLOTZ_PARAMS = Table("params ", (Field("A", "matrix", REQUIRED), Field("B", "matrix", REQUIRED)))
 # the rules are DiscGrid's own tests: a radius within a few ulps of 1 can round a point onto the circle
 GRID = Table("grid ", (
@@ -208,7 +202,8 @@ SCHEMA = {
         Field("n_moments", "integer", herglotz.DEFAULT_M,
               ((">=", 1), ("<", Ref("n_samples / 4", lambda v: v["n_samples"] / 4)))),
         Field("r", "number", herglotz.DEFAULT_R, ((">", 0), ("<", 1)),
-              ("r ** -n_moments finite", lambda v, values: _largest_factor_finite(v, values["n_moments"]))),
+              ("r ** -n_moments finite",  # the largest factor estimate_moments applies
+               lambda v, values: bool(np.isfinite(disc.circle_scale(v, [values["n_moments"]]))[0]))),
         Field("tol_atom", "number", None, ((">=", 0),)),
         Field("expect_concentrated", "boolean", True),
     ), one_of=[("function", "params")]),

@@ -1,8 +1,10 @@
 """Scalar complex-analytic primitives on the open unit disc.
 
 Everything here is elementary: the half-plane map, the semigroup symbol,
-sampling grids, and a finite-difference test for holomorphy.  All functions
-accept scalars or numpy arrays of complex numbers and are pure.
+sampling grids, the coefficients of samples on one circle, and a
+finite-difference test for holomorphy.  All functions accept scalars or
+numpy arrays of complex numbers and are pure.  Circle samples and their
+coefficients are read only here.
 """
 from __future__ import annotations
 
@@ -16,6 +18,9 @@ __all__ = [
     "grid_points_in_disc",
     "stencil_in_disc",
     "default_grid",
+    "circle",
+    "circle_scale",
+    "circle_coefficients",
     "mobius_phi",
     "varphi_t",
     "wirtinger_dbar",
@@ -61,6 +66,38 @@ def _circles(radii, n_angles):
     """Points r exp(2 pi i k / n_angles), one circle of radius r per row."""
     theta = 2 * np.pi * np.arange(n_angles) / n_angles
     return np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)[None, :]
+
+
+def circle(r, n):
+    """The n points r exp(2 pi i k / n) of the circle of radius r, as DiscGrid((r,), n) computes them."""
+    return _circles((r,), n)[0]
+
+
+@np.errstate(over="ignore")
+def circle_scale(r, ns):
+    """The float64 factors r^{-|n|}, n in ns, that undo the Poisson smoothing r^{|n|}; inf where they overflow."""
+    return r ** -np.abs(np.asarray(ns))
+
+
+def circle_coefficients(values, r, ns):
+    """The coefficients a_n, n in ns, of sum_n a_n r^{|n|} e^{in theta} from its samples on circle(r, N).
+
+    a_n = r^{-|n|} (1/N) sum_k values_k e^{-2 pi i n k / N}, with N = len(values)
+    and values_k the sample at angle 2 pi k / N (a scalar or a matrix per
+    point): the Taylor coefficients of a function holomorphic on |z| <= r,
+    or the moments of a measure from its Poisson extension, up to aliasing of
+    the coefficients n + jN, which r^{-|n|} amplifies.  Every coefficient
+    must be finite: finite samples can still sum or scale past the float
+    range, and that raises ValueError.
+    """
+    values = np.asarray(values)
+    N = len(values)
+    scale = circle_scale(r, ns).reshape((-1,) + (1,) * (values.ndim - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # the test below reports an overflow
+        coefficients = (np.fft.fft(values, axis=0) / N)[np.asarray(ns) % N] * scale
+    if not np.all(np.isfinite(coefficients)):
+        raise ValueError(f"the coefficients on |z| = {r!r} are not finite")
+    return coefficients
 
 
 def _stencil(z, h):

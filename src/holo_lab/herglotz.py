@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .disc import DomainError, _require_in_disc, mobius_phi
+from .disc import DomainError, _require_in_disc, circle, circle_coefficients, mobius_phi
 from .operators import as_matrix, operator_norm, re_part, require_self_adjoint
 from .rigidity import OperatorFunction
 
@@ -78,10 +78,9 @@ def sample_boundary(h, r, N):
         raise DomainError("sample_boundary requires 0 < r < 1")
     if N < 16 or N & (N - 1):
         raise ValueError("N must be a power of two, >= 16")
-    theta = 2 * np.pi * np.arange(N) / N
     # h or Re h may overflow: h rejects a value that is not finite, the test below a sample
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = re_part(h(r * np.exp(1j * theta)))
+        samples = re_part(h(circle(r, N)))
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"Re h is not finite at every sample on |z| = {r!r}")
     return BoundaryProfile(r=r, samples=samples)
@@ -90,21 +89,19 @@ def sample_boundary(h, r, N):
 def estimate_moments(profile, M):
     """Moments S-hat(n) = int e^{-int} dS(t) for |n| <= M, from one circle.
 
-    moment(n) = r^{-|n|} * (1/N) * sum_k samples_k e^{-in theta_k}; the
-    r^{-|n|} factor undoes the Poisson smoothing, at the price of
-    amplifying the O(r^{N-|n|}) aliasing wrap, hence the M < N/4 margin.
-    Every moment must be finite: finite samples can still sum past the
-    float range, and that raises ValueError.
+    moment(n) = r^{-|n|} * (1/N) * sum_k samples_k e^{-in theta_k}
+    (disc.circle_coefficients); the r^{-|n|} factor undoes the Poisson
+    smoothing, at the price of amplifying the O(r^{N-|n|}) aliasing wrap,
+    hence the M < N/4 margin.  Every moment must be finite: finite samples
+    can still sum past the float range, and that raises ValueError.
     """
     N = profile.n_samples
     if not M < N / 4:
         raise ValueError(f"anti-aliasing margin requires M < N/4 (M={M}, N={N})")
-    ns = np.arange(-M, M + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # the test below reports an overflow
-        fft = np.fft.fft(profile.samples, axis=0) / N
-        moments = fft[ns % N] * (profile.r ** (-np.abs(ns)))[:, None, None]
-    if not np.all(np.isfinite(moments)):
-        raise ValueError(f"the moments of Re h on |z| = {profile.r!r} are not finite")
+    try:
+        moments = circle_coefficients(profile.samples, profile.r, np.arange(-M, M + 1))
+    except ValueError:
+        raise ValueError(f"the moments of Re h on |z| = {profile.r!r} are not finite") from None
     return HerglotzApprox(r=profile.r, M=M, moments=moments)
 
 

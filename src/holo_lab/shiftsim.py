@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .disc import circle, circle_coefficients
 from .factorization import phi_jt
-from .operators import as_matrix, operator_norm
+from .operators import as_matrix, operator_norm  # as_matrix: perfbench/test_jobs.py reads shiftsim.as_matrix
 
 __all__ = [
     "taylor_varphi_t",
     "taylor_matrix_symbol",
-    "toeplitz_of",
     "laguerre_fns",
     "LaguerreQuadrature",
     "laguerre_quadrature",
@@ -79,38 +79,13 @@ def taylor_matrix_symbol(params, j, t, N):
     """Taylor coefficients of the matrix symbol z -> phi_{j,t}(z).
 
     Samples the symbol at S = max(8N, 256) equispaced points of the circle
-    |z| = 0.9 and applies an entrywise r^{-n}-corrected DFT.
+    |z| = 0.9 and applies an entrywise r^{-n}-corrected DFT
+    (disc.circle_coefficients).
     """
     S, r = max(8 * N, 256), 0.9
     # the aliasing wrap r^(S - N) is at most 0.9^224 = 5.6e-11 for every N
     # (S - N = 7N from N = 32 on, 256 - N below)
-    theta = 2 * np.pi * np.arange(S) / S
-    vals = phi_jt(params, j, t, r * np.exp(1j * theta))
-    fft = np.fft.fft(vals, axis=0) / S
-    return fft[:N] * (r ** -np.arange(N, dtype=float))[:, None, None]
-
-
-def toeplitz_of(coeffs, d=None):
-    """Lower block-triangular Toeplitz truncation of a multiplication operator.
-
-    coeffs is (N,) scalar or (N, d, d) matrix-valued; block (i, j) equals
-    coeffs[i - j] for i >= j.  A scalar sequence with d > 1 is promoted to
-    c_n * I blocks.  This is the dense oracle: the checks in this module
-    work on the coefficients and never build it.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim == 1:
-        dd = 1 if d is None else d
-        coeffs = coeffs[:, None, None] * np.eye(dd)
-    elif coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
-        raise ValueError(f"coeffs must be (N,) or (N, d, d); got {coeffs.shape}")
-    elif d is not None and d != coeffs.shape[1]:
-        raise ValueError("explicit d conflicts with matrix coefficients")
-    N, dd = coeffs.shape[0], coeffs.shape[1]
-    T = np.zeros((N, dd, N, dd), dtype=complex)  # T[i, :, j, :] is block (i, j)
-    i, j = np.tril_indices(N)
-    T[i, :, j, :] = coeffs[i - j]
-    return T.reshape(N * dd, N * dd)
+    return circle_coefficients(phi_jt(params, j, t, circle(r, S)), r, np.arange(N))
 
 
 def laguerre_fns(n_max, x):
@@ -236,8 +211,8 @@ def conjugation_check(t, n_check, quad):
 def _block_convolve(a, b):
     """r_k = sum_{i <= k} a_i b_{k-i} for k < N: the first N coefficients of a product.
 
-    a and b are (N, d, d); r is the coefficient sequence of
-    toeplitz_of(a) @ toeplitz_of(b), summed over ascending i.
+    a and b are (N, d, d); r is the coefficient sequence of the product of
+    their lower block-triangular Toeplitz truncations, summed over ascending i.
     """
     N = a.shape[0]
     r = np.zeros_like(a, dtype=complex)

@@ -11,6 +11,8 @@ check the library from a second direction:
 - re_h1_identity_check and convexity_diagnostic, two statements about that
   split;
 - split_additivity_check, linearity of the Herglotz moment map;
+- toeplitz_of, the dense block-Toeplitz truncation that shiftsim's
+  coefficient convolution stands for;
 - NONCONSTANT_FAMILY, the built-in functions that must fail the rigidity
   hypotheses.
 """
@@ -138,3 +140,26 @@ def split_additivity_check(h1, h2, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M):
     m2 = estimate_moments(sample_boundary(h2, r, N), M).moments
     m = estimate_moments(sample_boundary(phi_eye, r, N), M).moments
     return float(operator_norm(m1 + m2 - m).max())
+
+
+def toeplitz_of(coeffs, d=None):
+    """Lower block-triangular Toeplitz truncation of a multiplication operator.
+
+    coeffs is (N,) scalar or (N, d, d) matrix-valued; block (i, j) equals
+    coeffs[i - j] for i >= j.  A scalar sequence with d > 1 is promoted to
+    c_n * I blocks.  This is the dense oracle: the checks in shiftsim work
+    on the coefficients and never build it.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.ndim == 1:
+        dd = 1 if d is None else d
+        coeffs = coeffs[:, None, None] * np.eye(dd)
+    elif coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
+        raise ValueError(f"coeffs must be (N,) or (N, d, d); got {coeffs.shape}")
+    elif d is not None and d != coeffs.shape[1]:
+        raise ValueError("explicit d conflicts with matrix coefficients")
+    N, dd = coeffs.shape[0], coeffs.shape[1]
+    T = np.zeros((N, dd, N, dd), dtype=complex)  # T[i, :, j, :] is block (i, j)
+    i, j = np.tril_indices(N)
+    T[i, :, j, :] = coeffs[i - j]
+    return T.reshape(N * dd, N * dd)

@@ -574,10 +574,27 @@ class TestOneMatrixReader:
             assert not [name for name in defined if "jsonable" in name], path.name
 
 
+class TestOneCircleTransform:
+    def test_only_disc_reads_circle_coefficients(self):
+        # the DFT and the r^{-|n|} power of circle samples live in disc.circle_coefficients and disc.circle_scale
+        for path in sorted((ROOT / "src" / "holo_lab").glob("*.py")):
+            names, negative_powers = set(), 0
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    modules = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+                    names |= {part for module in modules for part in module.split(".")}
+                elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                    negative_powers += isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
+            assert ("fft" in names) == (path.name == "disc.py"), path.name
+            assert negative_powers == (path.name == "disc.py"), path.name
+
+
 class TestEveryExportIsRead:
-    # the dense Toeplitz oracle: perfbench/run.py still names it for the metric shiftsim.toeplitz_of.self_s,
-    # which reads 0; it moves to tests/oracles.py when a change to the benchmark retires that metric
-    EXEMPT = {("shiftsim", "toeplitz_of")}
+    EXEMPT = set()
 
     @staticmethod
     def public_definitions(path):
@@ -607,6 +624,19 @@ class TestEveryExportIsRead:
         modules = [p for p in sorted(src.glob("*.py")) if p.name not in ("__init__.py", "__main__.py")]
         unread = {(p.stem, name) for p in modules for name in self.public_definitions(p) if name not in read}
         assert unread == self.EXEMPT
+
+    def test_package_root_exports_nothing(self):
+        # one import path per name: the package root imports nothing, and every reader imports the submodules
+        src = ROOT / "src" / "holo_lab"
+        root = ast.parse((src / "__init__.py").read_text())
+        assert not [node for node in ast.walk(root) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        submodules = {p.stem for p in src.glob("*.py")}
+        for path in [*src.glob("*.py"), *(p for d in ("tests", "perfbench", "tools") for p in (ROOT / d).glob("*.py"))]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                from_root = isinstance(node, ast.ImportFrom) and (node.module == "holo_lab" or node.level == 1
+                                                                  and node.module is None)
+                if from_root:
+                    assert {alias.name for alias in node.names} <= submodules, path.name
 
 
 class TestStrictReport:

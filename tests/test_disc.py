@@ -4,6 +4,9 @@ import pytest
 from holo_lab.disc import (
     DiscGrid,
     DomainError,
+    circle,
+    circle_coefficients,
+    circle_scale,
     default_grid,
     mobius_phi,
     varphi_t,
@@ -121,3 +124,37 @@ class TestDiscGrid:
             wirtinger_dbar(lambda z: z, DiscGrid(radii=(0.9999,), n_angles=16).points(), 1e-3)  # stencil escapes
         with pytest.raises(ValueError):
             DiscGrid(radii=(1.2,), n_angles=16)
+
+
+class TestCircleCoefficients:
+    @pytest.mark.parametrize("r, n", [(0.1, 8), (0.9, 256), (0.999, 4096), (0.95, 1024)])
+    def test_circle_is_the_grid_circle(self, r, n):
+        assert np.array_equal(circle(r, n), DiscGrid((r,), n).points())
+
+    def test_taylor_coefficients_of_a_polynomial(self):
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
+        r, z = 0.7, circle(0.7, 64)
+        values = np.einsum("kij,kn->nij", coeffs, z ** np.arange(6)[:, None])
+        got = circle_coefficients(values, r, np.arange(10))
+        np.testing.assert_allclose(got[:6], coeffs, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got[6:], 0, rtol=0, atol=1e-13)
+
+    def test_negative_coefficients_of_a_trigonometric_polynomial(self):
+        # sum_n a_n r^{|n|} e^{in theta}: the Poisson extension of a measure with moments a_n
+        rng = np.random.default_rng(6)
+        r, ns = 0.8, np.arange(-4, 5)
+        a = rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size)
+        theta = 2 * np.pi * np.arange(32) / 32
+        values = np.exp(1j * np.outer(theta, ns)) @ (a * r ** np.abs(ns))
+        np.testing.assert_allclose(circle_coefficients(values, r, ns), a, rtol=0, atol=1e-13)
+
+    def test_scale(self):
+        np.testing.assert_array_equal(circle_scale(0.5, [-3, 0, 2]), [8.0, 1.0, 4.0])
+        assert np.array_equal(circle_scale(1e-300, [2]), [np.inf])  # overflows without a warning
+
+    @pytest.mark.parametrize("values, r", [(np.ones(16), 1e-300), (np.full(16, 1.5e308), 0.5)])
+    def test_overflow_raises(self, values, r):
+        # a scale past the float range, and samples that sum past it
+        with pytest.raises(ValueError, match="not finite"):
+            circle_coefficients(values, r, np.arange(-3, 4))

@@ -16,9 +16,10 @@ from holo_lab.shiftsim import (
     shift_matrix_elements,
     taylor_matrix_symbol,
     taylor_varphi_t,
-    toeplitz_of,
     truncated_factorization_check,
 )
+
+from oracles import toeplitz_of
 
 
 def taylor_oracle(t, N):
