@@ -46,10 +46,12 @@ MAX_HERGLOTZ_SAMPLES = 2**16
 MAX_HERGLOTZ_ENTRIES = 2**20
 MAX_SHIFT_ORDER = 256
 # or hours: factorize-verify takes 1.5 s at dim 16 on the default grid, and
-# 134 s and 144 MB at all three caps below (2 vCPUs; see the README)
+# 519 s and 184 MB at all five caps below (2 vCPUs; see the README)
 MAX_RANDOM_DIM = 16
 MAX_RANDOM_COUNT = 8
 MAX_GRID_ANGLES = 1024
+MAX_GRID_RADII = 16
+MAX_T_LIST = 8
 # from t ~ 745 every compared coefficient is 0; from t ~ 9e307 2t overflows
 MAX_SHIFT_T = 10**6
 
@@ -149,8 +151,9 @@ HERGLOTZ_PARAMS = Table("params ", (Field("A", "matrix", REQUIRED), Field("B", "
 GRID = Table("grid ", (
     Field("n_angles", "integer", disc.DEFAULT_N_ANGLES, ((">=", 8), ("<=", MAX_GRID_ANGLES))),
     Field("radii", "list", disc.DEFAULT_RADII, ((">", 0), ("<", 1)),
-          ("ascending, every grid point of modulus < 1",
-           lambda v, values: list(v) == sorted(v) and disc.grid_points_in_disc(v, values["n_angles"]))),
+          (f"at most {MAX_GRID_RADII} entries, ascending, every grid point of modulus < 1",
+           lambda v, values: len(v) <= MAX_GRID_RADII and list(v) == sorted(v)
+           and disc.grid_points_in_disc(v, values["n_angles"]))),
 ))
 # rigidity-check alone takes a derivative; the rule is wirtinger_dbar's own test, and a subnormal step makes
 # the Wirtinger quotient inf * 0 = nan
@@ -187,7 +190,8 @@ SCHEMA = {
             Field("dim", "integer", REQUIRED, ((">=", 1), ("<=", MAX_RANDOM_DIM))),
             Field("count", "integer", 1, ((">=", 1), ("<=", MAX_RANDOM_COUNT))),
         ))),
-        Field("t_list", "list", DEFAULT_T_LIST, ((">", 0),)),
+        Field("t_list", "list", DEFAULT_T_LIST, ((">", 0),),
+              (f"at most {MAX_T_LIST} entries", lambda v, values: len(v) <= MAX_T_LIST)),
     ), one_of=[("params", "params_file", "random")]),
     "recover-params": _command("recover-params", GRID, {"recover": 1e-10, "residual": 1e-9}, (
         Field("params", "object", table=PARAMS), Field("params_file", "string"),
@@ -412,8 +416,10 @@ def _flag_number(text, flag):
 
 def _with_flags(config, grid_radii_flag, tol_flags):
     """config with --grid-radii merged over its grid section and --tol NAME=VALUE flags over its tolerances."""
-    radii = [_flag_number(v, "--grid-radii") for v in grid_radii_flag.split(",")] if grid_radii_flag else None
-    flags = {"grid": {"radii": radii} if radii else {}, "tolerances": {}}
+    radii = None
+    if grid_radii_flag is not None:  # an empty value is a value, and fails the number check
+        radii = [_flag_number(v, "--grid-radii") for v in grid_radii_flag.split(",")]
+    flags = {"grid": {} if radii is None else {"radii": radii}, "tolerances": {}}
     for item in tol_flags or ():
         name, sep, value = item.partition("=")
         if not sep:

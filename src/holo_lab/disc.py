@@ -80,21 +80,20 @@ def circle_scale(r, ns):
 
 
 def circle_coefficients(values, r, ns):
-    """The coefficients a_n, n in ns, of sum_n a_n r^{|n|} e^{in theta} from its samples on circle(r, N).
+    """Coefficients a_n, n in ns, of sum_n a_n r^{|n|} e^{in theta} from its N = len(values) samples on circle(r, N).
 
-    a_n = r^{-|n|} (1/N) sum_k values_k e^{-2 pi i n k / N}, with N = len(values)
-    and values_k the sample at angle 2 pi k / N (a scalar or a matrix per
-    point): the Taylor coefficients of a function holomorphic on |z| <= r,
+    a_n = r^{-|n|} (1/N) sum_k values_k e^{-2 pi i n k / N}, values_k a scalar
+    or a matrix: the Taylor coefficients of a function holomorphic on |z| <= r,
     or the moments of a measure from its Poisson extension, up to aliasing of
-    the coefficients n + jN, which r^{-|n|} amplifies.  Every coefficient
-    must be finite: finite samples can still sum or scale past the float
-    range, and that raises ValueError.
+    the coefficients n + jN, which r^{-|n|} amplifies.  Finite samples can
+    still sum or scale past the float range: a coefficient that is not finite
+    raises ValueError.
     """
-    values = np.asarray(values)
+    values, ns = np.asarray(values), np.asarray(ns)
     N = len(values)
     scale = circle_scale(r, ns).reshape((-1,) + (1,) * (values.ndim - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # the test below reports an overflow
-        coefficients = (np.fft.fft(values, axis=0) / N)[np.asarray(ns) % N] * scale
+        coefficients = (np.fft.fft(values, axis=0) / N)[ns % N] * scale
     if not np.all(np.isfinite(coefficients)):
         raise ValueError(f"the coefficients on |z| = {r!r} are not finite")
     return coefficients

@@ -4,17 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the summary lines.
 Each test prints `criterion N: PASS/FAIL (worst=...)` before asserting, so a
 failing tolerance is visible alongside the measured value.
 """
-import json
 import os
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from holo_lab.cli import main as cli_main
 from holo_lab.disc import default_grid
 from holo_lab.factorization import (
-    FactorParams,
     master_residuals,
     pair_from_params,
     phi_jt,

@@ -586,6 +586,19 @@ class TestGridOptions:
         assert f"{cfg['command']}: unknown field(s) ['grid']" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["", " "])
+    @pytest.mark.parametrize("cfg", [
+        {"command": "rigidity-check", "function": "phi", "expect_verdict": "HYPOTHESIS_VIOLATED"},
+        {"command": "shift-sim", "order": 8, "n_check": 4},
+    ], ids=["rigidity-check", "shift-sim"])
+    def test_empty_grid_radii_flag_is_invalid(self, tmp_path, capsys, cfg, value):
+        # an empty value is a value: it goes through the flag's checks, not around them
+        code, report, _ = run_cli(tmp_path, cfg, "--grid-radii", value)
+        assert code == EXIT_INVALID
+        assert report is None
+        assert f"--grid-radii: {value!r} is not a number" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_report_bytes_stable_across_reruns(self, tmp_path):
         cfg = {

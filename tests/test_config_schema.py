@@ -196,7 +196,11 @@ PROBES = _probes()
 
 
 def _mutated(case, path, value):
-    cfg = json.loads(json.dumps(_base_configs()[case]))
+    return _mutated_config(_base_configs()[case], path, value)
+
+
+def _mutated_config(base, path, value):
+    cfg = json.loads(json.dumps(base))
     section = cfg
     for name in path[:-1]:
         section = section.setdefault(name, {})
@@ -556,6 +560,45 @@ class TestHerglotzSampleCap:
         assert cli._parse(cli.SCHEMA["herglotz-analyze"], cfg)["n_samples"] == cli.MAX_HERGLOTZ_SAMPLES
 
 
+class TestListLengthCaps:
+    """grid radii and t_list hold at most MAX_GRID_RADII and MAX_T_LIST entries, checked before any point is built."""
+
+    # name: (config, path to the list, cap, (module, function) that a list above the cap must not reach)
+    CASES = {
+        "grid radii": ({"command": "rigidity-check", "function": "phi", "expect_verdict": "HYPOTHESIS_VIOLATED"},
+                       ("grid", "radii"), cli.MAX_GRID_RADII, (cli.disc, "grid_points_in_disc")),
+        "t_list": ({"command": "factorize-verify", "params": {"dim": 1, "A": [[[0.0, 0.0]]], "B": [[[0.5, 0.0]]]},
+                    "grid": {"radii": [0.3, 0.9], "n_angles": 16}},
+                   ("t_list",), cli.MAX_T_LIST, (cli, "verify_factorization")),
+    }
+
+    @staticmethod
+    def _cfg(base, path, n):
+        values = [(k + 1) / (n + 1) for k in range(n)]  # ascending, in (0, 1), and t's within the budget
+        return _mutated_config(base, path, values)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_edge(self, name):
+        base, path, cap, _ = self.CASES[name]
+        code, report, err = run_config(self._cfg(base, path, cap))
+        assert code == EXIT_PASS, err
+        strict_json(report)
+
+    @pytest.mark.parametrize("n", [1, 10**4], ids=["one-over", "far-over"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_above_the_cap_is_rejected(self, monkeypatch, name, n):
+        base, path, cap, (module, builder) = self.CASES[name]
+
+        def no_points(*args, **kwargs):
+            raise AssertionError(f"a {name} above the cap reached {builder}")
+
+        monkeypatch.setattr(module, builder, no_points)
+        code, report, err = run_config(self._cfg(base, path, cap + n))
+        assert code == EXIT_INVALID, err
+        assert report is None
+        assert f"{name} must be a non-empty list of finite numbers > 0" in err and "at most" in err, err
+
+
 class TestOneMatrixReader:
     def test_only_cli_reads_json(self):
         # the [re, im] literal is read by the schema's matrix kind alone; the library takes arrays
@@ -631,7 +674,8 @@ class TestEveryExportIsRead:
         root = ast.parse((src / "__init__.py").read_text())
         assert not [node for node in ast.walk(root) if isinstance(node, (ast.Import, ast.ImportFrom))]
         submodules = {p.stem for p in src.glob("*.py")}
-        for path in [*src.glob("*.py"), *(p for d in ("tests", "perfbench", "tools") for p in (ROOT / d).glob("*.py"))]:
+        readers = [*src.glob("*.py"), *(p for d in ("tests", "perfbench", "tools") for p in (ROOT / d).glob("*.py"))]
+        for path in readers:
             for node in ast.walk(ast.parse(path.read_text())):
                 from_root = isinstance(node, ast.ImportFrom) and (node.module == "holo_lab" or node.level == 1
                                                                   and node.module is None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holo_lab.disc import DiscGrid, DomainError, default_grid, mobius_phi
+from holo_lab.disc import DomainError, default_grid, mobius_phi
 from holo_lab.factorization import pair_from_params, random_params
 from holo_lab.herglotz import atom_model, sample_boundary
 from holo_lab.rigidity import (

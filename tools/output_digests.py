@@ -5,6 +5,7 @@
 SRC is the `src` directory of the checkout under test; holo_lab is imported
 from there.  The jobs are those of perfbench/jobs.py in this repository: every
 job of the three workloads at seeds 0 and 7, each CLI job run with
+--emit-plots, and every golden config under tests/golden, run with --seed 1
 --emit-plots.  OUT.json maps each job to the exit code and the sha256 of every
 file its CLI run wrote, or, for a library job, to the repr of its result (full
 precision, no array summarised).  Run it on two checkouts and diff the two
@@ -25,6 +26,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
+GOLDEN_SEED = 1
 
 
 def _run_cli(job, work):
@@ -85,6 +87,11 @@ def main(argv=None):
                         digests[key] = _run_cli(job, work)
                     else:
                         digests[key] = _run_library(job)
+        for config in sorted((ROOT / "tests" / "golden").glob("*/config.json")):
+            work = Path(tmp, "golden-" + config.parent.name)
+            work.mkdir()
+            job = {"config": json.loads(config.read_text()), "seed": GOLDEN_SEED}
+            digests[f"golden {config.parent.name}"] = _run_cli(job, work)
     Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{len(digests)} jobs -> {args.out}")
 
