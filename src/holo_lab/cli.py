@@ -100,6 +100,15 @@ def _rule(field):
     return ", ".join(w for w in (bounds, *field.rule[:1]) if w)
 
 
+def _shown(value):
+    """repr(value), but every list longer than any config list (MAX_GRID_RADII) as its length and first 4 entries."""
+    if not isinstance(value, list):
+        return repr(value)
+    if len(value) > MAX_GRID_RADII:
+        return f"{len(value)} entries [{', '.join(map(_shown, value[:4]))}, ...]"
+    return f"[{', '.join(map(_shown, value))}]"
+
+
 def _value(field, value, values, label):
     """value read as `field` of the section whose messages start with label."""
     if field.kind == "object":
@@ -117,7 +126,8 @@ def _value(field, value, values, label):
     elif ok:
         ok = all(_COMPARE[op](value, b.value(values) if isinstance(b, Ref) else b) for op, b in field.bounds)
     if not ok or field.rule and not field.rule[1](value, values):
-        raise InvalidInput(f"{label}{field.name} must be {' '.join(filter(None, [what, _rule(field)]))}, got {value!r}")
+        raise InvalidInput(f"{label}{field.name} must be {' '.join(filter(None, [what, _rule(field)]))}, "
+                           f"got {_shown(value)}")
     try:
         return convert(value)
     except ValueError as exc:
@@ -348,21 +358,21 @@ def _run_herglotz(cfg, seed, emit_plots):
     M = cfg["n_moments"]
     args = {"r": cfg["r"], "N": cfg["n_samples"], "M": M, "tol_atom": cfg["tol_atom"]}
     if "function" in cfg:
-        approx, concentrated = herglotz.analyze(cfg["function"], **args)
+        approx = herglotz.analyze(cfg["function"], **args)
     else:
         # the schema has read r, N and M, so a ValueError is the params': atom_model rejects (A, B), or a sample
         # of Re h on |z| = r is not finite
         try:
             h = herglotz.atom_model(cfg["params"]["A"], cfg["params"]["B"])
-            approx, concentrated = herglotz.analyze(h, **args)
+            approx = herglotz.analyze(h, **args)
         except ValueError as exc:
             raise InvalidInput(f"herglotz-analyze params: {exc}") from exc
     moments = approx.moments  # moment(n) at index n + M
     sym = float(np.max(np.abs(moments[M::-1] - moments[M:].conj().swapaxes(-1, -2))))
     checks = [_check("moment_symmetry", sym, cfg["tolerances"]["moment_symmetry"])]
-    checks.append(_verdict_check("concentrated_at_1", cfg["expect_concentrated"], concentrated))
+    checks.append(_verdict_check("concentrated_at_1", cfg["expect_concentrated"], approx.concentrated))
     verdicts = {
-        "concentrated": concentrated,
+        "concentrated": approx.concentrated,
         "leak_mass": float(approx.leak_mass),
         "atom_norm": float(operator_norm(approx.atom_mass_at_1)),
     }
@@ -373,7 +383,7 @@ def _run_herglotz(cfg, seed, emit_plots):
         plots["moment_profile.csv"] = (["n", "moment_norm", "distance_to_atom"], [
             (n, float(a), float(b)) for n, a, b in zip(range(-M, M + 1), norms, distances)
         ])
-        thetas, mass = herglotz.arc_mass_profile(approx)
+        thetas, mass = herglotz.arc_mass_profile(moments)
         plots["arc_mass_profile.csv"] = (["theta", "fejer_mass_norm"], [
             (float(t), float(m)) for t, m in zip(thetas, mass)
         ])

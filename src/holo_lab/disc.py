@@ -156,9 +156,9 @@ DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
 DEFAULT_N_ANGLES = 64
 
 
-def default_grid(radii=DEFAULT_RADII, n_angles=DEFAULT_N_ANGLES):
-    """DiscGrid of the given radii and angle count, the ten default circles of 64 points unless told otherwise."""
-    return DiscGrid(radii=tuple(radii), n_angles=n_angles)
+def default_grid():
+    """The default DiscGrid: ten circles of 64 points."""
+    return DiscGrid(DEFAULT_RADII, DEFAULT_N_ANGLES)
 
 
 def wirtinger_dbar(f, z, h):

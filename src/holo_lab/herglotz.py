@@ -12,7 +12,7 @@ point 1, and the leaked (non-atomic) mass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,12 +21,10 @@ from .operators import as_matrix, operator_norm, re_part, require_self_adjoint
 from .rigidity import OperatorFunction
 
 __all__ = [
-    "BoundaryProfile",
     "HerglotzApprox",
     "sample_boundary",
     "estimate_moments",
     "atom_at_angle",
-    "default_tol_atom",
     "dirac_concentration_test",
     "herglotz_reconstruct",
     "atom_model",
@@ -45,35 +43,17 @@ MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class BoundaryProfile:
-    """Samples of Re h on the circle of radius r at N equispaced angles."""
-
-    r: float
-    samples: np.ndarray  # shape (N, d, d), self-adjoint slices
-
-    @property
-    def n_samples(self):
-        return self.samples.shape[0]
-
-
-@dataclass(frozen=True)
 class HerglotzApprox:
-    """Estimated moments of the boundary measure; analyze() returns a copy with atom and leak."""
+    """What analyze reads off the boundary measure: its moments, the atom at the point 1 and the leaked mass."""
 
-    r: float
-    M: int
-    moments: np.ndarray  # shape (2M + 1, d, d), index n + M
-    atom_mass_at_1: np.ndarray | None = None
-    leak_mass: float | None = None
-
-    def moment(self, n):
-        if abs(n) > self.M:
-            raise IndexError(f"moment index |{n}| exceeds M = {self.M}")
-        return self.moments[n + self.M]
+    moments: np.ndarray  # shape (2M + 1, d, d), moment n at index n + M
+    atom_mass_at_1: np.ndarray
+    leak_mass: float
+    concentrated: bool
 
 
 def sample_boundary(h, r, N):
-    """Sample Re h at N equispaced angles on the circle of radius r; every sample must be finite."""
+    """The (N, d, d) samples of Re h at N equispaced angles on the circle of radius r; every sample must be finite."""
     if not 0 < r < 1:
         raise DomainError("sample_boundary requires 0 < r < 1")
     if N < 16 or N & (N - 1):
@@ -83,54 +63,49 @@ def sample_boundary(h, r, N):
         samples = re_part(h(circle(r, N)))
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"Re h is not finite at every sample on |z| = {r!r}")
-    return BoundaryProfile(r=r, samples=samples)
+    return samples
 
 
-def estimate_moments(profile, M):
-    """Moments S-hat(n) = int e^{-int} dS(t) for |n| <= M, from one circle.
+def estimate_moments(samples, r, M):
+    """The (2M + 1, d, d) moments S-hat(n) = int e^{-int} dS(t), |n| <= M, moment n at index n + M.
 
-    moment(n) = r^{-|n|} * (1/N) * sum_k samples_k e^{-in theta_k}
-    (disc.circle_coefficients); the r^{-|n|} factor undoes the Poisson
-    smoothing, at the price of amplifying the O(r^{N-|n|}) aliasing wrap,
-    hence the M < N/4 margin.  Every moment must be finite: finite samples
-    can still sum past the float range, and that raises ValueError.
+    moment(n) = r^{-|n|} * (1/N) * sum_k samples_k e^{-in theta_k} over the
+    samples on circle(r, N) (disc.circle_coefficients); r^{-|n|} undoes the
+    Poisson smoothing, at the price of amplifying the O(r^{N-|n|}) aliasing
+    wrap, hence the M < N/4 margin.  Every moment must be finite: finite
+    samples can still sum past the float range, and that raises ValueError.
     """
-    N = profile.n_samples
+    N = len(samples)
     if not M < N / 4:
         raise ValueError(f"anti-aliasing margin requires M < N/4 (M={M}, N={N})")
     try:
-        moments = circle_coefficients(profile.samples, profile.r, np.arange(-M, M + 1))
+        return circle_coefficients(samples, r, np.arange(-M, M + 1))
     except ValueError:
-        raise ValueError(f"the moments of Re h on |z| = {profile.r!r} are not finite") from None
-    return HerglotzApprox(r=profile.r, M=M, moments=moments)
+        raise ValueError(f"the moments of Re h on |z| = {r!r} are not finite") from None
 
 
-def atom_at_angle(approx, theta0):
+def atom_at_angle(moments, theta0):
     """Wiener average (2M+1)^{-1} sum_n moment(n) e^{in theta0}.
 
     Converges to the point mass of the measure at angle theta0 as M grows;
     the diffuse part contributes O(1/M).
     """
-    ns = np.arange(-approx.M, approx.M + 1)
-    phase = np.exp(1j * ns * theta0)
-    return np.tensordot(phase, approx.moments, axes=(0, 0)) / (2 * approx.M + 1)
+    ns = np.arange(len(moments)) - len(moments) // 2
+    return np.tensordot(np.exp(1j * ns * theta0), moments, axes=(0, 0)) / len(moments)
 
 
-def default_tol_atom(approx):
-    return max(1e-2, 4 * operator_norm(approx.moment(0)) / approx.M)
-
-
-def dirac_concentration_test(approx, tol_atom=None):
+def dirac_concentration_test(moments, tol_atom=None):
     """Atom at the point 1, leaked mass, and whether the measure is one atom.
 
     leak = ||moment(0) - atom||; a measure concentrated at {1} (as the
-    rigidity argument forces) leaks only the O(1/M) Wiener error.
+    rigidity argument forces) leaks only the O(1/M) Wiener error, which the
+    default tol_atom, max(1e-2, 4 ||moment(0)|| / M), allows.
     """
+    M = len(moments) // 2
     if tol_atom is None:
-        tol_atom = default_tol_atom(approx)
-    atom = atom_at_angle(approx, 0.0)
-    atom = re_part(atom)
-    leak = operator_norm(approx.moment(0) - atom)
+        tol_atom = max(1e-2, 4 * operator_norm(moments[M]) / M)
+    atom = re_part(atom_at_angle(moments, 0.0))
+    leak = operator_norm(moments[M] - atom)
     return atom, leak, bool(leak <= tol_atom)
 
 
@@ -151,19 +126,18 @@ def atom_model(A, B):
     return OperatorFunction(A.shape[0], lambda z: herglotz_reconstruct(B, A, z), "atom-model")
 
 
-def arc_mass_profile(approx):
+def arc_mass_profile(moments):
     """Fejer-smoothed (nonnegative) arc-mass density at 360 equispaced angles, for plotting."""
-    ns = np.arange(-approx.M, approx.M + 1)
-    weights = 1 - np.abs(ns) / (approx.M + 1)
+    M = len(moments) // 2
+    ns = np.arange(-M, M + 1)
+    weights = 1 - np.abs(ns) / (M + 1)
     thetas = 2 * np.pi * np.arange(360) / 360
     phases = np.exp(1j * np.outer(thetas, ns)) * weights
-    density = np.tensordot(phases, approx.moments, axes=(1, 0))
+    density = np.tensordot(phases, moments, axes=(1, 0))
     return thetas, operator_norm(density)
 
 
 def analyze(h, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M, tol_atom=None):
     """Full pipeline: sample -> moments -> atom/leak."""
-    approx = estimate_moments(sample_boundary(h, r, N), M)
-    atom, leak, concentrated = dirac_concentration_test(approx, tol_atom=tol_atom)
-    approx = replace(approx, atom_mass_at_1=atom, leak_mass=leak)
-    return approx, concentrated
+    moments = estimate_moments(sample_boundary(h, r, N), r, M)
+    return HerglotzApprox(moments, *dirac_concentration_test(moments, tol_atom=tol_atom))

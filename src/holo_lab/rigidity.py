@@ -81,7 +81,6 @@ class RigidityReport:
     strip_ok: bool
     holo_residual: float
     constancy_deviation: float
-    recovered_constant: np.ndarray
     verdict: str
     dbar_residuals: np.ndarray  # max |dbar g| entry per point, in grid.points() order
 
@@ -107,8 +106,7 @@ def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8, stencil_h=DEFAULT_S
     dbar_residuals = np.max(np.abs(dbar), axis=(1, 2))
     holo_residual = float(dbar_residuals.max())
 
-    F0 = F(0)
-    deviation = float(operator_norm(values - F0).max())
+    deviation = float(operator_norm(values - F(0)).max())
 
     if strip_ok and holo_residual <= eps_holo and deviation <= eps_const:
         verdict = CONSTANT_CONFIRMED
@@ -116,14 +114,7 @@ def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8, stencil_h=DEFAULT_S
         verdict = HYPOTHESIS_VIOLATED
     else:
         verdict = INCONCLUSIVE
-    return RigidityReport(
-        strip_ok=strip_ok,
-        holo_residual=holo_residual,
-        constancy_deviation=deviation,
-        recovered_constant=F0,
-        verdict=verdict,
-        dbar_residuals=dbar_residuals,
-    )
+    return RigidityReport(strip_ok, holo_residual, deviation, verdict, dbar_residuals)
 
 
 BUILTIN_FUNCTIONS = {

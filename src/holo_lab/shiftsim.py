@@ -17,7 +17,6 @@ truncation, so no (dN) x (dN) matrix is formed.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,36 +145,27 @@ def laguerre_quadrature(basis_order=32):
     return LaguerreQuadrature(nodes=nodes, weights=weights, gram_residual=gram_residual)
 
 
-def shift_matrix_elements(t, N, quad):
-    """Matrix (m, n) -> <S_t l_m, l_n> = int_0^inf l_m(x) l_n(x + t) dx.
+def shift_matrix_elements(t, quad):
+    """Matrix (m, n) -> <S_t l_m, l_n> = int_0^inf l_m(x) l_n(x + t) dx, m, n < quad.basis_order.
 
     S_t translates by t and cuts at zero; substituting x -> x + t removes
     the cut, and the shifted integrand is smooth, so the Gauss-Laguerre
-    rule integrates it exactly (up to round-off) for N <= quad.basis_order.
+    rule integrates it exactly, up to round-off.  Its leading N x N block
+    holds the elements with m, n < N.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if N > quad.basis_order:
-        raise ValueError(f"N={N} exceeds quadrature basis order {quad.basis_order}")
-    if quad.gram_residual > 1e-8:
-        warnings.warn(
-            f"quadrature Gram residual {quad.gram_residual:.2e} exceeds 1e-8; "
-            "matrix elements may be inaccurate",
-            stacklevel=2,
-        )
-    x = quad.nodes
-    return _gram(laguerre_fns(N, x) * quad.weights, laguerre_fns(N, x + t))
+    K, x = quad.basis_order, quad.nodes
+    return _gram(laguerre_fns(K, x) * quad.weights, laguerre_fns(K, x + t))
 
 
 @dataclass(frozen=True)
 class ConjugationResult:
     """Dual-oracle comparison of shift matrix elements with symbol coefficients."""
 
-    residual: float  # for the matching sign convention; target c_{n-m} under "plain"
-    residual_alternating: float  # target (-1)^{n-m} c_{n-m}
+    residual: float  # for the matching convention: target c_{n-m}, or (-1)^{n-m} c_{n-m} under "alternating"
     convention: str  # "plain" or "alternating", whichever matched
     lower_violation: float  # max |<S_t l_m, l_n>| over n < m
-    column_energy: np.ndarray  # sum_n <S_t l_m, l_n>^2 over the full basis order
 
 
 def conjugation_check(t, n_check, quad):
@@ -185,26 +175,21 @@ def conjugation_check(t, n_check, quad):
     c_{n-m}(t) for 0 <= m <= n < n_check, under both admissible sign
     conventions for the basis (l_n vs (-1)^n l_n), and reports which one
     matches rather than silently picking.  Also reports the lower-triangle
-    violation and per-column energies (1 minus the truncation leak).
+    violation.
     """
-    N = quad.basis_order
-    if not n_check <= N / 2:
+    if not n_check <= quad.basis_order / 2:
         raise ValueError("n_check must be at most half the quadrature basis order")
-    S = shift_matrix_elements(t, N, quad)
+    S = shift_matrix_elements(t, quad)
     c = taylor_varphi_t(t, n_check)
     alternating = np.where(np.arange(n_check) % 2, -c, c)
     m, n = np.triu_indices(n_check)  # m <= n
     upper = S[m, n]
     res_plain = float(np.max(np.abs(upper - c[n - m])))
     res_alt = float(np.max(np.abs(upper - alternating[n - m])))
-    lower = np.max(np.abs(S[np.tril_indices(n_check, -1)]), initial=0.0)
-    convention = "plain" if res_plain <= res_alt else "alternating"
     return ConjugationResult(
         residual=min(res_plain, res_alt),
-        residual_alternating=res_alt,
-        convention=convention,
-        lower_violation=float(lower),
-        column_energy=np.sum(S[:n_check, :] ** 2, axis=1),
+        convention="plain" if res_plain <= res_alt else "alternating",
+        lower_violation=float(np.max(np.abs(S[np.tril_indices(n_check, -1)]), initial=0.0)),
     )
 
 

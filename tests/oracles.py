@@ -136,9 +136,9 @@ def split_additivity_check(h1, h2, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M):
         raise ValueError("h1 and h2 must share a dimension")
     eye = np.eye(h1.dim)
     phi_eye = OperatorFunction(h1.dim, lambda z: mobius_phi(z) * eye, "phi*I")
-    m1 = estimate_moments(sample_boundary(h1, r, N), M).moments
-    m2 = estimate_moments(sample_boundary(h2, r, N), M).moments
-    m = estimate_moments(sample_boundary(phi_eye, r, N), M).moments
+    m1 = estimate_moments(sample_boundary(h1, r, N), r, M)
+    m2 = estimate_moments(sample_boundary(h2, r, N), r, M)
+    m = estimate_moments(sample_boundary(phi_eye, r, N), r, M)
     return float(operator_norm(m1 + m2 - m).max())
 
 

@@ -140,16 +140,16 @@ def test_c4_herglotz_dirac_recovery():
         from holo_lab.disc import mobius_phi
 
         h = OperatorFunction(d, lambda z, A=A, B=B: 1j * A + mobius_phi(z) * B, "atom-model")
-        approx, concentrated = analyze(h, r=0.999, N=4096, M=64)
+        approx = analyze(h, r=0.999, N=4096, M=64)
         worst_coarse = max(worst_coarse, float(operator_norm(approx.atom_mass_at_1 - B)))
-        assert concentrated
+        assert approx.concentrated
         # at M = 256 the moment count forces a denser circle: N = 4096 leaves
         # an aliasing floor near 3.3e-2, above the 1.5e-2 target, so use the
         # next power-of-two sampling that resolves it
-        approx_fine, _ = analyze(h, r=0.999, N=16384, M=256)
+        approx_fine = analyze(h, r=0.999, N=16384, M=256)
         worst_fine = max(worst_fine, float(operator_norm(approx_fine.atom_mass_at_1 - B)))
     diffuse = OperatorFunction(2, lambda z: np.eye(2, dtype=complex), "diffuse")
-    _, diffuse_concentrated = analyze(diffuse, r=0.999, N=4096, M=64)
+    diffuse_concentrated = analyze(diffuse, r=0.999, N=4096, M=64).concentrated
     passed = worst_coarse <= 5e-2 and worst_fine <= 1.5e-2 and not diffuse_concentrated
     report_line(4, "Herglotz Dirac recovery", passed, max(worst_coarse, worst_fine))
     assert worst_coarse <= 5e-2

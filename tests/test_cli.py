@@ -24,7 +24,7 @@ from holo_lab.cli import (
     main,
     run,
 )
-from holo_lab.disc import default_grid
+from holo_lab.disc import DiscGrid
 from holo_lab.rigidity import BUILTIN_FUNCTIONS, rigidity_verdict
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -538,6 +538,18 @@ class TestGridOptions:
         code, _, _ = run_cli(tmp_path, cfg)
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("cfg, field", [
+        ({"command": "rigidity-check", "function": "phi", "grid": {"radii": [0.5] * 10**5}}, "grid radii"),
+        ({"command": "herglotz-analyze", "params": {"A": [[[0, 0]] * 10**5], "B": [[[1, 0]]]}}, "params A"),
+    ], ids=["list", "matrix-row"])
+    def test_long_value_is_not_echoed(self, tmp_path, capsys, cfg, field):
+        # the message gives a list's length and first entries, not all 10**5 of them
+        code, report, _ = run_cli(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID and report is None
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+        assert field in err and "100000 entries" in err
+
     def test_unknown_grid_field(self, tmp_path):
         cfg = {"command": "rigidity-check", "function": "phi", "grid": {"n_points": 10}}
         code, _, _ = run_cli(tmp_path, cfg)
@@ -559,7 +571,7 @@ class TestGridOptions:
                "grid": dict(grid, stencil_h=1e-3)}
         code, report, _ = run_cli(tmp_path, cfg)
         assert code == EXIT_PASS
-        phi, points = BUILTIN_FUNCTIONS["phi"], default_grid(**grid)
+        phi, points = BUILTIN_FUNCTIONS["phi"], DiscGrid(**grid)
         coarse = rigidity_verdict(phi, points, stencil_h=1e-3).holo_residual
         assert report["verdicts"]["holo_residual"] == coarse != rigidity_verdict(phi, points).holo_residual
 
@@ -758,7 +770,7 @@ class TestEmitPlots:
         assert lines[0] == "re_z,im_z,dbar_residual"
         assert len(lines) == 33
         column = np.array([float(line.split(",")[2]) for line in lines[1:]])
-        verdict = rigidity_verdict(BUILTIN_FUNCTIONS["linear"], default_grid(**grid))
+        verdict = rigidity_verdict(BUILTIN_FUNCTIONS["linear"], DiscGrid(**grid))
         assert np.array_equal(column, verdict.dbar_residuals)
         assert max(column) == report["verdicts"]["holo_residual"]
 

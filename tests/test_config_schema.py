@@ -636,6 +636,18 @@ class TestOneCircleTransform:
             assert negative_powers == (path.name == "disc.py"), path.name
 
 
+def run_readers():
+    """The files a run reads from: src/holo_lab, perfbench/ but its tests, and tools/."""
+    src = ROOT / "src" / "holo_lab"
+    return [*(p for p in src.glob("*.py") if p.name != "__init__.py"),
+            *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")),
+            *(ROOT / "tools").glob("*.py")]
+
+
+def holo_lab_modules():
+    return [p for p in sorted((ROOT / "src" / "holo_lab").glob("*.py")) if p.name not in ("__init__.py", "__main__.py")]
+
+
 class TestEveryExportIsRead:
     EXEMPT = set()
 
@@ -653,19 +665,14 @@ class TestEveryExportIsRead:
 
     def test_every_public_name_is_read_by_a_run(self):
         # a name only the tests read is a test oracle and lives in tests/oracles.py
-        src = ROOT / "src" / "holo_lab"
-        readers = [*(p for p in src.glob("*.py") if p.name != "__init__.py"),
-                   *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")),
-                   *(ROOT / "tools").glob("*.py")]
         read = set()
-        for path in readers:
+        for path in run_readers():
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
-        modules = [p for p in sorted(src.glob("*.py")) if p.name not in ("__init__.py", "__main__.py")]
-        unread = {(p.stem, name) for p in modules for name in self.public_definitions(p) if name not in read}
+        unread = {(p.stem, name) for p in holo_lab_modules() for name in self.public_definitions(p) if name not in read}
         assert unread == self.EXEMPT
 
     def test_package_root_exports_nothing(self):
@@ -681,6 +688,41 @@ class TestEveryExportIsRead:
                                                                   and node.module is None)
                 if from_root:
                     assert {alias.name for alias in node.names} <= submodules, path.name
+
+
+class TestEveryRecordFieldIsRead:
+    # a field or method that no run reads is work a run pays for and never sees; the tests compute their own
+    EXEMPT = set()
+
+    @staticmethod
+    def members(path):
+        """(class, name) of every annotated field and public method or property of the module's classes."""
+        members = []
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        members.append((cls.name, node.target.id))
+                    elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        members.append((cls.name, node.name))
+        return members
+
+    def test_every_field_and_method_is_read_by_a_run(self):
+        # a read is an attribute load, or a field name as a string, which _run_factorize passes to getattr
+        read = set()
+        for path in run_readers():
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+        unread = {(p.stem, *m) for p in holo_lab_modules() for m in self.members(p) if m[1] not in read}
+        assert unread == self.EXEMPT
+
+    def test_the_guard_sees_fields_methods_and_properties(self):
+        members = {m for p in holo_lab_modules() for m in self.members(p)}
+        assert {("RigidityReport", "verdict"), ("DiscGrid", "points"), ("LaguerreQuadrature", "basis_order"),
+                ("FactorParams", "dim")} <= members
 
 
 class TestStrictReport:
