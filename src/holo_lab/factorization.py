@@ -104,8 +104,8 @@ def random_params(rng, dim):
     return FactorParams(A=(A + A.conj().T) / 2, B=(B + B.conj().T) / 2)
 
 
-def build_h(params, j, z):
-    """h_1(z) = phi(z) B - i A or h_2(z) = phi(z) I - h_1(z), for j = 1 or 2.
+def build_h(A, B, j, z):
+    """h_1(z) = phi(z) B - i A or h_2(z) = phi(z) I - h_1(z), for j = 1 or 2, from (d, d) arrays A and B.
 
     A scalar z gives a (d, d) matrix, an (n,) array of z an (n, d, d) stack.
     """
@@ -114,8 +114,8 @@ def build_h(params, j, z):
     z = np.asarray(z, dtype=complex)
     _require_in_disc(z, "build_h")
     phi = np.asarray(mobius_phi(z))[..., None, None]
-    h1 = phi * params.B - 1j * params.A
-    return h1 if j == 1 else phi * np.eye(params.dim) - h1
+    h1 = phi * B - 1j * A
+    return h1 if j == 1 else phi * np.eye(len(A)) - h1
 
 
 def pair_from_params(params):
@@ -123,7 +123,7 @@ def pair_from_params(params):
 
     # the evaluators receive z shaped (n, 1, 1); build_h takes the flat points
     def psi(j):
-        return OperatorFunction(params.dim, lambda z: cayley(build_h(params, j, z.ravel())), f"psi{j}")
+        return OperatorFunction(params.dim, lambda z: cayley(build_h(params.A, params.B, j, z.ravel())), f"psi{j}")
 
     return FactorPair(psi1=psi(1), psi2=psi(2))
 
@@ -135,28 +135,22 @@ def phi_jt(params, j, t, z):
     """
     if t < 0:
         raise ValueError("phi_jt requires t >= 0")
-    return matrix_exp(-t * build_h(params, j, z))
+    return matrix_exp(-t * build_h(params.A, params.B, j, z))
 
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Worst residual per factorization axiom, plus the counts of points checked.
+    """Worst residual per factorization axiom.
 
     The product, commutation and semigroup residuals are Frobenius norms, at
     least the operator norm; contractivity_excess is the exact
     max(0, ||Q||_2 - 1).
-
-    n_checked counts (t, z) points inside the exponent-norm budget and
-    n_semigroup the (t, s, z) points, s following t in t_list, at which the
-    semigroup law was compared; factorize-verify rejects a report with either count 0.
     """
 
     product_residual: float
     commutation_residual: float
     contractivity_excess: float
     semigroup_residual: float
-    n_checked: int
-    n_semigroup: int
 
 
 # a slice with ||Q*Q||_inf <= (1 - CONTRACTION_MARGIN)**2 has ||Q||_2 < 1 with room for the
@@ -193,9 +187,12 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
     commute; (iii) each factor is a contraction; (iv) the semigroup law for
     consecutive t, s in t_list, against exp(-(t + s) h_j) computed
     directly.  (i), (ii) and (iv) are measured in the Frobenius norm, (iii)
-    in the operator norm.  Points whose exponent-norm estimate
-    t (||A|| + |phi(z)|) exceeds EXP_NORM_BUDGET are skipped; the report
-    counts the points checked.
+    in the operator norm.  A point is compared at t where the exponent-norm
+    estimate t (||A|| + |phi(z)|) is within EXP_NORM_BUDGET, and in the
+    semigroup law where t + s is (then t and s are too).  So every axiom is
+    compared somewhere exactly when t_list has two values and its two
+    smallest sum within the budget at some grid point; otherwise ValueError,
+    before any exponential.
     The grid is swept one circle at a time, each as one stack per
     (t, factor).  Every t must be finite and > 0.
     """
@@ -203,25 +200,28 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
     if not all(np.isfinite(t) and t > 0 for t in t_list):
         raise ValueError(f"t_list must hold finite values > 0, got {t_list}")
     a_norm = operator_norm(params.A)
+    circles = grid.circles()
+    # hypot gives abs(phi) of each point bit for bit (np.abs may not), so
+    # the points on the budget's edge do not depend on the batching
+    phi_abs = [np.hypot(phi.real, phi.imag) for phi in map(mobius_phi, circles)]
+
+    def budget_ok(t, circle_phi_abs):
+        with np.errstate(over="ignore"):  # a product that overflows to inf is over budget too
+            return t * (a_norm + circle_phi_abs) <= EXP_NORM_BUDGET
+
+    if len(t_list) < 2 or not any(budget_ok(t_list[0] + t_list[1], a).any() for a in phi_abs):
+        raise ValueError(
+            f"t_list {t_list} compares the semigroup law at no grid point: its two smallest values t, s need "
+            f"(t + s) (||A|| + |phi(z)|) <= EXP_NORM_BUDGET = {EXP_NORM_BUDGET:g} at some grid point"
+        )
     eye = np.eye(params.dim)
     prod_res = comm_res = contr_exc = semi_res = 0.0
-    n_checked = n_semigroup = 0
 
-    for zs in grid.circles():
-        phi = mobius_phi(zs)
-        # hypot gives abs(phi) of each point bit for bit (np.abs may not), so
-        # the points on the budget's edge do not depend on the batching
-        phi_abs = np.hypot(phi.real, phi.imag)
-        hs = (build_h(params, 1, zs), build_h(params, 2, zs))
-
-        def budget_ok(t):
-            with np.errstate(over="ignore"):  # a product that overflows to inf is over budget too
-                return t * (a_norm + phi_abs) <= EXP_NORM_BUDGET
-
+    for zs, circle_phi_abs in zip(circles, phi_abs):
+        hs = (build_h(params.A, params.B, 1, zs), build_h(params.A, params.B, 2, zs))
         factors = {}  # t -> (mask, phi_{1,t}, phi_{2,t}), factors only at the points in mask
         for t in t_list:
-            ok = budget_ok(t)
-            n_checked += int(np.count_nonzero(ok))
+            ok = budget_ok(t, circle_phi_abs)
             if not ok.any():
                 factors[t] = (ok, None, None)
                 continue
@@ -233,11 +233,10 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
             comm_res = max(comm_res, frobenius_norm(prod - Q2 @ Q1).max())
             contr_exc = max(contr_exc, _contractivity_excess(Q1), _contractivity_excess(Q2))
         for t, s in zip(t_list, t_list[1:]):
-            ok_t, ok_s = factors[t][0], factors[s][0]
-            ok = ok_t & ok_s & budget_ok(t + s)
-            n_semigroup += int(np.count_nonzero(ok))
+            ok = budget_ok(t + s, circle_phi_abs)  # inside the masks of t and of s
             if not ok.any():
                 continue
+            ok_t, ok_s = factors[t][0], factors[s][0]
             for j in (1, 2):
                 Pts = matrix_exp(-(t + s) * hs[j - 1][ok])
                 Pt, Ps = factors[t][j][ok[ok_t]], factors[s][j][ok[ok_s]]
@@ -247,8 +246,6 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
         commutation_residual=float(comm_res),
         contractivity_excess=contr_exc,
         semigroup_residual=float(semi_res),
-        n_checked=n_checked,
-        n_semigroup=n_semigroup,
     )
 
 
@@ -281,22 +278,24 @@ def master_residuals(pair, grid):
 
 
 def recover_params(pair, grid):
-    """Read (A, B) back off a factorizing pair.
+    """Read (A, B) back off a factorizing pair: (A, B, residual).
 
-    h_1(0) = inverse_cayley(psi1(0)) = B - iA fixes the parameters; the
-    returned residual max_z ||(I + psi1(z)) - h_1(z)(I - psi1(z))||_F
-    certifies that the pair really is of the classified exponential form.
+    h_1(0) = inverse_cayley(psi1(0)) = B - iA fixes the parameters, returned
+    as arrays, not FactorParams: a B read back with round-off may leave
+    0 <= B <= I by more than FactorParams allows.  The residual
+    max_z ||(I + psi1(z)) - h_1(z)(I - psi1(z))||_F certifies that the pair
+    really is of the classified exponential form.
     It is ic(psi1) = h_1 multiplied by I - psi1 on the right, inverts nothing
     (a numerically singular I - psi1 raises SingularityError) and bounds the
     first form: ||ic(psi1(z)) - h_1(z)|| <= ||(I + ic(psi1(z)))/2|| residual.
     """
     h10 = inverse_cayley(pair.psi1(0))
-    params = FactorParams(A=-im_part(h10), B=re_part(h10))
-    eye = np.eye(params.dim)
+    A, B = -im_part(h10), re_part(h10)
+    eye = np.eye(len(A))
     residual = 0.0
     for zs in grid.circles():
         P1 = pair.psi1(zs)
         _require_nonsingular(eye - P1)
-        dev = (eye + P1) - _product(build_h(params, 1, zs), eye - P1)
+        dev = (eye + P1) - _product(build_h(A, B, 1, zs), eye - P1)
         residual = max(residual, frobenius_norm(dev).max())
-    return params, float(residual)
+    return A, B, float(residual)

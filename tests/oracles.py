@@ -5,6 +5,8 @@ check the library from a second direction:
 
 - poisson_factor, the Poisson kernel at the point 1;
 - numerical_abscissa, which bounds the norm of a matrix exponential;
+- inside_budget, the exponent-norm budget of factorization.verify_factorization
+  at one point;
 - L_transform, the scalar g-transform, and recover_F, its exact inverse;
 - h_split, the paper's route g -> h_1 = g/(1 - z), h_2 = phi I - h_1, which
   factorization.build_h states directly in (A, B);
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from holo_lab.disc import DomainError, _maybe_scalar, _require_in_disc, mobius_phi
+from holo_lab.factorization import EXP_NORM_BUDGET
 from holo_lab.herglotz import DEFAULT_M, DEFAULT_N, DEFAULT_R, estimate_moments, sample_boundary
 from holo_lab.operators import operator_norm, re_part
 from holo_lab.rigidity import OperatorFunction, g_transform
@@ -44,6 +47,15 @@ def poisson_factor(z):
 def numerical_abscissa(M):
     """Largest eigenvalue of (M + M*)/2; bounds log of the norm of e^M."""
     return float(np.linalg.eigvalsh(re_part(M))[-1])
+
+
+def inside_budget(t, a_norm, z):
+    """t (||A|| + |phi(z)|) <= EXP_NORM_BUDGET at the one point z, a_norm = ||A||, in Python floats.
+
+    verify_factorization compares a factor at (t, z) and the semigroup law of
+    consecutive t, s at z exactly where this holds for t and for t + s.
+    """
+    return t * (a_norm + abs(complex(mobius_phi(z)))) <= EXP_NORM_BUDGET
 
 
 def L_transform(f):

@@ -168,11 +168,11 @@ def test_c5_master_equation_and_classification():
         rep = verify_factorization(params, grid=GRID)
         worst_factor = max(worst_factor, rep.product_residual, rep.commutation_residual,
                            rep.contractivity_excess, rep.semigroup_residual)
-        recovered, _ = recover_params(pair, grid=GRID)
+        A, B, _ = recover_params(pair, grid=GRID)
         worst_roundtrip = max(
             worst_roundtrip,
-            float(np.max(np.abs(recovered.A - params.A))),
-            float(np.max(np.abs(recovered.B - params.B))),
+            float(np.max(np.abs(A - params.A))),
+            float(np.max(np.abs(B - params.B))),
         )
     passed = worst_master <= 1e-10 and worst_factor <= 1e-8 and worst_roundtrip <= 1e-10
     report_line(

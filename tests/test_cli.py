@@ -322,6 +322,34 @@ class TestExitCodes:
         assert report is None
         assert "semigroup law" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_list", [[5000.0, 6000.0], [2500.0, 2500.0]],
+                             ids=["over-the-budget-everywhere", "sum-over-the-budget-everywhere"])
+    def test_semigroup_law_compared_nowhere_is_invalid(self, tmp_path, capsys, t_list):
+        # one message for every t_list that compares nothing; |phi| is least at z = -0.95, 0.05 / 1.95, where
+        # t = 2500 is within the budget and 5000 is not
+        cfg = {
+            "command": "factorize-verify",
+            "params": scalar_params_json(0.0, 0.5),
+            "t_list": t_list,
+            "grid": {"radii": [0.3, 0.95], "n_angles": 16},
+        }
+        code, report, _ = run_cli(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID and report is None
+        assert err.count("\n") == 1 and "semigroup law" in err and "EXP_NORM_BUDGET" in err, err
+
+    @pytest.mark.parametrize("dim, a, expected", [
+        (2, 300.0, EXIT_PASS), (2, 1000.0, EXIT_PASS), (2, 1e4, EXIT_FAIL), (2, 1e6, EXIT_FAIL), (1, 1e5, EXIT_FAIL),
+    ])
+    def test_recovered_b_is_a_measurement(self, tmp_path, dim, a, expected):
+        # B = diag(1, 0) (or 1) read back with round-off leaves 0 <= B <= I by more than 1e-12; the run
+        # compares it with the tolerances, and never exits 3
+        A = a * (np.ones((dim, dim)) - np.eye(dim)) if dim > 1 else np.array([[a]])
+        B = np.diag([1.0, 0.0][:dim])
+        cfg = {"command": "recover-params", "params": {"dim": dim, "A": matrix_json(A), "B": matrix_json(B)}}
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == expected, report
+
     @pytest.mark.parametrize(
         "cfg, field",
         [
@@ -373,6 +401,7 @@ class TestExitCodes:
             ({"command": "shift-sim", "order": 100000}, "order"),
             ({"command": "shift-sim", "order": 32, "n_check": 17}, "n_check"),
             ({"command": "shift-sim", "n_check": 0}, "n_check"),
+            ({"command": "shift-sim", "n_check": 1}, "n_check"),
             ({"command": "rigidity-check", "function": "phi", "grid": {"n_angles": "x"}}, "n_angles"),
             ({"command": "rigidity-check", "function": "phi", "grid": {"n_angles": 4}}, "n_angles"),
             ({"command": "rigidity-check", "function": "phi", "grid": {"stencil_h": "x"}}, "stencil_h"),
@@ -388,7 +417,7 @@ class TestExitCodes:
             "n_samples-string", "n_samples-1e9", "n_samples-not-power-of-two", "n_samples-above-cap",
             "r-outside-disc", "r-nan", "n_moments-zero", "n_moments-aliasing", "t-negative", "t-inf",
             "order-zero", "order-fraction", "order-above-cap",
-            "n_check-above-half-order", "n_check-zero", "n_angles-string", "n_angles-too-few",
+            "n_check-above-half-order", "n_check-zero", "n_check-one", "n_angles-string", "n_angles-too-few",
             "stencil_h-string", "stencil_h-negative", "random-dim-zero", "random-dim-bool",
             "random-count-zero", "random-dim-above-cap", "random-count-above-cap",
             "n_angles-above-cap",
@@ -549,6 +578,14 @@ class TestGridOptions:
         assert code == EXIT_INVALID and report is None
         assert err.count("\n") == 1 and len(err.encode()) < 1024
         assert field in err and "100000 entries" in err
+
+    def test_long_list_is_rejected_before_its_entries(self, tmp_path, capsys):
+        # 17 entries are too many for any config list, whatever they hold
+        cfg = {"command": "rigidity-check", "function": "phi", "grid": {"radii": [0.05 * k for k in range(1, 17)] + ["x"]}}
+        code, report, _ = run_cli(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID and report is None
+        assert "grid radii must be" in err and "17 entries" in err and "entry must be" not in err, err
 
     def test_unknown_grid_field(self, tmp_path):
         cfg = {"command": "rigidity-check", "function": "phi", "grid": {"n_points": 10}}

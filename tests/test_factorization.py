@@ -28,7 +28,7 @@ from holo_lab.operators import (
     re_part,
 )
 from holo_lab.rigidity import OperatorFunction, constant_function, g_transform
-from oracles import h_split, numerical_abscissa, poisson_factor
+from oracles import h_split, inside_budget, numerical_abscissa, poisson_factor
 
 # expm-heavy sweeps use a thinned grid; identities are z-pointwise so
 # coverage in z, not density, is what matters
@@ -67,18 +67,18 @@ class TestBuildH1:
     def test_examples(self):
         eye = np.eye(2)
         p = FactorParams(A=0 * eye, B=eye)
-        np.testing.assert_allclose(build_h(p, 1, 0.5), 3 * eye)
+        np.testing.assert_allclose(build_h(p.A, p.B, 1, 0.5), 3 * eye)
 
         p2 = FactorParams(A=1.5 * eye, B=0 * eye)
         for z in (0.0, 0.3j, -0.5):
-            np.testing.assert_allclose(build_h(p2, 1, z), -1.5j * eye)
+            np.testing.assert_allclose(build_h(p2.A, p2.B, 1, z), -1.5j * eye)
 
         p3 = FactorParams(A=np.diag([1.0, -1.0]), B=0.5 * eye)
-        np.testing.assert_allclose(build_h(p3, 1, 0), 0.5 * eye - 1j * np.diag([1.0, -1.0]))
+        np.testing.assert_allclose(build_h(p3.A, p3.B, 1, 0), 0.5 * eye - 1j * np.diag([1.0, -1.0]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            build_h(scalar_params(0.0, 0.5), 1, 1.0)
+            build_h(np.zeros((1, 1)), np.full((1, 1), 0.5), 1, 1.0)
 
 
 class TestBuildH:
@@ -93,8 +93,8 @@ class TestBuildH:
         pair = pair_from_params(p)
         for j, psi in ((1, pair.psi1), (2, pair.psi2)):
             for t in (0.5, 2.0):
-                assert np.array_equal(phi_jt(p, j, t, z), matrix_exp(-t * build_h(p, j, z)))
-            assert np.array_equal(psi(z), cayley(build_h(p, j, z)))
+                assert np.array_equal(phi_jt(p, j, t, z), matrix_exp(-t * build_h(p.A, p.B, j, z)))
+            assert np.array_equal(psi(z), cayley(build_h(p.A, p.B, j, z)))
 
     @pytest.mark.parametrize("d, z", CASES, ids=IDS)
     def test_real_parts_split_the_poisson_factor(self, d, z):
@@ -103,7 +103,7 @@ class TestBuildH:
         P = np.asarray(poisson_factor(z))[..., None, None]
         for j, mass in ((1, p.B), (2, np.eye(d) - p.B)):
             expected = P * mass
-            error = frobenius_norm(re_part(build_h(p, j, z)) - expected)
+            error = frobenius_norm(re_part(build_h(p.A, p.B, j, z)) - expected)
             assert np.all(error <= 1e-13 * frobenius_norm(expected)), np.max(error / frobenius_norm(expected))
 
     @pytest.mark.parametrize("d", [1, 4])
@@ -118,16 +118,16 @@ class TestBuildH:
         eps = np.finfo(float).eps
         bound = 4 * eps * (1 + np.abs(mobius_phi(z))) * (frobenius_norm(p.A) + frobenius_norm(p.B) + np.sqrt(d))
         for j, h in ((1, h1), (2, h2)):
-            assert np.all(frobenius_norm(h(z) - build_h(FactorParams(A=-p.A, B=p.B), j, z)) <= bound)
-            assert np.all(frobenius_norm(h(z) - build_h(p, j, z)) > bound)  # the sign of A matters
+            assert np.all(frobenius_norm(h(z) - build_h(-p.A, p.B, j, z)) <= bound)
+            assert np.all(frobenius_norm(h(z) - build_h(p.A, p.B, j, z)) > bound)  # the sign of A matters
 
     def test_validation(self):
         p = scalar_params(0.0, 0.5)
         with pytest.raises(ValueError, match="j must be 1 or 2"):
-            build_h(p, 3, 0.5)
+            build_h(p.A, p.B, 3, 0.5)
         for z in (1.0, 1j, np.array([0.5, -1.0])):
             with pytest.raises(DomainError):
-                build_h(p, 2, z)
+                build_h(p.A, p.B, 2, z)
 
 
 class TestPairFromParams:
@@ -179,7 +179,7 @@ class TestPhiJt:
         for d in (1, 3):
             p = random_params(rng, d)
             for j in (1, 2):
-                np.testing.assert_array_equal(build_h(p, j, zs), np.stack([build_h(p, j, z) for z in zs]))
+                np.testing.assert_array_equal(build_h(p.A, p.B, j, zs), np.stack([build_h(p.A, p.B, j, z) for z in zs]))
             for j in (1, 2):
                 stacked = phi_jt(p, j, 0.75, zs)
                 assert np.array_equal(stacked, np.stack([phi_jt(p, j, 0.75, z) for z in zs]))
@@ -187,6 +187,35 @@ class TestPhiJt:
     def test_array_domain(self):
         with pytest.raises(DomainError):
             phi_jt(scalar_params(0.0, 0.5), 1, 1.0, np.array([0.5, 1.0]))
+
+
+def exp_slices(monkeypatch):
+    """A list that gets the slice count of every stack verify_factorization passes to matrix_exp."""
+    slices, exp = [], factorization.matrix_exp
+
+    def spy(M):
+        slices.append(len(M))
+        return exp(M)
+
+    monkeypatch.setattr(factorization, "matrix_exp", spy)
+    return slices
+
+
+def budget_points(params, grid, t_list):
+    """(factor points, semigroup points) from the definition, point by point.
+
+    The factor points are the (t, z) with t inside the exponent-norm budget,
+    the semigroup points the (t, s, z), s following t in sorted t_list, with
+    t, s and t + s inside it.
+    """
+    a_norm = operator_norm(params.A)
+    t_list = sorted(t_list)
+    factor = semigroup = 0
+    for z in grid.points():
+        factor += sum(inside_budget(t, a_norm, z) for t in t_list)
+        semigroup += sum(inside_budget(t, a_norm, z) and inside_budget(s, a_norm, z)
+                         and inside_budget(t + s, a_norm, z) for t, s in zip(t_list, t_list[1:]))
+    return factor, semigroup
 
 
 class TestVerifyFactorization:
@@ -197,70 +226,106 @@ class TestVerifyFactorization:
     def test_commuting_diagonal(self):
         # oracle: [iA - phi B, -iA - phi(I-B)] = 0 by direct expansion
         p = FactorParams(A=np.diag([1.0, -1.0]), B=np.diag([1.0, 0.0]))
-        rep = verify_factorization(p, t_list=(1.0,), grid=FAST_GRID)
+        rep = verify_factorization(p, t_list=(0.5, 1.0), grid=FAST_GRID)
         assert max(axiom_residuals(rep)) <= 1e-9
 
-    def test_random(self):
-        rng = np.random.default_rng(2)
-        rep = verify_factorization(random_params(rng, 3), grid=FAST_GRID)
-        assert rep.n_semigroup > 0
+    def test_random(self, monkeypatch):
+        p = random_params(np.random.default_rng(2), 3)
+        slices = exp_slices(monkeypatch)
+        rep = verify_factorization(p, grid=FAST_GRID)
         assert max(axiom_residuals(rep)) <= 1e-8
         # the budget may skip the far corner (t=2 near z=0.95) for large ||A||:
         # at most 20 of the 4 * 64 (t, z) points
-        assert rep.n_checked >= 236
+        factor, semigroup = budget_points(p, FAST_GRID, DEFAULT_T_LIST)
+        assert factor >= 236 and semigroup > 0
+        assert sum(slices) == 2 * (factor + semigroup)
 
     def test_degenerate_edges(self):
         for b in (0.0, 1.0):
             rep = verify_factorization(scalar_params(0.7, b), t_list=(0.5, 1.0), grid=FAST_GRID)
             assert max(axiom_residuals(rep)) <= 1e-12
 
-    def test_budget_skipping(self):
-        rep = verify_factorization(scalar_params(0.0, 1.0), t_list=(50.0,), grid=FAST_GRID)
-        assert rep.n_checked < len(FAST_GRID.points())
+    def test_budget_skipping(self, monkeypatch):
+        # t + s = 100 is inside the budget only where |phi| <= 1, on the left half of the disc
+        slices = exp_slices(monkeypatch)
+        verify_factorization(scalar_params(0.0, 1.0), t_list=(50.0, 50.0), grid=FAST_GRID)
+        assert 0 < sum(slices) < 2 * 3 * len(FAST_GRID.points())
 
-    def test_budget_counts(self):
-        # oracle: the counts straight from the definition, point by point
-        rng = np.random.default_rng(10)
-        p = random_params(rng, 2)
+    def test_budget_counts(self, monkeypatch):
+        # oracle: two factors at each factor point and two at each semigroup point, from the definition
+        p = random_params(np.random.default_rng(10), 2)
         t_list = (0.5, 1.0, 1.0, 2.0, 2.5)
-        a_norm = operator_norm(p.A)
-
-        def ok(t, z):
-            return t * (a_norm + abs(mobius_phi(z))) <= EXP_NORM_BUDGET
-
-        checked = semigroup = 0
-        for z in FAST_GRID.points():
-            checked += sum(ok(t, z) for t in t_list)
-            semigroup += sum(ok(t, z) and ok(s, z) and ok(t + s, z) for t, s in zip(t_list, t_list[1:]))
+        factor, semigroup = budget_points(p, FAST_GRID, t_list)
+        n = len(FAST_GRID.points())
+        assert 0 < factor < len(t_list) * n and 0 < semigroup < (len(t_list) - 1) * n
+        slices = exp_slices(monkeypatch)
         rep = verify_factorization(p, t_list=t_list, grid=FAST_GRID)
-        assert 0 < rep.n_checked < len(t_list) * len(FAST_GRID.points())
-        assert 0 < rep.n_semigroup < (len(t_list) - 1) * len(FAST_GRID.points())
-        assert (rep.n_checked, rep.n_semigroup) == (checked, semigroup)
+        assert sum(slices) == 2 * (factor + semigroup)
         assert max(axiom_residuals(rep)) <= 1e-8
 
-    def test_nothing_checked_does_not_pass(self):
-        rep = verify_factorization(scalar_params(0.0, 0.5), t_list=(5000.0,), grid=FAST_GRID)
-        assert rep.n_checked == 0 and rep.n_semigroup == 0
-        assert max(axiom_residuals(rep)) == 0.0
+    def test_nothing_checked_does_not_pass(self, monkeypatch):
+        slices = exp_slices(monkeypatch)
+        with pytest.raises(ValueError, match="EXP_NORM_BUDGET"):
+            verify_factorization(scalar_params(0.0, 0.5), t_list=(5000.0, 6000.0), grid=FAST_GRID)
+        assert slices == []
 
-    def test_semigroup_points_counted(self):
-        # oracle: the (t, s, z) points with t, s and t + s inside the budget, from the definition
-        rng = np.random.default_rng(10)
-        p = random_params(rng, 2)
-        t_list = (0.5, 1.0, 1.0, 2.0, 2.5)
+    def test_semigroup_points_counted(self, monkeypatch):
+        # a point inside the budget at t + s is inside it at t and at s, so the semigroup law is compared
+        # wherever t + s is inside it; t_lists across the budget's edge, unsorted, with repeats
+        rng = np.random.default_rng(11)
+        slices = exp_slices(monkeypatch)
+        for d in (1, 2, 3):
+            p = random_params(rng, d)
+            a_norm = operator_norm(p.A)
+            for t_list in [rng.uniform(0.5, 30.0, size=4) for _ in range(3)] + [(20.0, 2.0, 20.0)]:
+                t_list = tuple(float(t) for t in t_list)
+                factor, semigroup = budget_points(p, FAST_GRID, t_list)
+                ts = sorted(t_list)
+                assert semigroup == sum(inside_budget(t + s, a_norm, z)
+                                        for z in FAST_GRID.points() for t, s in zip(ts, ts[1:]))
+                del slices[:]
+                verify_factorization(p, t_list=t_list, grid=FAST_GRID)
+                assert 0 < semigroup and sum(slices) == 2 * (factor + semigroup)
+
+    def test_two_smallest_t_over_the_budget_do_not_pass(self, monkeypatch):
+        # |phi| is least at z = -0.95, 0.05 / 1.95: t = 2500 is inside the budget there, and 5000 nowhere
+        p = scalar_params(0.0, 0.5)
+        factor, semigroup = budget_points(p, FAST_GRID, (2500.0, 2500.0))
+        assert factor > 0 and semigroup == 0
+        slices = exp_slices(monkeypatch)
+        with pytest.raises(ValueError, match="EXP_NORM_BUDGET"):
+            verify_factorization(p, t_list=(2500.0, 2500.0), grid=FAST_GRID)
+        assert slices == []
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_raises_exactly_where_no_semigroup_point(self, d, monkeypatch):
+        # t_lists whose two smallest values sum to x, for x across the budget's edge at the point of least
+        # ||A|| + |phi|: ulp by ulp, and in steps of 1e-3
+        p = random_params(np.random.default_rng(12 + d), d)
         a_norm = operator_norm(p.A)
-
-        def ok(t, z):
-            return t * (a_norm + abs(mobius_phi(z))) <= EXP_NORM_BUDGET
-
-        expected = sum(
-            ok(t, z) and ok(s, z) and ok(t + s, z)
-            for z in FAST_GRID.points()
-            for t, s in zip(t_list, t_list[1:])
-        )
-        rep = verify_factorization(p, t_list=t_list, grid=FAST_GRID)
-        assert 0 < expected < (len(t_list) - 1) * len(FAST_GRID.points())
-        assert rep.n_semigroup == expected
+        edge = EXP_NORM_BUDGET / min(a_norm + abs(complex(mobius_phi(z))) for z in FAST_GRID.points())
+        xs = [edge * (1 + k * 1e-3) for k in range(-3, 4)]
+        x = edge
+        for _ in range(8):
+            x = np.nextafter(x, 0)
+        for _ in range(16):
+            xs.append(float(x))
+            x = np.nextafter(x, np.inf)
+        slices = exp_slices(monkeypatch)
+        outcomes = set()
+        for x in xs:
+            for t_list in ((x / 2, x / 2), (3 * x / 4, x / 4, x)):
+                _, semigroup = budget_points(p, FAST_GRID, t_list)
+                del slices[:]
+                if semigroup:
+                    verify_factorization(p, t_list=t_list, grid=FAST_GRID)
+                    assert sum(slices) > 0
+                else:
+                    with pytest.raises(ValueError, match="EXP_NORM_BUDGET"):
+                        verify_factorization(p, t_list=t_list, grid=FAST_GRID)
+                    assert slices == []
+                outcomes.add(semigroup > 0)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("t_list", [(0.0, 1.0), (-1.0, 1.0), (float("nan"),), (1.0, float("inf"))])
     def test_t_must_be_positive_and_finite(self, t_list):
@@ -268,11 +333,12 @@ class TestVerifyFactorization:
         with pytest.raises(ValueError, match="t_list"):
             verify_factorization(scalar_params(0.0, 0.5), t_list=t_list, grid=FAST_GRID)
 
-    def test_no_semigroup_point_does_not_pass(self):
-        # one t gives no (t, s) pair: the other three axioms are checked, the semigroup law is not
-        rep = verify_factorization(scalar_params(0.0, 0.5), t_list=(1.0,), grid=FAST_GRID)
-        assert rep.n_checked > 0 and rep.n_semigroup == 0
-        assert max(axiom_residuals(rep)) <= 1e-12
+    def test_no_semigroup_point_does_not_pass(self, monkeypatch):
+        # one t gives no (t, s) pair: the semigroup law would be compared nowhere
+        slices = exp_slices(monkeypatch)
+        with pytest.raises(ValueError, match="EXP_NORM_BUDGET"):
+            verify_factorization(scalar_params(0.0, 0.5), t_list=(1.0,), grid=FAST_GRID)
+        assert slices == []
 
     def test_exponent_commutation(self):
         rng = np.random.default_rng(3)
@@ -364,9 +430,9 @@ class TestNearTheCircle:
         params = scalar_params(0.0, 0.5) if d == 1 else random_params(np.random.default_rng(4), 4)
         pair = pair_from_params(params)
         assert master_residuals(pair, grid=self.GRID).max() <= 1e-10
-        recovered, residual = recover_params(pair, grid=self.GRID)
+        A, B, residual = recover_params(pair, grid=self.GRID)
         assert residual <= 1e-9
-        assert np.max(np.abs(recovered.A - params.A)) <= 1e-10 and np.max(np.abs(recovered.B - params.B)) <= 1e-10
+        assert np.max(np.abs(A - params.A)) <= 1e-10 and np.max(np.abs(B - params.B)) <= 1e-10
 
 
 class TestRecoverParams:
@@ -374,22 +440,22 @@ class TestRecoverParams:
         rng = np.random.default_rng(7)
         for dim in (1, 2, 4):
             p = random_params(rng, dim)
-            rec, residual = recover_params(pair_from_params(p), grid=FAST_GRID)
-            assert np.max(np.abs(rec.A - p.A)) <= 1e-10
-            assert np.max(np.abs(rec.B - p.B)) <= 1e-10
+            A, B, residual = recover_params(pair_from_params(p), grid=FAST_GRID)
+            assert np.max(np.abs(A - p.A)) <= 1e-10
+            assert np.max(np.abs(B - p.B)) <= 1e-10
             assert residual <= 1e-9
 
     def test_shift_pair(self):
         pair = pair_from_params(FactorParams(A=np.zeros((2, 2)), B=np.eye(2)))
-        rec, _ = recover_params(pair, grid=FAST_GRID)
-        np.testing.assert_allclose(rec.A, 0, atol=1e-12)
-        np.testing.assert_allclose(rec.B, np.eye(2), atol=1e-12)
+        A, B, _ = recover_params(pair, grid=FAST_GRID)
+        np.testing.assert_allclose(A, 0, atol=1e-12)
+        np.testing.assert_allclose(B, np.eye(2), atol=1e-12)
 
     def test_constant_minus_identity_pair(self):
         pair = pair_from_params(FactorParams(A=np.zeros((2, 2)), B=np.zeros((2, 2))))
-        rec, _ = recover_params(pair, grid=FAST_GRID)
-        np.testing.assert_allclose(rec.A, 0, atol=1e-12)
-        np.testing.assert_allclose(rec.B, 0, atol=1e-12)
+        A, B, _ = recover_params(pair, grid=FAST_GRID)
+        np.testing.assert_allclose(A, 0, atol=1e-12)
+        np.testing.assert_allclose(B, 0, atol=1e-12)
 
 
 # round-off allowance for comparing two computed norms of one matrix
@@ -400,7 +466,7 @@ def residuals(params, grid=FAST_GRID):
     """The five Frobenius-bounded residuals of params, and the report they come from."""
     pair = pair_from_params(params)
     rep = verify_factorization(params, grid=grid)
-    _, recover = recover_params(pair, grid=grid)
+    *_, recover = recover_params(pair, grid=grid)
     master = master_residuals(pair, grid=grid).max()
     return (rep.product_residual, rep.commutation_residual, rep.semigroup_residual, master, recover), rep
 
@@ -417,7 +483,6 @@ class TestFrobeniusResiduals:
         for f, e in zip(fro, exact):
             assert e <= f * NORM_SLACK and f <= np.sqrt(d) * e * NORM_SLACK
         assert exact_rep.contractivity_excess == rep.contractivity_excess
-        assert (exact_rep.n_checked, exact_rep.n_semigroup) == (rep.n_checked, rep.n_semigroup)
 
 
 PLANT = 1e-6
@@ -464,8 +529,8 @@ class TestPlantedErrorsAreCaught:
     def test_recover(self):
         # h_1(z) + p z I agrees with the recovered h1 at z = 0 only; |z| = 0.95 on the outer circle
         params = random_params(np.random.default_rng(32), 3)
-        psi1 = OperatorFunction(3, lambda z: cayley(build_h(params, 1, z.ravel()) + PLANT * z * np.eye(3)), "psi1")
-        _, residual = recover_params(FactorPair(psi1=psi1, psi2=pair_from_params(params).psi2), grid=FAST_GRID)
+        psi1 = OperatorFunction(3, lambda z: cayley(build_h(params.A, params.B, 1, z.ravel()) + PLANT * z * np.eye(3)), "psi1")
+        *_, residual = recover_params(FactorPair(psi1=psi1, psi2=pair_from_params(params).psi2), grid=FAST_GRID)
         assert residual >= PLANT
 
 
