@@ -44,8 +44,8 @@ EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_INTERNAL = 0, 1, 2, 3
 MAX_HERGLOTZ_SAMPLES = 2**16
 MAX_HERGLOTZ_ENTRIES = 2**20
 MAX_SHIFT_ORDER = 256
-# or hours: factorize-verify takes 1.5 s at dim 16 on the default grid, and
-# 519 s and 184 MB at all five caps below (2 vCPUs; see the README)
+# or hours: factorize-verify takes 0.7 s at dim 16 on the default grid, and
+# 290 s and 84 MB at all five caps below (2 vCPUs; see the README)
 MAX_RANDOM_DIM = 16
 MAX_RANDOM_COUNT = 8
 MAX_GRID_ANGLES = 1024

@@ -27,6 +27,7 @@ from .operators import (
     _require_nonsingular,
     as_matrix,
     cayley,
+    exp_sweep,
     frobenius_norm,
     im_part,
     inverse_cayley,
@@ -56,8 +57,11 @@ __all__ = [
 # every t must be > 0: at t = 0 each factor is I and every check compares nothing
 DEFAULT_T_LIST = (0.25, 0.5, 1.0, 2.0)
 
-# matrix_exp is trusted for exponent norms up to this; points beyond are skipped
+# the exponentials are trusted for exponent norms up to this; points beyond are skipped
 EXP_NORM_BUDGET = 100.0
+
+# (t, z) slices per exp_sweep call: the default t_list's 7 multipliers on one 64-point circle
+_SWEEP_SLICES = 7 * 64
 
 
 @dataclass(frozen=True)
@@ -193,54 +197,43 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
     compared somewhere exactly when t_list has two values and its two
     smallest sum within the budget at some grid point; otherwise ValueError,
     before any exponential.
-    The grid is swept one circle at a time, each as one stack per
-    (t, factor).  Every t must be finite and > 0.
+    The grid is swept in chunks of _SWEEP_SLICES // T points, T = 2 len(t_list) - 1:
+    one exp_sweep per factor exponentiates a chunk at every t of t_list and
+    every consecutive sum, each directly from h_j, with multiplier 0 (the
+    identity) where (t, z) is over the budget.  Every t must be finite and > 0.
     """
     t_list = sorted(float(t) for t in t_list)
     if not all(np.isfinite(t) and t > 0 for t in t_list):
         raise ValueError(f"t_list must hold finite values > 0, got {t_list}")
-    a_norm = operator_norm(params.A)
-    circles = grid.circles()
+    L = len(t_list)
+    ts = np.array(t_list + [t + s for t, s in zip(t_list, t_list[1:])])
+    zs = grid.points()
     # hypot gives abs(phi) of each point bit for bit (np.abs may not), so
     # the points on the budget's edge do not depend on the batching
-    phi_abs = [np.hypot(phi.real, phi.imag) for phi in map(mobius_phi, circles)]
-
-    def budget_ok(t, circle_phi_abs):
-        with np.errstate(over="ignore"):  # a product that overflows to inf is over budget too
-            return t * (a_norm + circle_phi_abs) <= EXP_NORM_BUDGET
-
-    if len(t_list) < 2 or not any(budget_ok(t_list[0] + t_list[1], a).any() for a in phi_abs):
+    phi = mobius_phi(zs)
+    with np.errstate(over="ignore"):  # a product that overflows to inf is over budget too
+        ok = ts[:, None] * (operator_norm(params.A) + np.hypot(phi.real, phi.imag)) <= EXP_NORM_BUDGET
+    if L < 2 or not ok[L].any():
         raise ValueError(
             f"t_list {t_list} compares the semigroup law at no grid point: its two smallest values t, s need "
             f"(t + s) (||A|| + |phi(z)|) <= EXP_NORM_BUDGET = {EXP_NORM_BUDGET:g} at some grid point"
         )
     eye = np.eye(params.dim)
     prod_res = comm_res = contr_exc = semi_res = 0.0
-
-    for zs, circle_phi_abs in zip(circles, phi_abs):
-        hs = (build_h(params.A, params.B, 1, zs), build_h(params.A, params.B, 2, zs))
-        factors = {}  # t -> (mask, phi_{1,t}, phi_{2,t}), factors only at the points in mask
-        for t in t_list:
-            ok = budget_ok(t, circle_phi_abs)
-            if not ok.any():
-                factors[t] = (ok, None, None)
-                continue
-            Q1 = matrix_exp(-t * hs[0][ok])
-            Q2 = matrix_exp(-t * hs[1][ok])
-            factors[t] = (ok, Q1, Q2)
+    chunk = _SWEEP_SLICES // len(ts)
+    for start in range(0, len(zs), chunk):
+        z, mask = zs[start:start + chunk], ok[:, start:start + chunk]
+        Q = [exp_sweep(-build_h(params.A, params.B, j, z), np.where(mask, ts[:, None], 0.0)) for j in (1, 2)]
+        for i, t in enumerate(t_list):
+            Q1, Q2 = Q[0][i, mask[i]], Q[1][i, mask[i]]
             prod = Q1 @ Q2
-            prod_res = max(prod_res, frobenius_norm(prod - varphi_t(t, zs[ok])[:, None, None] * eye).max())
-            comm_res = max(comm_res, frobenius_norm(prod - Q2 @ Q1).max())
+            prod_res = max(prod_res, frobenius_norm(prod - varphi_t(t, z[mask[i]])[:, None, None] * eye).max(initial=0))
+            comm_res = max(comm_res, frobenius_norm(prod - Q2 @ Q1).max(initial=0))
             contr_exc = max(contr_exc, _contractivity_excess(Q1), _contractivity_excess(Q2))
-        for t, s in zip(t_list, t_list[1:]):
-            ok = budget_ok(t + s, circle_phi_abs)  # inside the masks of t and of s
-            if not ok.any():
-                continue
-            ok_t, ok_s = factors[t][0], factors[s][0]
-            for j in (1, 2):
-                Pts = matrix_exp(-(t + s) * hs[j - 1][ok])
-                Pt, Ps = factors[t][j][ok[ok_t]], factors[s][j][ok[ok_s]]
-                semi_res = max(semi_res, frobenius_norm(Pts - Pt @ Ps).max())
+        for i in range(L - 1):
+            m = mask[L + i]  # inside the masks of t_list[i] and t_list[i + 1]
+            semi_res = max(semi_res, *(frobenius_norm(P[L + i, m] - P[i, m] @ P[i + 1, m]).max(initial=0) for P in Q))
+        del Q  # so that the next chunk's sweeps do not run beside these factors
     return FactorizationReport(
         product_residual=float(prod_res),
         commutation_residual=float(comm_res),

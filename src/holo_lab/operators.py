@@ -3,9 +3,11 @@
 Matrices are plain numpy arrays of shape (d, d), complex dtype, treated as
 immutable values.  The kernels (Cayley transform and inverse, exponential,
 operator and Frobenius norms) also take an (n, d, d) stack and act slice by
-slice, with the same bits per slice as a call on that slice alone.  The
-matrix Cayley transform and its inverse exchange positive-real-part matrices
-and contractions.
+slice, with the same bits per slice as a call on that slice alone.  exp_sweep
+exponentiates a stack at many real multipliers per slice, sharing the powers
+and the Taylor evaluation across them (the factorization sweep); matrix_exp
+(Padé) takes one exponential per slice.  The matrix Cayley transform and its
+inverse exchange positive-real-part matrices and contractions.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ __all__ = [
     "cayley",
     "inverse_cayley",
     "matrix_exp",
+    "exp_sweep",
     "operator_norm",
     "frobenius_norm",
 ]
@@ -230,6 +233,57 @@ def matrix_exp(M):
         left = s > k
         R[left] = R[left] @ R[left]
     return R.reshape(M.shape)
+
+
+# theta_24: the largest 1-norm at which the degree-24 Taylor polynomial is exp(X + E) with
+# ||E||_1 <= 2^-53 ||X||_1, from the backward-error series (Al-Mohy & Higham, SIAM J. Sci.
+# Comput. 33(2), 2011, Table 3.1).  T_24 = sum_i G^(6i) B_i in Paterson-Stockmeyer form (SIAM J.
+# Comput. 2(1), 1973), Horner in G^6; row i of _TAYLOR_BLOCKS indexes the coefficients of I, G, ..., G^6
+# in B_i: a_(6i) .. a_(6i+5) and a_25 = 0 for i < 3, a_18 .. a_24 for B_3
+_TAYLOR_THETA = 2.219048869365090
+_TAYLOR_BLOCKS = np.array([[*range(6 * i, 6 * i + 6), 25] for i in range(3)] + [list(range(18, 25))])
+
+
+def exp_sweep(H, t):
+    """exp(t[i, k] H_k) for an (n, d, d) stack H and a (T, n) array t of real multipliers: (T, n, d, d).
+
+    Scaling and squaring with the degree-24 Taylor polynomial, no solve.  Column k is
+    scaled to G_k = 2^-e H_k with ||G_k||_1 in [1/2, 1), so its powers G^2 .. G^6 cannot
+    overflow and are formed once for every t; each (i, k) then gets its own
+    X = t[i, k] H_k / 2^s with ||X||_1 <= theta_24, coefficients a_m = (t 2^(e-s))^m / m!,
+    three Horner products shared by the T multipliers of a column (one product per slice,
+    of its T matrices stacked in rows, by G^6), and its own s squarings.  So column k's bits depend only on H_k
+    and t[:, k], and t = 0 gives I.  A 1 x 1 stack is np.exp(t * H).
+    """
+    H = np.ascontiguousarray(_as_square(H, ndims=(3,)))
+    t = np.asarray(t, dtype=float)
+    if H.shape[-1] == 1:
+        return np.exp(t[..., None, None] * H)
+    (T, n), d = t.shape, H.shape[-1]
+    frac, e = np.frexp(np.hypot(H.real, H.imag).sum(axis=-2).max(axis=-1))
+    powers = np.empty((n, 7, d, d), dtype=complex)
+    powers[:, 0], powers[:, 1] = np.eye(d), np.ldexp(H.view(float), -e[:, None, None]).view(complex)
+    for j in range(2, 7):
+        powers[:, j] = powers[:, j - 1] @ powers[:, 1]
+    # s = ceil(log2(|t| ||H||_1 / theta_24)) from the exact frexp, 0 at t = 0
+    f2, e2 = np.frexp(np.abs(t.T) * frac[:, None] / _TAYLOR_THETA)
+    s = np.where(f2 == 0, 0, np.maximum(e2 + e[:, None] - (f2 == 0.5), 0))
+    c = np.ldexp(t.T, e[:, None] - s)
+    a = np.cumprod(np.concatenate([np.ones((n, T, 1)), c[..., None] / np.arange(1, 25), np.zeros((n, T, 1))], -1), -1)
+    # Horner in G^6; block i's sum for every t of a column is one real (T, 7) x (7, 2 d^2) product per slice,
+    # formed as it is added, so no more than one block of T n d^2 entries is held
+    coef, flat = a[:, :, _TAYLOR_BLOCKS], powers.view(float).reshape(n, 7, -1)
+    R = (coef[:, :, 3] @ flat).view(complex).reshape(n, T * d, d)
+    for i in (2, 1, 0):
+        R = R @ powers[:, 6]
+        R += (coef[:, :, i] @ flat).view(complex).reshape(n, T * d, d)
+    del powers, flat  # the squarings' two temporaries take their place
+    R = R.reshape(n * T, d, d)
+    s = s.ravel()
+    for k in range(int(s.max(initial=0))):
+        left = R[s > k]
+        R[s > k] = left @ left
+    return R.reshape(n, T, d, d).swapaxes(0, 1)
 
 
 def operator_norm(M):

@@ -190,14 +190,14 @@ class TestPhiJt:
 
 
 def exp_slices(monkeypatch):
-    """A list that gets the slice count of every stack verify_factorization passes to matrix_exp."""
-    slices, exp = [], factorization.matrix_exp
+    """A list that gets, per exp_sweep call of verify_factorization, its number of nonzero (t, z) multipliers."""
+    slices, sweep = [], factorization.exp_sweep
 
-    def spy(M):
-        slices.append(len(M))
-        return exp(M)
+    def spy(H, t):
+        slices.append(int(np.count_nonzero(t)))
+        return sweep(H, t)
 
-    monkeypatch.setattr(factorization, "matrix_exp", spy)
+    monkeypatch.setattr(factorization, "exp_sweep", spy)
     return slices
 
 
@@ -489,9 +489,9 @@ PLANT = 1e-6
 
 
 def plant_in_factors(monkeypatch, E):
-    """Every factor matrix_exp returns to verify_factorization gets PLANT * E added."""
-    exp = factorization.matrix_exp
-    monkeypatch.setattr(factorization, "matrix_exp", lambda M: exp(M) + PLANT * E)
+    """Every factor exp_sweep returns to verify_factorization gets PLANT * E added."""
+    sweep = factorization.exp_sweep
+    monkeypatch.setattr(factorization, "exp_sweep", lambda H, t: sweep(H, t) + PLANT * E)
 
 
 class TestPlantedErrorsAreCaught:
@@ -571,6 +571,24 @@ class TestContractivityCertificate:
         certified = [verify_factorization(p, grid=FAST_GRID).contractivity_excess for p in params]
         monkeypatch.setattr(factorization, "_contractivity_excess", svd_excess)
         assert certified == [verify_factorization(p, grid=FAST_GRID).contractivity_excess for p in params]
+
+
+class TestSweepPath:
+    """verify_factorization exponentiates each chunk of grid points once per factor, and solves nothing."""
+
+    @pytest.mark.parametrize("t_list", [DEFAULT_T_LIST, (0.5, 1.0), tuple(0.25 * k for k in range(1, 9))])
+    def test_two_sweeps_per_chunk_and_no_solve(self, t_list, monkeypatch):
+        solve, sweep = np.linalg.solve, factorization.exp_sweep
+        solves, multipliers = [], []
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+        monkeypatch.setattr(factorization, "exp_sweep", lambda H, t: multipliers.append(t.shape) or sweep(H, t))
+        monkeypatch.setattr(factorization, "matrix_exp", None)
+        verify_factorization(random_params(np.random.default_rng(3), 3), grid=default_grid(), t_list=t_list)
+        T, n = 2 * len(t_list) - 1, len(default_grid().points())
+        chunk = 448 // T
+        assert solves == []
+        assert len(multipliers) == 2 * -(-n // chunk)
+        assert all(shape[0] == T and shape[1] <= chunk for shape in multipliers)
 
 
 class TestSvdOffResidualPath:

@@ -1,16 +1,20 @@
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from holo_lab.disc import default_grid
+from holo_lab.disc import default_grid, mobius_phi
 from holo_lab.factorization import EXP_NORM_BUDGET, build_h, random_params
 from holo_lab.operators import (
     SINGULARITY_RTOL,
     SingularityError,
+    _TAYLOR_THETA,
     _right_divide,
     as_matrix,
     cayley,
+    exp_sweep,
     frobenius_norm,
     im_part,
     inverse_cayley,
@@ -40,10 +44,17 @@ def one_norm(M):
     return np.abs(M).sum(axis=-2).max(axis=-1)
 
 
-def assert_matches_scipy(M):
-    """matrix_exp(M) against the independent oracle scipy.linalg.expm, slice by slice."""
-    X, R = matrix_exp(M), scipy.linalg.expm(M)
+def assert_matches_scipy(M, X=None):
+    """X, by default matrix_exp(M), against the independent oracle scipy.linalg.expm(M), slice by slice."""
+    X = matrix_exp(M) if X is None else X
+    R = scipy.linalg.expm(M)
     assert np.all(operator_norm(X - R) <= 1e-13 * np.maximum(1.0, operator_norm(R)))
+
+
+def assert_sweep_matches_scipy(H, t):
+    """exp_sweep(H, t) against scipy.linalg.expm(t[i, k] H_k), slice by slice."""
+    d = H.shape[-1]
+    assert_matches_scipy((t[..., None, None] * H).reshape(-1, d, d), exp_sweep(H, t).reshape(-1, d, d))
 
 
 class TestHermitianSplit:
@@ -190,6 +201,86 @@ class TestMatrixExp:
         for M in (z.reshape(-1, 1, 1), z[:1].reshape(1, 1)):
             assert np.array_equal(matrix_exp(M), np.exp(M))
             assert np.array_equal(matrix_exp(M), scipy.linalg.expm(M))
+
+
+# the factorization multipliers: DEFAULT_T_LIST, their consecutive sums, and t up to 40
+SWEEP_T = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 20.0, 40.0)
+
+
+class TestExpSweep:
+    """exp_sweep(H, t)[i, k] = exp(t[i, k] H_k), against scipy and against its own columns."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_random_stacks(self, d):
+        rng = np.random.default_rng(70 + d)
+        M = np.stack([random_matrix(rng, d) for _ in ORACLE_NORMS])
+        H = M * (ORACLE_NORMS / one_norm(M))[:, None, None]
+        assert_sweep_matches_scipy(H, np.array([1.0, 0.5, 0.0, 0.3]).repeat(len(H)).reshape(4, -1))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_strictly_triangular_stacks(self, d):
+        rng = np.random.default_rng(80 + d)
+        N = np.triu(np.stack([random_matrix(rng, d) for _ in ORACLE_NORMS]), 1)  # nilpotent
+        H = N * (ORACLE_NORMS / one_norm(N))[:, None, None]
+        assert_sweep_matches_scipy(H, np.array([1.0, 0.25, 0.7]).repeat(len(H)).reshape(3, -1))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_factorization_exponents(self, d):
+        # -h_j on each grid circle at the multipliers verify_factorization passes: t inside the budget, else 0
+        params = random_params(np.random.default_rng(60 + d), d)
+        a_norm = operator_norm(params.A)
+        for zs in default_grid().circles():
+            t = np.array([[t if inside_budget(t, a_norm, z) else 0.0 for z in zs] for t in SWEEP_T])
+            assert t.any()
+            for j in (1, 2):
+                assert_sweep_matches_scipy(-build_h(params.A, params.B, j, zs), t)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_both_sides_of_each_scaling_edge(self, d):
+        # s squarings from t ||H||_1 > theta_24 2^(s-1): multipliers an ulp and 1e-6 below and above each edge
+        rng = np.random.default_rng(90 + d)
+        H = np.stack([random_matrix(rng, d) for _ in range(4)])
+        H[1] = -build_h(np.eye(d), np.diag(np.linspace(0, 1, d)), 1, 0.9)
+        edges = _TAYLOR_THETA * 2.0 ** np.arange(7)[:, None] / one_norm(H)
+        t = np.concatenate([edges * (1 - 1e-6), np.nextafter(edges, 0), edges, np.nextafter(edges, 1e3),
+                            edges * (1 + 1e-6)])
+        assert_sweep_matches_scipy(H, t)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_slice_alone_equals_stack(self, d):
+        rng = np.random.default_rng(100 + d)
+        H = np.stack([random_matrix(rng, d, 3.0) for _ in range(16)])
+        t = rng.uniform(0.0, 4.0, size=(5, 16)) * (rng.uniform(size=(5, 16)) < 0.8)
+        R = exp_sweep(H, t)
+        for k in range(16):
+            assert np.array_equal(exp_sweep(H[k:k + 1], t[:, k:k + 1])[:, 0], R[:, k])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_multiplier_is_identity(self, d):
+        rng = np.random.default_rng(110 + d)
+        H = np.stack([random_matrix(rng, d, scale) for scale in (1.0, 1e8, 1e16)])
+        t = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 1e-17], [0.0, 1e-9, 0.0]])
+        R = exp_sweep(H, t)
+        assert np.array_equal(R[t == 0], np.broadcast_to(np.eye(d), (np.count_nonzero(t == 0), d, d)))
+
+    def test_one_by_one_is_exp(self):
+        rng = np.random.default_rng(7)
+        H = 20 * (rng.standard_normal(32) + 1j * rng.standard_normal(32)).reshape(-1, 1, 1)
+        t = rng.uniform(0.0, 2.0, size=(3, 32))
+        assert np.array_equal(exp_sweep(H, t), np.exp(t[..., None, None] * H))
+
+    def test_tiny_multiplier_of_a_huge_exponent(self):
+        # |phi(z)| near 1e16 next to z = 1; t |phi| from below the underflow of t^24 / 24! to inside the budget
+        z = np.array([1 - 2.0**-52, 1 - 2.0**-50])
+        assert np.all(np.abs(mobius_phi(z)) > 2e15)
+        params = random_params(np.random.default_rng(5), 3)
+        H = -build_h(params.A, params.B, 1, z)
+        t = np.array([[1e-300, 1e-300], [1e-20, 1e-20], [1e-15, 2e-15], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            R = exp_sweep(H, t)
+        assert np.all(np.isfinite(R))
+        assert_sweep_matches_scipy(H, t)
 
 
 class TestAbscissaAndNorm:
