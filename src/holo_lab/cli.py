@@ -8,8 +8,9 @@ to stderr, never into report.json; a report's config has the --grid-radii and
 The golden reports are also the same across the BLAS kernels a
 run-time-dispatched OpenBLAS may pick and across its thread counts; a
 factorization report with d > 1 can change in its last bits with the BLAS
-kernel, through the stacked matmul and LAPACK solve of the matrix exponential
-and the Cayley transform (see the README).
+kernel, through the stacked matmul of the matrix exponential, which solves
+nothing, and the LAPACK solve of the Cayley transform, the one solve left
+(operators._right_divide; see the README).
 """
 from __future__ import annotations
 
@@ -206,7 +207,7 @@ SCHEMA = {
     "recover-params": _command("recover-params", GRID, {"recover": 1e-10, "residual": 1e-9}, (
         Field("params", "object", table=PARAMS), Field("params_file", "string"),
     ), one_of=[("params", "params_file")]),
-    "herglotz-analyze": _command("herglotz-analyze", None, {"moment_symmetry": 1e-10}, (
+    "herglotz-analyze": _command("herglotz-analyze", None, {}, (
         Field("function", "function id", rule=FUNCTION_RULE),
         Field("params", "object", table=HERGLOTZ_PARAMS),
         Field("n_samples", "integer", herglotz.DEFAULT_N, ((">=", 16), ("<=", MAX_HERGLOTZ_SAMPLES)),
@@ -355,10 +356,7 @@ def _run_herglotz(cfg, seed, emit_plots):
             approx = herglotz.analyze(h, **args)
         except ValueError as exc:
             raise InvalidInput(f"herglotz-analyze params: {exc}") from exc
-    moments = approx.moments  # moment(n) at index n + M
-    sym = float(np.max(np.abs(moments[M::-1] - moments[M:].conj().swapaxes(-1, -2))))
-    checks = [_check("moment_symmetry", sym, cfg["tolerances"]["moment_symmetry"])]
-    checks.append(_verdict_check("concentrated_at_1", cfg["expect_concentrated"], approx.concentrated))
+    checks = [_verdict_check("concentrated_at_1", cfg["expect_concentrated"], approx.concentrated)]
     verdicts = {
         "concentrated": approx.concentrated,
         "leak_mass": float(approx.leak_mass),
@@ -366,6 +364,7 @@ def _run_herglotz(cfg, seed, emit_plots):
     }
     plots = {}
     if emit_plots:
+        moments = approx.moments  # moment(n) at index n + M
         norms = operator_norm(moments)
         distances = operator_norm(moments - approx.atom_mass_at_1)
         plots["moment_profile.csv"] = (["n", "moment_norm", "distance_to_atom"], [

@@ -32,7 +32,6 @@ from .operators import (
     im_part,
     inverse_cayley,
     is_positive_contraction,
-    matrix_exp,
     operator_norm,
     re_part,
     require_self_adjoint,
@@ -137,9 +136,11 @@ def phi_jt(params, j, t, z):
 
     A scalar z gives a (d, d) matrix, an (n,) array of z an (n, d, d) stack.
     """
-    if t < 0:
-        raise ValueError("phi_jt requires t >= 0")
-    return matrix_exp(-t * build_h(params.A, params.B, j, z))
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"phi_jt requires a finite t >= 0, got {t}")
+    H = -build_h(params.A, params.B, j, z)
+    stack = H.reshape(-1, params.dim, params.dim)
+    return exp_sweep(stack, np.full((1, len(stack)), float(t)))[0].reshape(H.shape)
 
 
 @dataclass(frozen=True)

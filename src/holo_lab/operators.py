@@ -4,10 +4,11 @@ Matrices are plain numpy arrays of shape (d, d), complex dtype, treated as
 immutable values.  The kernels (Cayley transform and inverse, exponential,
 operator and Frobenius norms) also take an (n, d, d) stack and act slice by
 slice, with the same bits per slice as a call on that slice alone.  exp_sweep
-exponentiates a stack at many real multipliers per slice, sharing the powers
-and the Taylor evaluation across them (the factorization sweep); matrix_exp
-(Padé) takes one exponential per slice.  The matrix Cayley transform and its
-inverse exchange positive-real-part matrices and contractions.
+is the one matrix exponential: it exponentiates a stack at one or many real
+multipliers per slice, sharing the powers and the Taylor evaluation across
+them, and solves nothing; only the Cayley transforms' _right_divide solves a
+linear system.  The matrix Cayley transform and its inverse exchange
+positive-real-part matrices and contractions.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ __all__ = [
     "is_positive_contraction",
     "cayley",
     "inverse_cayley",
-    "matrix_exp",
     "exp_sweep",
     "operator_norm",
     "frobenius_norm",
@@ -163,78 +163,6 @@ def inverse_cayley(psi):
     return _cayley_divide(eye + psi, eye - psi)
 
 
-# Padé degree m -> coefficients b_0..b_m of the [m/m] approximant to exp, and
-# theta_m, the largest 1-norm at which r_m(A) = exp(A) to double precision
-# (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005)
-_PADE = {
-    3: ((120.0, 60.0, 12.0, 1.0), 1.495585217958292e-2),
-    5: ((30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0), 2.539398330063230e-1),
-    7: ((17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-        9.504178996162932e-1),
-    9: ((17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-         2162160.0, 110880.0, 3960.0, 90.0, 1.0), 2.097847961257068),
-    13: ((64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-         5.371920351148152),
-}
-
-
-def _pade_uv(A, m):
-    """Odd part U and even part V of the degree-m Padé numerator at each slice of A."""
-    b = _PADE[m][0]
-    eye = np.eye(A.shape[-1])
-    A2 = A @ A
-    if m == 13:
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-        return U, V
-    powers = [eye, A2]  # A^0, A^2, ..., A^(m-1)
-    while len(powers) <= m // 2:
-        powers.append(powers[-1] @ A2)
-    U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
-    V = sum(b[2 * k] * P for k, P in enumerate(powers))
-    return U, V
-
-
-def matrix_exp(M):
-    """Matrix exponential of a matrix or of each slice of a stack.
-
-    Scaling and squaring with a Padé approximant (Higham, SIAM J. Matrix
-    Anal. Appl. 26(4), 2005): each slice gets the lowest degree m in
-    {3, 5, 7, 9, 13} whose theta_m bounds its exact 1-norm, or degree 13
-    after scaling by 2^-s.  One stacked evaluation per degree, one batched
-    solve and s squarings per slice, so a slice gets the same bits alone or
-    in any stack.  A 1 x 1 matrix is np.exp of its entry.
-    """
-    M = _as_square(M)
-    if M.shape[-1] == 1:
-        return np.exp(M)
-    A = M.reshape(-1, *M.shape[-2:])
-    # hypot is the modulus with the same bits under every SIMD dispatch
-    norm1 = np.hypot(A.real, A.imag).sum(axis=-2).max(axis=-1)
-    degree = np.full(len(A), 13)
-    for m in (9, 7, 5, 3):
-        degree[norm1 <= _PADE[m][1]] = m
-    # s = ceil(log2(norm1 / theta_13)) for the degree-13 slices, from the exact frexp
-    frac, exp2 = np.frexp(norm1 / _PADE[13][1])
-    s = np.where(degree == 13, np.maximum(exp2 - (frac == 0.5), 0), 0)
-    A = A * np.ldexp(1.0, -s)[:, None, None]
-    U, V = np.empty_like(A), np.empty_like(A)
-    for m in np.unique(degree):
-        group = degree == m
-        U[group], V[group] = _pade_uv(A[group], int(m))
-    R = np.linalg.solve(V - U, V + U)
-    for k in range(int(s.max(initial=0))):
-        left = s > k
-        R[left] = R[left] @ R[left]
-    return R.reshape(M.shape)
-
-
 # theta_24: the largest 1-norm at which the degree-24 Taylor polynomial is exp(X + E) with
 # ||E||_1 <= 2^-53 ||X||_1, from the backward-error series (Al-Mohy & Higham, SIAM J. Sci.
 # Comput. 33(2), 2011, Table 3.1).  T_24 = sum_i G^(6i) B_i in Paterson-Stockmeyer form (SIAM J.
@@ -249,7 +177,8 @@ def exp_sweep(H, t):
 
     Scaling and squaring with the degree-24 Taylor polynomial, no solve.  Column k is
     scaled to G_k = 2^-e H_k with ||G_k||_1 in [1/2, 1), so its powers G^2 .. G^6 cannot
-    overflow and are formed once for every t; each (i, k) then gets its own
+    overflow and are formed once for every t, in three products per slice: G^2, then
+    [G^3 | G^4] = G^2 [G | G^2] and [G^5 | G^6] = G^4 [G | G^2].  Each (i, k) then gets its own
     X = t[i, k] H_k / 2^s with ||X||_1 <= theta_24, coefficients a_m = (t 2^(e-s))^m / m!,
     three Horner products shared by the T multipliers of a column (one product per slice,
     of its T matrices stacked in rows, by G^6), and its own s squarings.  So column k's bits depend only on H_k
@@ -263,21 +192,26 @@ def exp_sweep(H, t):
     frac, e = np.frexp(np.hypot(H.real, H.imag).sum(axis=-2).max(axis=-1))
     powers = np.empty((n, 7, d, d), dtype=complex)
     powers[:, 0], powers[:, 1] = np.eye(d), np.ldexp(H.view(float), -e[:, None, None]).view(complex)
-    for j in range(2, 7):
-        powers[:, j] = powers[:, j - 1] @ powers[:, 1]
+    powers[:, 2] = powers[:, 1] @ powers[:, 1]
+    right = np.concatenate([powers[:, 1], powers[:, 2]], axis=-1)  # [G | G^2]
+    for j in (3, 5):
+        P = powers[:, j - 1] @ right
+        powers[:, j], powers[:, j + 1] = P[..., :d], P[..., d:]
     # s = ceil(log2(|t| ||H||_1 / theta_24)) from the exact frexp, 0 at t = 0
     f2, e2 = np.frexp(np.abs(t.T) * frac[:, None] / _TAYLOR_THETA)
     s = np.where(f2 == 0, 0, np.maximum(e2 + e[:, None] - (f2 == 0.5), 0))
     c = np.ldexp(t.T, e[:, None] - s)
     a = np.cumprod(np.concatenate([np.ones((n, T, 1)), c[..., None] / np.arange(1, 25), np.zeros((n, T, 1))], -1), -1)
     # Horner in G^6; block i's sum for every t of a column is one real (T, 7) x (7, 2 d^2) product per slice,
-    # formed as it is added, so no more than one block of T n d^2 entries is held
-    coef, flat = a[:, :, _TAYLOR_BLOCKS], powers.view(float).reshape(n, 7, -1)
-    R = (coef[:, :, 3] @ flat).view(complex).reshape(n, T * d, d)
+    # formed as it is added, so no more than one block of T n d^2 entries is held.  coef[i] is a contiguous
+    # (n, T, 7) array, so a slice's product takes the same path (and bits) alone as in any stack, also at T = 1
+    coef = np.ascontiguousarray(a[:, :, _TAYLOR_BLOCKS].transpose(2, 0, 1, 3))
+    flat = powers.view(float).reshape(n, 7, -1)
+    R = (coef[3] @ flat).view(complex).reshape(n, T * d, d)
     for i in (2, 1, 0):
         R = R @ powers[:, 6]
-        R += (coef[:, :, i] @ flat).view(complex).reshape(n, T * d, d)
-    del powers, flat  # the squarings' two temporaries take their place
+        R += (coef[i] @ flat).view(complex).reshape(n, T * d, d)
+    del powers, flat, right, P  # the squarings' two temporaries take their place
     R = R.reshape(n * T, d, d)
     s = s.ravel()
     for k in range(int(s.max(initial=0))):

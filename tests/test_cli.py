@@ -872,6 +872,26 @@ class TestHerglotzCommand:
         assert report is None
         assert "tol_atom" in capsys.readouterr().err
 
+    def test_large_exact_mass_passes(self, tmp_path):
+        # B = 1e6 I meets the hypotheses exactly; the FFT's round-off (3.5e-10) once failed a moment-symmetry
+        # check, which held by construction for the self-adjoint samples of Re h and is gone
+        cfg = {"command": "herglotz-analyze",
+               "params": {"A": matrix_json(np.zeros((2, 2))), "B": matrix_json(1e6 * np.eye(2))}}
+        code, report, _ = run_cli(tmp_path, cfg)
+        assert code == EXIT_PASS
+        assert [c["name"] for c in report["checks"]] == ["concentrated_at_1"]
+        assert report["tolerances"] == {}
+
+    @pytest.mark.parametrize("tolerances, flags", [({"moment_symmetry": 1e-10}, ()),
+                                                   ({}, ("--tol", "moment_symmetry=1e-10"))],
+                             ids=["config", "flag"])
+    def test_reads_no_tolerance(self, tmp_path, capsys, tolerances, flags):
+        cfg = {"command": "herglotz-analyze", "function": "phi", "tolerances": tolerances}
+        code, report, _ = run_cli(tmp_path, cfg, *flags)
+        assert code == EXIT_INVALID
+        assert report is None
+        assert "moment_symmetry" in capsys.readouterr().err
+
     def test_function_and_params_exclusive(self, tmp_path):
         cfg = {
             "command": "herglotz-analyze",
@@ -898,7 +918,7 @@ class TestModuleEntryPoint:
         assert "PASS" in proc.stderr
 
     def test_runtime_does_not_import_scipy(self, tmp_path):
-        # scipy is a test-only dependency, the oracle for matrix_exp; importing
+        # scipy is a test-only dependency, the oracle for exp_sweep; importing
         # it took most of the CLI's start-up time
         code = GOLDEN_RUNNER + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run(

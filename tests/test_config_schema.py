@@ -441,7 +441,8 @@ class TestOverflowingParams:
         (_scalar_herglotz(0.0, 1e308, 0.9, 64, 4), EXIT_INVALID, "herglotz-analyze params: "),
         # phi(r) is about 2e10 here
         (_scalar_herglotz(0.0, 1e300, 0.9999999999, 65536, 16), EXIT_INVALID, "herglotz-analyze params: "),
-        (_scalar_herglotz(0.0, 1e300, 0.999999, 64, 4), EXIT_FAIL, "FAIL"),
+        # exact params: no check fails on round-off (moment symmetry, gone, failed at 5.6e278 > 1e-10 here)
+        (_scalar_herglotz(0.0, 1e300, 0.999999, 64, 4), EXIT_PASS, "PASS"),
         (_scalar_herglotz(1e308, 0.5, 0.9, 64, 4), EXIT_PASS, "PASS"),
         # every sample is finite, their FFT sum is not
         (FFT_OVERFLOW, EXIT_INVALID, "herglotz-analyze params: the moments of Re h on |z| = 0.5 are not finite"),
@@ -634,6 +635,29 @@ class TestOneCircleTransform:
                     negative_powers += isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
             assert ("fft" in names) == (path.name == "disc.py"), path.name
             assert negative_powers == (path.name == "disc.py"), path.name
+
+
+class TestOneExponential:
+    """exp_sweep is the one matrix exponential, and no exponential solves: only _right_divide does."""
+
+    def test_only_right_divide_solves(self):
+        sites = set()
+        for path in sorted((ROOT / "src" / "holo_lab").glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                names = {n.attr if isinstance(n, ast.Attribute) else n.id
+                         for n in ast.walk(node) if isinstance(n, (ast.Attribute, ast.Name))}
+                names |= {alias.name.split(".")[-1] for n in ast.walk(node)
+                          if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
+                if "solve" in names:
+                    sites.add((path.name, getattr(node, "name", None)))
+        assert sites == {("operators.py", "_right_divide")}
+
+    def test_exp_sweep_is_the_only_exponential(self):
+        tree = ast.parse((ROOT / "src" / "holo_lab" / "operators.py").read_text())
+        defined = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defined += [target.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)]
+        assert [name for name in defined if "exp" in name.lower() or "pade" in name.lower()] == ["exp_sweep"]
 
 
 def run_readers():

@@ -21,9 +21,9 @@ from holo_lab.factorization import (
 )
 from holo_lab.operators import (
     cayley,
+    exp_sweep,
     frobenius_norm,
     inverse_cayley,
-    matrix_exp,
     operator_norm,
     re_part,
 )
@@ -92,8 +92,9 @@ class TestBuildH:
         p = random_params(np.random.default_rng(70 + d), d)
         pair = pair_from_params(p)
         for j, psi in ((1, pair.psi1), (2, pair.psi2)):
+            H = -build_h(p.A, p.B, j, np.atleast_1d(z))
             for t in (0.5, 2.0):
-                assert np.array_equal(phi_jt(p, j, t, z), matrix_exp(-t * build_h(p.A, p.B, j, z)))
+                assert np.array_equal(phi_jt(p, j, t, z).reshape(H.shape), exp_sweep(H, np.full((1, len(H)), t))[0])
             assert np.array_equal(psi(z), cayley(build_h(p.A, p.B, j, z)))
 
     @pytest.mark.parametrize("d, z", CASES, ids=IDS)
@@ -172,6 +173,14 @@ class TestPhiJt:
     def test_bad_j(self):
         with pytest.raises(ValueError):
             phi_jt(scalar_params(0.0, 0.5), 3, 1.0, 0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bad_t(self, d):
+        # the sweep would return NaN for t = inf or NaN; only a finite t >= 0 is a factor symbol
+        p = random_params(np.random.default_rng(d), d)
+        for t in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite t >= 0"):
+                phi_jt(p, 1, t, 0.5)
 
     def test_array_of_z_equals_pointwise(self):
         rng = np.random.default_rng(8)
@@ -582,7 +591,6 @@ class TestSweepPath:
         solves, multipliers = [], []
         monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
         monkeypatch.setattr(factorization, "exp_sweep", lambda H, t: multipliers.append(t.shape) or sweep(H, t))
-        monkeypatch.setattr(factorization, "matrix_exp", None)
         verify_factorization(random_params(np.random.default_rng(3), 3), grid=default_grid(), t_list=t_list)
         T, n = 2 * len(t_list) - 1, len(default_grid().points())
         chunk = 448 // T

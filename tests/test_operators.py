@@ -19,7 +19,6 @@ from holo_lab.operators import (
     im_part,
     inverse_cayley,
     is_positive_contraction,
-    matrix_exp,
     operator_norm,
     re_part,
 )
@@ -35,8 +34,7 @@ def random_hermitian(rng, d, scale=1.0):
     return (M + M.conj().T) / 2
 
 
-# 1-norms log-spaced from 1e-3 to EXP_NORM_BUDGET cross the theta of every Padé
-# degree (0.015, 0.25, 0.95, 2.1, 5.4) and reach 5 squarings
+# 1-norms log-spaced from 1e-3 to EXP_NORM_BUDGET: from far below theta_24 (2.2) to 6 squarings
 ORACLE_NORMS = np.logspace(-3, np.log10(EXP_NORM_BUDGET), 64)
 
 
@@ -44,9 +42,15 @@ def one_norm(M):
     return np.abs(M).sum(axis=-2).max(axis=-1)
 
 
+def expm(M):
+    """exp(M) of a matrix or of each slice of a stack: exp_sweep at the one multiplier 1, as phi_jt calls it."""
+    stack = np.reshape(M, (-1, *np.shape(M)[-2:]))
+    return exp_sweep(stack, np.ones((1, len(stack))))[0].reshape(np.shape(M))
+
+
 def assert_matches_scipy(M, X=None):
-    """X, by default matrix_exp(M), against the independent oracle scipy.linalg.expm(M), slice by slice."""
-    X = matrix_exp(M) if X is None else X
+    """X, by default expm(M), against the independent oracle scipy.linalg.expm(M), slice by slice."""
+    X = expm(M) if X is None else X
     R = scipy.linalg.expm(M)
     assert np.all(operator_norm(X - R) <= 1e-13 * np.maximum(1.0, operator_norm(R)))
 
@@ -148,11 +152,13 @@ class TestCayley:
 
 
 class TestMatrixExp:
+    """The exponential at one multiplier per slice (T = 1, as phi_jt calls exp_sweep), against scipy and examples."""
+
     def test_examples(self):
-        np.testing.assert_allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
-        np.testing.assert_allclose(matrix_exp(np.diag([1j * np.pi])), np.diag([-1.0]), atol=1e-12)
+        np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3))
+        np.testing.assert_allclose(expm(np.diag([1j * np.pi])), np.diag([-1.0]), atol=1e-12)
         np.testing.assert_allclose(
-            matrix_exp(np.array([[0.0, 1.0], [0.0, 0.0]])), [[1, 1], [0, 1]]
+            expm(np.array([[0.0, 1.0], [0.0, 0.0]])), [[1, 1], [0, 1]]
         )
 
     def test_commuting_product(self):
@@ -161,15 +167,15 @@ class TestMatrixExp:
             M = random_matrix(rng, 4)
             N = 0.3 * M @ M - 0.7 * M + 0.2 * np.eye(4)  # commutes with M
             assert operator_norm(M @ N - N @ M) <= 1e-13
-            dev = matrix_exp(M + N) - matrix_exp(M) @ matrix_exp(N)
-            assert operator_norm(dev) <= 1e-9 * max(1, operator_norm(matrix_exp(M + N)))
+            dev = expm(M + N) - expm(M) @ expm(N)
+            assert operator_norm(dev) <= 1e-9 * max(1, operator_norm(expm(M + N)))
 
     def test_norm_bounded_by_abscissa(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             M = random_matrix(rng, 5, scale=2.0)
             M *= min(1.0, 10 / operator_norm(M))
-            assert operator_norm(matrix_exp(M)) <= np.exp(numerical_abscissa(M)) + 1e-10
+            assert operator_norm(expm(M)) <= np.exp(numerical_abscissa(M)) + 1e-10
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_random_stacks(self, d):
@@ -199,8 +205,8 @@ class TestMatrixExp:
         rng = np.random.default_rng(7)
         z = 20 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
         for M in (z.reshape(-1, 1, 1), z[:1].reshape(1, 1)):
-            assert np.array_equal(matrix_exp(M), np.exp(M))
-            assert np.array_equal(matrix_exp(M), scipy.linalg.expm(M))
+            assert np.array_equal(expm(M), np.exp(M))
+            assert np.array_equal(expm(M), scipy.linalg.expm(M))
 
 
 # the factorization multipliers: DEFAULT_T_LIST, their consecutive sums, and t up to 40
@@ -248,12 +254,15 @@ class TestExpSweep:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
     def test_slice_alone_equals_stack(self, d):
+        # T = 1 (phi_jt's one multiplier per slice) and T = 5; a slice's Horner product must not take another
+        # matmul path alone than in a stack at either
         rng = np.random.default_rng(100 + d)
         H = np.stack([random_matrix(rng, d, 3.0) for _ in range(16)])
-        t = rng.uniform(0.0, 4.0, size=(5, 16)) * (rng.uniform(size=(5, 16)) < 0.8)
-        R = exp_sweep(H, t)
-        for k in range(16):
-            assert np.array_equal(exp_sweep(H[k:k + 1], t[:, k:k + 1])[:, 0], R[:, k])
+        for T in (1, 5):
+            t = rng.uniform(0.0, 4.0, size=(T, 16)) * (rng.uniform(size=(T, 16)) < 0.8)
+            R = exp_sweep(H, t)
+            for k in range(16):
+                assert np.array_equal(exp_sweep(H[k:k + 1], t[:, k:k + 1])[:, 0], R[:, k]), (T, k)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_zero_multiplier_is_identity(self, d):
@@ -319,7 +328,7 @@ class TestStacks:
         h = M + 3 * np.eye(d)  # away from the Cayley singularity at -I
         psi = np.stack([cayley(x) for x in h])
         for kernel, arg in (
-            (matrix_exp, M),
+            (expm, M),
             (operator_norm, M),
             (cayley, h),
             (inverse_cayley, psi),
@@ -335,7 +344,7 @@ class TestStacks:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="finite"):
-            matrix_exp(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+            exp_sweep(np.stack([np.eye(2), np.full((2, 2), np.nan)]), np.ones((1, 2)))
         with pytest.raises(ValueError, match="square"):
             operator_norm(np.zeros((2, 3, 4)))
         with pytest.raises(ValueError, match="square"):
