@@ -326,9 +326,10 @@ def _run_factorize(cfg, seed, emit_plots):
         ("semigroup_law", "semigroup_residual"),
     )]
     checks.append(_check("master_equation", max(float(m.max()) for m in masters), tols["master"]))
-    plots = {"factorize_residuals.csv": (["radius", "angle", "master_residual"], [
-        (float(abs(z)), float(np.angle(z)), float(res)) for z, res in zip(grid.points(), masters[0])
-    ])} if emit_plots else {}
+    zs = grid.points()
+    plots = {"factorize_residuals.csv": (["radius", "angle", "master_residual"], list(zip(
+        np.hypot(zs.real, zs.imag).tolist(), np.angle(zs).tolist(), masters[0].tolist()
+    )))} if emit_plots else {}
     return checks, {}, plots
 
 

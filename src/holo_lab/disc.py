@@ -54,8 +54,8 @@ def _require_in_disc(z, who):
 
 
 def varphi_t(t, z):
-    """Semigroup symbol exp(-t*(1+z)/(1-z)); a unimodular-bounded function on the disc."""
-    if t < 0:
+    """Semigroup symbol exp(-t*(1+z)/(1-z)), t a number or an array broadcasting against z; bounded by 1."""
+    if np.any(np.asarray(t) < 0):
         raise DomainError("varphi_t requires t >= 0")
     z = np.asarray(z, dtype=complex)
     _require_in_disc(z, "varphi_t")

@@ -13,8 +13,8 @@ recover_params reads back the A of this convention.
 The product, commutation, semigroup, master-equation and recovery residuals
 are Frobenius norms, upper bounds on the operator norm: a residual at or
 below a tolerance certifies the operator-norm residual too.  Contractivity
-needs the tight ||Q||_2 and keeps it, from an SVD wherever a cheap
-certificate cannot show ||Q||_2 < 1.
+needs the tight ||Q||_2 and keeps it, from an SVD wherever a batched
+Cholesky of (1 - CONTRACTION_MARGIN)^2 I - Q*Q cannot show ||Q||_2 < 1.
 """
 from __future__ import annotations
 
@@ -59,7 +59,8 @@ DEFAULT_T_LIST = (0.25, 0.5, 1.0, 2.0)
 # the exponentials are trusted for exponent norms up to this; points beyond are skipped
 EXP_NORM_BUDGET = 100.0
 
-# (t, z) slices per exp_sweep call: the default t_list's 7 multipliers on one 64-point circle
+# slices per stack of a factorization check: an exp_sweep call of verify_factorization holds the
+# default t_list's 7 multipliers on one 64-point circle, a master or recovery stack 448 points
 _SWEEP_SLICES = 7 * 64
 
 
@@ -158,19 +159,28 @@ class FactorizationReport:
     semigroup_residual: float
 
 
-# a slice with ||Q*Q||_inf <= (1 - CONTRACTION_MARGIN)**2 has ||Q||_2 < 1 with room for the
-# round-off of forming Q*Q and of an SVD, so its ||Q||_2 - 1 cannot raise the excess clamped at 0
+# a slice whose (1 - CONTRACTION_MARGIN)**2 I - Q*Q has a Cholesky factor has ||Q||_2 < 1 with room for
+# the round-off of the factorization and of an SVD, so its ||Q||_2 - 1 cannot raise the excess clamped at 0
 CONTRACTION_MARGIN = 1e-8
 
 
 def _certified_contractions(Q):
-    """Per slice of the stack Q: True where ||Q*Q||_inf <= (1 - CONTRACTION_MARGIN)**2.
+    """Per slice of the stack Q: True where M = (1 - CONTRACTION_MARGIN)**2 I - Q*Q has a Cholesky factor.
 
-    ||Q||_2^2 = ||Q*Q||_2 <= ||Q*Q||_inf, the largest row sum of moduli, so a
-    certified slice is a contraction.  Q*Q in einsum, the moduli by hypot.
+    Certified means every pivot is > 0 (a NaN pivot is not).  A Cholesky that runs to completion factors
+    M + dM with ||dM||_2 = O(d^2 eps) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 10) and forming Q*Q in einsum adds O(d eps), so a certified slice has ||Q||_2 < 1 - CONTRACTION_MARGIN / 2
+    for d <= 16, and an SVD of it a norm below 1.  Elementwise numpy, one column per step: no BLAS.
     """
-    gram = np.einsum("nki,nkj->nij", Q.conj(), Q, optimize=False)
-    return np.hypot(gram.real, gram.imag).sum(axis=-1).max(axis=-1) <= (1 - CONTRACTION_MARGIN) ** 2
+    M = (1 - CONTRACTION_MARGIN) ** 2 * np.eye(Q.shape[-1]) - np.einsum("nki,nkj->nij", Q.conj(), Q, optimize=False)
+    certified = np.ones(len(Q), dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # a failed pivot leaves NaN below it
+        for k in range(Q.shape[-1]):
+            pivot = M[:, k, k].real
+            certified &= pivot > 0
+            col = M[:, k + 1:, k] / np.sqrt(pivot)[:, None]
+            M[:, k + 1:, k + 1:] -= col[:, :, None] * col[:, None, :].conj()
+    return certified
 
 
 def _contractivity_excess(Q):
@@ -201,7 +211,8 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
     The grid is swept in chunks of _SWEEP_SLICES // T points, T = 2 len(t_list) - 1:
     one exp_sweep per factor exponentiates a chunk at every t of t_list and
     every consecutive sum, each directly from h_j, with multiplier 0 (the
-    identity) where (t, z) is over the budget.  Every t must be finite and > 0.
+    identity) where (t, z) is over the budget; each axiom is checked once per
+    chunk, on the stack of its compared slices.  Every t must be finite and > 0.
     """
     t_list = sorted(float(t) for t in t_list)
     if not all(np.isfinite(t) and t > 0 for t in t_list):
@@ -224,16 +235,17 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
     chunk = _SWEEP_SLICES // len(ts)
     for start in range(0, len(zs), chunk):
         z, mask = zs[start:start + chunk], ok[:, start:start + chunk]
-        Q = [exp_sweep(-build_h(params.A, params.B, j, z), np.where(mask, ts[:, None], 0.0)) for j in (1, 2)]
-        for i, t in enumerate(t_list):
-            Q1, Q2 = Q[0][i, mask[i]], Q[1][i, mask[i]]
-            prod = Q1 @ Q2
-            prod_res = max(prod_res, frobenius_norm(prod - varphi_t(t, z[mask[i]])[:, None, None] * eye).max(initial=0))
-            comm_res = max(comm_res, frobenius_norm(prod - Q2 @ Q1).max(initial=0))
-            contr_exc = max(contr_exc, _contractivity_excess(Q1), _contractivity_excess(Q2))
-        for i in range(L - 1):
-            m = mask[L + i]  # inside the masks of t_list[i] and t_list[i + 1]
-            semi_res = max(semi_res, *(frobenius_norm(P[L + i, m] - P[i, m] @ P[i + 1, m]).max(initial=0) for P in Q))
+        t = np.where(mask, ts[:, None], 0.0)
+        Q = [exp_sweep(-build_h(params.A, params.B, j, z), t) for j in (1, 2)]
+        m = mask[:L]
+        Q1, Q2 = Q[0][:L][m], Q[1][:L][m]
+        prod = Q1 @ Q2
+        prod_res = max(prod_res, frobenius_norm(prod - varphi_t(t[:L], z)[m][:, None, None] * eye).max(initial=0))
+        comm_res = max(comm_res, frobenius_norm(prod - Q2 @ Q1).max(initial=0))
+        contr_exc = max(contr_exc, _contractivity_excess(Q1), _contractivity_excess(Q2))
+        del Q1, Q2, prod  # so that the semigroup stacks do not run beside them
+        m = mask[L:]  # the semigroup points of (t_list[i], t_list[i + 1]) are inside both their masks
+        semi_res = max(semi_res, *(frobenius_norm(P[L:][m] - P[:L - 1][m] @ P[1:L][m]).max(initial=0) for P in Q))
         del Q  # so that the next chunk's sweeps do not run beside these factors
     return FactorizationReport(
         product_residual=float(prod_res),
@@ -246,6 +258,12 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
 def _product(X, Y):
     """X @ Y per slice of two stacks, in einsum: no BLAS, so the same bits under every BLAS kernel."""
     return np.einsum("nij,njk->nik", X, Y, optimize=False)
+
+
+def _point_chunks(grid):
+    """grid.points() in order, as contiguous stacks of at most _SWEEP_SLICES points."""
+    zs = grid.points()
+    return [zs[start:start + _SWEEP_SLICES] for start in range(0, len(zs), _SWEEP_SLICES)]
 
 
 def master_residuals(pair, grid):
@@ -261,7 +279,7 @@ def master_residuals(pair, grid):
     """
     eye = np.eye(pair.psi1.dim)
     residuals = []
-    for zs in grid.circles():
+    for zs in _point_chunks(grid):
         P1, P2 = pair.psi1(zs), pair.psi2(zs)
         L, R = eye - P1, eye - P2
         _require_nonsingular(L)
@@ -287,7 +305,7 @@ def recover_params(pair, grid):
     A, B = -im_part(h10), re_part(h10)
     eye = np.eye(len(A))
     residual = 0.0
-    for zs in grid.circles():
+    for zs in _point_chunks(grid):
         P1 = pair.psi1(zs)
         _require_nonsingular(eye - P1)
         dev = (eye + P1) - _product(build_h(A, B, 1, zs), eye - P1)

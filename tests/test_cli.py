@@ -777,6 +777,18 @@ class TestEmitPlots:
         master = next(c for c in report["checks"] if c["name"] == "master_equation")
         assert max(column) == master["residual"]
 
+    def test_factorize_residual_csv_columns_are_the_scalar_values(self, tmp_path):
+        # the columns are taken over the grid as arrays; each row keeps the bits of abs and angle of its point
+        grid = {"radii": [0.1, 0.35, 0.8, 0.95], "n_angles": 1024}
+        cfg = {"command": "factorize-verify", "random": {"dim": 1, "count": 1}, "grid": grid}
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["--config", cfg_path, "--out", str(out), "--seed", "5", "--emit-plots"]) == EXIT_PASS
+        rows = (out / "factorize_residuals.csv").read_text().splitlines()[1:]
+        points = DiscGrid(grid["radii"], grid["n_angles"]).points()
+        expected = [f"{float(abs(z)):.17g},{float(np.angle(z)):.17g}" for z in points]
+        assert [row.rsplit(",", 1)[0] for row in rows] == expected
+
     def test_rigidity_residual_csv(self, tmp_path):
         cfg = {
             "command": "rigidity-check",

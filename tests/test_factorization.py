@@ -582,6 +582,45 @@ class TestContractivityCertificate:
         assert certified == [verify_factorization(p, grid=FAST_GRID).contractivity_excess for p in params]
 
 
+def with_norm(rng, n, d, norm):
+    """n random d x d slices U diag(s) V* with s_1 = norm and the other singular values uniform in [0, norm].
+
+    Slice 0 is norm times a unitary, every singular value at the norm.
+    """
+    U, V = (np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))[0] for _ in range(2))
+    s = norm * rng.uniform(0.0, 1.0, size=(n, d))
+    s[:, 0], s[0] = norm, norm
+    return (U * s[:, None, :]) @ V.conj().swapaxes(-1, -2)
+
+
+class TestCholeskyCertificate:
+    """The Cholesky certificate is tight: it decides every slice 10^-9 away from its edge ||Q||_2 = 1 - margin."""
+
+    EDGE = 1 - factorization.CONTRACTION_MARGIN
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    def test_decides_at_the_edge(self, d):
+        rng = np.random.default_rng(70 + d)
+        for side, certified in ((-1, True), (1, False)):
+            Q = with_norm(rng, 32, d, self.EDGE * (1 + side * 1e-9))
+            assert np.all(factorization._certified_contractions(Q) == certified)
+            assert np.array_equal(_contractivity_excess(Q), svd_excess(Q))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    def test_certifies_every_slice_below_the_edge(self, d):
+        # random, far from normal: the row sums of |Q*Q| exceed ||Q||_2^2 at d >= 2
+        rng = np.random.default_rng(80 + d)
+        Q = rng.standard_normal((256, d, d)) + 1j * rng.standard_normal((256, d, d))
+        Q *= (self.EDGE * (1 - 1e-6) * rng.uniform(0.5, 1.0, size=256) / operator_norm(Q))[:, None, None]
+        assert np.all(operator_norm(Q) <= self.EDGE * (1 - 1e-6))
+        assert np.all(factorization._certified_contractions(Q))
+
+    def test_non_finite_certifies_nothing(self):
+        Q = with_norm(np.random.default_rng(90), 4, 3, 0.5)
+        Q[1, 2, 0], Q[2, 0, 1], Q[3, 1, 1] = np.nan, np.inf, 1e200
+        assert factorization._certified_contractions(Q).tolist() == [True, False, False, False]
+
+
 class TestSweepPath:
     """verify_factorization exponentiates each chunk of grid points once per factor, and solves nothing."""
 
@@ -636,3 +675,36 @@ class TestSvdOffResidualPath:
         for n, frames in calls:
             assert "_right_divide" in frames or "_contractivity_excess" in frames or frames in a_norm, frames
         assert sum(n for n, _ in calls) <= sum(uncertified) + 1
+
+    def test_no_contractivity_svd_and_one_pass_per_stack(self, monkeypatch):
+        svd, certify = np.linalg.svd, factorization._certified_contractions
+        contractivity_svds, certified, psi_stacks = [], [], {}
+
+        def counting_svd(a, *args, **kwargs):
+            f = sys._getframe(1)
+            while f is not None and f.f_code.co_name != "_contractivity_excess":
+                f = f.f_back
+            if f is not None:
+                contractivity_svds.append(int(np.prod(np.shape(a)[:-2])))
+            return svd(a, *args, **kwargs)
+
+        def recorded(psi):
+            return OperatorFunction(psi.dim, lambda z: psi_stacks[psi.name].append(z.size) or psi(z.ravel()), psi.name)
+
+        params, grid = random_params(np.random.default_rng(4), 4), default_grid()
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(factorization, "_certified_contractions", lambda Q: certified.append(len(Q)) or certify(Q))
+        verify_factorization(params, grid=grid)
+        n, slices = len(grid.points()), 448 // (2 * len(DEFAULT_T_LIST) - 1)
+        # one certificate per factor and chunk, on its len(t_list) x chunk slices
+        assert contractivity_svds == []
+        assert len(certified) == 2 * -(-n // slices) and max(certified) <= len(DEFAULT_T_LIST) * slices
+        # psi on contiguous stacks of at most 448 points: 2 per factor on the default grid
+        pair = pair_from_params(params)
+        pair = FactorPair(psi1=recorded(pair.psi1), psi2=recorded(pair.psi2))
+        psi_stacks.update(psi1=[], psi2=[])
+        master_residuals(pair, grid=grid)
+        assert psi_stacks == {"psi1": [448, n - 448], "psi2": [448, n - 448]}
+        psi_stacks.update(psi1=[], psi2=[])
+        recover_params(pair, grid=grid)
+        assert psi_stacks == {"psi1": [1, 448, n - 448], "psi2": []}  # psi1(0) first, which fixes h_1(0)
