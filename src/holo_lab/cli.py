@@ -10,7 +10,7 @@ run-time-dispatched OpenBLAS may pick and across its thread counts; a
 factorization report with d > 1 can change in its last bits with the BLAS
 kernel, through the stacked matmul of the matrix exponential, which solves
 nothing, and the LAPACK solve of the Cayley transform, the one solve left
-(operators._right_divide; see the README).
+(operators._cayley_divide; see the README).
 """
 from __future__ import annotations
 
@@ -46,7 +46,8 @@ MAX_HERGLOTZ_SAMPLES = 2**16
 MAX_HERGLOTZ_ENTRIES = 2**20
 MAX_SHIFT_ORDER = 256
 # or hours: factorize-verify takes 0.7 s at dim 16 on the default grid, and
-# 290 s and 84 MB at all five caps below (2 vCPUs; see the README)
+# 290 s and 84 MB at all five caps below (2 vCPUs; see the README); the dim cap
+# holds for params too, as the Cholesky certificates state their round-off for d <= 16
 MAX_RANDOM_DIM = 16
 MAX_RANDOM_COUNT = 8
 MAX_GRID_ANGLES = 1024
@@ -174,7 +175,8 @@ RIGIDITY_GRID = GRID._replace(fields=GRID.fields + (
           ("every stencil point of modulus < 1",
            lambda v, values: disc.stencil_in_disc(values["radii"], values["n_angles"], v))),
 ))
-PARAMS = Table("params ", (Field("dim", "integer", REQUIRED, ((">=", 1),)), *HERGLOTZ_PARAMS.fields))
+PARAMS = Table("params ", (Field("dim", "integer", REQUIRED, ((">=", 1), ("<=", MAX_RANDOM_DIM))),
+                           *HERGLOTZ_PARAMS.fields))
 FUNCTION_RULE = (f"a name in {sorted(rigidity.BUILTIN_FUNCTIONS)} or 'const:re,im' with abs(re), abs(im) "
                  f"<= {rigidity.MAX_CONSTANT:g}", lambda v, values: True)  # resolve_function checks it
 

@@ -14,7 +14,8 @@ The product, commutation, semigroup, master-equation and recovery residuals
 are Frobenius norms, upper bounds on the operator norm: a residual at or
 below a tolerance certifies the operator-norm residual too.  Contractivity
 needs the tight ||Q||_2 and keeps it, from an SVD wherever a batched
-Cholesky of (1 - CONTRACTION_MARGIN)^2 I - Q*Q cannot show ||Q||_2 < 1.
+Cholesky of (1 - CONTRACTION_MARGIN)^2 I - Q*Q cannot show ||Q||_2 < 1;
+the same Cholesky clears each I - psi_j divided by as nonsingular.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .disc import _require_in_disc, mobius_phi, varphi_t
 from .operators import (
+    _cholesky_certifies,
     _require_nonsingular,
     as_matrix,
     cayley,
@@ -159,37 +161,20 @@ class FactorizationReport:
     semigroup_residual: float
 
 
-# a slice whose (1 - CONTRACTION_MARGIN)**2 I - Q*Q has a Cholesky factor has ||Q||_2 < 1 with room for
-# the round-off of the factorization and of an SVD, so its ||Q||_2 - 1 cannot raise the excess clamped at 0
+# the room below ||Q||_2 = 1 that a certified contraction keeps for round-off (_contractivity_excess)
 CONTRACTION_MARGIN = 1e-8
-
-
-def _certified_contractions(Q):
-    """Per slice of the stack Q: True where M = (1 - CONTRACTION_MARGIN)**2 I - Q*Q has a Cholesky factor.
-
-    Certified means every pivot is > 0 (a NaN pivot is not).  A Cholesky that runs to completion factors
-    M + dM with ||dM||_2 = O(d^2 eps) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    ch. 10) and forming Q*Q in einsum adds O(d eps), so a certified slice has ||Q||_2 < 1 - CONTRACTION_MARGIN / 2
-    for d <= 16, and an SVD of it a norm below 1.  Elementwise numpy, one column per step: no BLAS.
-    """
-    M = (1 - CONTRACTION_MARGIN) ** 2 * np.eye(Q.shape[-1]) - np.einsum("nki,nkj->nij", Q.conj(), Q, optimize=False)
-    certified = np.ones(len(Q), dtype=bool)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # a failed pivot leaves NaN below it
-        for k in range(Q.shape[-1]):
-            pivot = M[:, k, k].real
-            certified &= pivot > 0
-            col = M[:, k + 1:, k] / np.sqrt(pivot)[:, None]
-            M[:, k + 1:, k + 1:] -= col[:, :, None] * col[:, None, :].conj()
-    return certified
 
 
 def _contractivity_excess(Q):
     """max(0, max_k ||Q_k||_2 - 1) over the slices of the stack Q, as an SVD of every slice gives it.
 
-    A certified contraction cannot raise the maximum clamped at 0, so only
-    the other slices get the exact operator_norm.
+    A slice whose (1 - CONTRACTION_MARGIN)**2 I - Q*Q has a Cholesky factor (_cholesky_certifies) cannot
+    raise the maximum clamped at 0: the Cholesky's O(d^2 eps) and einsum's O(d eps) round-off leave it
+    ||Q||_2 < 1 - CONTRACTION_MARGIN / 2 for d <= 16, and an SVD of it a norm below 1.  Only the other
+    slices get the exact operator_norm.
     """
-    open_ = ~_certified_contractions(Q)
+    gram = np.einsum("nki,nkj->nij", Q.conj(), Q, optimize=False)
+    open_ = ~_cholesky_certifies((1 - CONTRACTION_MARGIN) ** 2 * np.eye(Q.shape[-1]) - gram)
     if not open_.any():
         return 0.0
     return max(float(operator_norm(Q[open_]).max()) - 1, 0.0)

@@ -6,9 +6,9 @@ operator and Frobenius norms) also take an (n, d, d) stack and act slice by
 slice, with the same bits per slice as a call on that slice alone.  exp_sweep
 is the one matrix exponential: it exponentiates a stack at one or many real
 multipliers per slice, sharing the powers and the Taylor evaluation across
-them, and solves nothing; only the Cayley transforms' _right_divide solves a
-linear system.  The matrix Cayley transform and its inverse exchange
-positive-real-part matrices and contractions.
+them, and solves nothing; only the Cayley transforms' _cayley_divide solves a
+linear system, and nothing forms an inverse.  The matrix Cayley transform
+and its inverse exchange positive-real-part matrices and contractions.
 """
 from __future__ import annotations
 
@@ -90,60 +90,62 @@ def is_positive_contraction(B, tol=1e-10):
     return bool(eigs[0] >= -tol and eigs[-1] <= 1 + tol)
 
 
-def _certified_nonsingular(den):
-    """Per slice of the stack den: True where den is certainly not singular in _right_divide's sense.
+def _cholesky_certifies(M):
+    """Per slice of the Hermitian stack M: True where M has a Cholesky factor, every pivot > 0 (a NaN is not).
 
-    sigma_max <= ||den||_F and sigma_min = 1 / ||den^-1||_2 >= 1 / ||den^-1||_F, so
-    2 * SINGULARITY_RTOL * max(||den||_F, 1) * ||den^-1||_F < 1 puts sigma_min above
-    twice the singularity threshold; the factor 2 covers the round-off of the
-    inverse and of the SVD the decision would otherwise take.  A slice whose
-    inverse overflows or is not finite is left uncertified.
+    A Cholesky that runs to completion factors M + dM with ||dM||_2 = O(d^2 eps) ||M||_2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10).  Right-looking, one column per step,
+    in elementwise numpy on a (d, d, n) copy, so that every operation runs over the n slices: no BLAS.
     """
-    try:
-        inverse = np.linalg.inv(den)
-    except np.linalg.LinAlgError:  # an exactly singular slice; leave every slice to the SVD
-        return np.zeros(len(den), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite or NaN (inf * 0) bound certifies nothing
-        bound = 2 * SINGULARITY_RTOL * np.maximum(_frobenius(den), 1.0) * _frobenius(inverse)
-    return bound < 1
+    A = M.transpose(1, 2, 0).copy()
+    certified = np.ones(len(M), dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # a failed pivot leaves NaN below it
+        for k in range(len(A)):
+            pivot = A[k, k].real
+            certified &= pivot > 0
+            col = A[k + 1:, k] / np.sqrt(pivot)
+            A[k + 1:, k + 1:] -= col[:, None] * col.conj()
+    return certified
 
 
-def _require_nonsingular(den):
-    """Raise SingularityError if the matrix den, or a slice of the stack den, is ill-conditioned.
+def _require_nonsingular(X):
+    """Raise SingularityError if the matrix X, or a slice of the stack X, is ill-conditioned.
 
-    A slice is singular when its smallest singular value is at most
-    SINGULARITY_RTOL * max(largest, 1).  Only the slices that
-    _certified_nonsingular leaves open get the SVD, so the decision, the
-    index and the message are those of an SVD of every slice.
+    A slice is singular when its smallest singular value is at most SINGULARITY_RTOL * max(largest, 1).
+    It is not where Re X - c I, c = 2 SINGULARITY_RTOL max(||X||_F, 1), has a Cholesky factor: sigma_min(X)
+    >= lambda_min(Re X) (Fan & Hoffman, Proc. AMS 6, 1955), sigma_max(X) <= ||X||_F, and the factor 2 covers
+    the O(d^2 eps) round-off of the Cholesky and of the SVD for d <= 16.  That clears the accretive X the
+    package divides by (Re(h + I) >= I, Re(I - psi) >= 0); only the other slices, a rotation say, get the
+    SVD, so the decision, the index and the message are an all-SVD test's.  An overflow certifies nothing.
     """
-    stack = den.reshape(-1, *den.shape[-2:])
-    open_ = np.flatnonzero(~_certified_nonsingular(stack))
+    stack = X.reshape(-1, *X.shape[-2:])
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite c leaves -inf or NaN pivots
+        c = 2 * SINGULARITY_RTOL * np.maximum(_frobenius(stack), 1.0)
+        M = (stack + _adjoint(stack)) / 2
+        M.reshape(len(M), -1)[:, ::M.shape[-1] + 1] -= c[:, None]  # Re X - c I
+    open_ = np.flatnonzero(~_cholesky_certifies(M))
     if len(open_):
         s = np.linalg.svd(stack[open_], compute_uv=False)
         smallest = s[:, -1]
         singular = smallest <= SINGULARITY_RTOL * np.maximum(s[:, 0], 1.0)
         if np.any(singular):
             i = int(np.argmax(singular))
-            where = f" at stack index {open_[i]}" if den.ndim == 3 else ""
+            where = f" at stack index {open_[i]}" if X.ndim == 3 else ""
             raise SingularityError(
                 f"matrix is numerically singular{where} "
                 f"(smallest singular value {smallest[i]:.3e})"
             )
 
 
-def _right_divide(num, den):
-    """num @ inv(den) per slice, raising SingularityError if any den is ill-conditioned (_require_nonsingular)."""
-    den = _as_square(den)
-    _require_nonsingular(den)
-    return _adjoint(np.linalg.solve(_adjoint(den), _adjoint(_as_square(num))))
-
-
 def _cayley_divide(num, den):
-    """_right_divide, but a 1 x 1 den divides as a number: unlike LAPACK's solve, the same bits under every BLAS."""
+    """num @ inv(den) per slice, raising SingularityError if any den is ill-conditioned (_require_nonsingular).
+
+    A 1 x 1 den divides as a number: unlike LAPACK's solve, the same bits under every BLAS.
+    """
+    _require_nonsingular(den)
     if den.shape[-1] == 1:
-        _require_nonsingular(den)
         return num / den
-    return _right_divide(num, den)
+    return _adjoint(np.linalg.solve(_adjoint(den), _adjoint(num)))
 
 
 def cayley(h):

@@ -196,7 +196,16 @@ PROBES = _probes()
 
 
 def _mutated(case, path, value):
-    return _mutated_config(_base_configs()[case], path, value)
+    cfg = _mutated_config(_base_configs()[case], path, value)
+    if path[-2:] == ("params", "dim") and type(value) is int and value >= 1:
+        cfg["params"].update(_params_of_dim(value))  # an accepted dim runs with A and B of its size
+    return cfg
+
+
+def _params_of_dim(d):
+    """params A = 0 and B = I / 2 of size d, as [re, im] literals."""
+    return {"dim": d, "A": [[[0.0, 0.0]] * d] * d,
+            "B": [[[0.5 if i == j else 0.0, 0.0] for j in range(d)] for i in range(d)]}
 
 
 def _mutated_config(base, path, value):
@@ -531,6 +540,36 @@ class TestMatrixKind:
         assert f"{command} params dim must be" in err, err
 
 
+class TestParamsDimCap:
+    """params dim is at most MAX_RANDOM_DIM, as random.dim is: the certificates' round-off bounds hold for d <= 16."""
+
+    GRID = {"grid": {"radii": [0.3, 0.9], "n_angles": 16}}
+
+    @staticmethod
+    def _cfg(tmp_path, command, d):
+        if command == "params_file":
+            path = tmp_path / "params.json"
+            path.write_text(json.dumps(_params_of_dim(d)))
+            return "recover-params", {"command": "recover-params", "params_file": str(path), **TestParamsDimCap.GRID}
+        return command, {"command": command, "params": _params_of_dim(d), **TestParamsDimCap.GRID}
+
+    @pytest.mark.parametrize("command", ["factorize-verify", "recover-params", "params_file"])
+    def test_edge(self, tmp_path, command):
+        assert cli.MAX_RANDOM_DIM == 16
+        _, cfg = self._cfg(tmp_path, command, 16)
+        code, report, err = run_config(cfg)
+        assert code == EXIT_PASS, err
+        strict_json(report)
+
+    @pytest.mark.parametrize("command", ["factorize-verify", "recover-params", "params_file"])
+    def test_above_the_cap_is_rejected(self, tmp_path, command):
+        command, cfg = self._cfg(tmp_path, command, 17)
+        code, report, err = run_config(cfg)
+        assert code == EXIT_INVALID, err
+        assert report is None
+        assert f"{command} params dim must be" in err and "<= 16" in err, err
+
+
 class TestHerglotzSampleCap:
     """n_samples * d**2 <= 2**20: a rejected config is rejected while parsing, before any sample is taken."""
 
@@ -637,20 +676,28 @@ class TestOneCircleTransform:
             assert negative_powers == (path.name == "disc.py"), path.name
 
 
-class TestOneExponential:
-    """exp_sweep is the one matrix exponential, and no exponential solves: only _right_divide does."""
+def naming_sites(name):
+    """(module file, top-level definition) of every top-level statement in src/holo_lab that names name.
 
-    def test_only_right_divide_solves(self):
-        sites = set()
-        for path in sorted((ROOT / "src" / "holo_lab").glob("*.py")):
-            for node in ast.parse(path.read_text()).body:
-                names = {n.attr if isinstance(n, ast.Attribute) else n.id
-                         for n in ast.walk(node) if isinstance(n, (ast.Attribute, ast.Name))}
-                names |= {alias.name.split(".")[-1] for n in ast.walk(node)
-                          if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
-                if "solve" in names:
-                    sites.add((path.name, getattr(node, "name", None)))
-        assert sites == {("operators.py", "_right_divide")}
+    A name is an attribute, a variable or the last part of an import.
+    """
+    sites = set()
+    for path in sorted((ROOT / "src" / "holo_lab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = {n.attr if isinstance(n, ast.Attribute) else n.id
+                     for n in ast.walk(node) if isinstance(n, (ast.Attribute, ast.Name))}
+            names |= {alias.name.split(".")[-1] for n in ast.walk(node)
+                      if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
+            if name in names:
+                sites.add((path.name, getattr(node, "name", None)))
+    return sites
+
+
+class TestOneExponential:
+    """exp_sweep is the one matrix exponential, and no exponential solves: only _cayley_divide does."""
+
+    def test_only_cayley_divide_solves(self):
+        assert naming_sites("solve") == {("operators.py", "_cayley_divide")}
 
     def test_exp_sweep_is_the_only_exponential(self):
         tree = ast.parse((ROOT / "src" / "holo_lab" / "operators.py").read_text())
@@ -658,6 +705,12 @@ class TestOneExponential:
         defined += [target.id for node in tree.body if isinstance(node, ast.Assign)
                     for target in node.targets if isinstance(target, ast.Name)]
         assert [name for name in defined if "exp" in name.lower() or "pade" in name.lower()] == ["exp_sweep"]
+
+
+class TestNoInverse:
+    def test_no_module_names_inv(self):
+        # nonsingularity is certified by the Cholesky of Re X - c I, and the Cayley transforms solve
+        assert naming_sites("inv") == set()
 
 
 def run_readers():

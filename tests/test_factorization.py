@@ -593,32 +593,44 @@ def with_norm(rng, n, d, norm):
     return (U * s[:, None, :]) @ V.conj().swapaxes(-1, -2)
 
 
+@pytest.fixture
+def verdicts(monkeypatch):
+    """The Cholesky certificate's per-slice verdicts, one array per call that _contractivity_excess makes."""
+    recorded, kernel = [], factorization._cholesky_certifies
+    monkeypatch.setattr(factorization, "_cholesky_certifies", lambda M: recorded.append(kernel(M)) or recorded[-1])
+    return recorded
+
+
 class TestCholeskyCertificate:
     """The Cholesky certificate is tight: it decides every slice 10^-9 away from its edge ||Q||_2 = 1 - margin."""
 
     EDGE = 1 - factorization.CONTRACTION_MARGIN
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
-    def test_decides_at_the_edge(self, d):
+    def test_decides_at_the_edge(self, d, verdicts):
         rng = np.random.default_rng(70 + d)
         for side, certified in ((-1, True), (1, False)):
             Q = with_norm(rng, 32, d, self.EDGE * (1 + side * 1e-9))
-            assert np.all(factorization._certified_contractions(Q) == certified)
-            assert np.array_equal(_contractivity_excess(Q), svd_excess(Q))
+            excess = _contractivity_excess(Q)
+            assert np.all(verdicts.pop() == certified)
+            assert np.array_equal(excess, svd_excess(Q))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
-    def test_certifies_every_slice_below_the_edge(self, d):
+    def test_certifies_every_slice_below_the_edge(self, d, verdicts):
         # random, far from normal: the row sums of |Q*Q| exceed ||Q||_2^2 at d >= 2
         rng = np.random.default_rng(80 + d)
         Q = rng.standard_normal((256, d, d)) + 1j * rng.standard_normal((256, d, d))
         Q *= (self.EDGE * (1 - 1e-6) * rng.uniform(0.5, 1.0, size=256) / operator_norm(Q))[:, None, None]
         assert np.all(operator_norm(Q) <= self.EDGE * (1 - 1e-6))
-        assert np.all(factorization._certified_contractions(Q))
+        assert _contractivity_excess(Q) == 0.0
+        assert np.all(verdicts.pop())
 
-    def test_non_finite_certifies_nothing(self):
+    def test_non_finite_certifies_nothing(self, verdicts):
         Q = with_norm(np.random.default_rng(90), 4, 3, 0.5)
         Q[1, 2, 0], Q[2, 0, 1], Q[3, 1, 1] = np.nan, np.inf, 1e200
-        assert factorization._certified_contractions(Q).tolist() == [True, False, False, False]
+        with pytest.raises(ValueError, match="finite"):  # the open slices reach operator_norm, which refuses them
+            _contractivity_excess(Q)
+        assert verdicts.pop().tolist() == [True, False, False, False]
 
 
 class TestSweepPath:
@@ -642,8 +654,7 @@ class TestSvdOffResidualPath:
     """No residual reaches an SVD: only the uncertified slices and ||A|| do."""
 
     def test_svd_slices_at_most_uncertified(self, monkeypatch):
-        svd, certify_contraction = np.linalg.svd, factorization._certified_contractions
-        certify_nonsingular = operators._certified_nonsingular
+        svd, kernel = np.linalg.svd, operators._cholesky_certifies
         calls, uncertified = [], []
 
         def counting_svd(a, *args, **kwargs):
@@ -654,18 +665,17 @@ class TestSvdOffResidualPath:
             calls.append((int(np.prod(np.shape(a)[:-2])), frames))
             return svd(a, *args, **kwargs)
 
-        def counted(certify):
-            def wrapper(stack):
-                mask = certify(stack)
-                uncertified.append(int(np.count_nonzero(~mask)))
-                return mask
-            return wrapper
+        def counted(M):
+            mask = kernel(M)
+            uncertified.append(int(np.count_nonzero(~mask)))
+            return mask
 
         params = random_params(np.random.default_rng(4), 4)
         pair = pair_from_params(params)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(factorization, "_certified_contractions", counted(certify_contraction))
-        monkeypatch.setattr(operators, "_certified_nonsingular", counted(certify_nonsingular))
+        # the one Cholesky kernel, as contractivity (factorization) and nonsingularity (operators) call it
+        monkeypatch.setattr(factorization, "_cholesky_certifies", counted)
+        monkeypatch.setattr(operators, "_cholesky_certifies", counted)
         verify_factorization(params, grid=default_grid())
         master_residuals(pair, grid=default_grid())
         recover_params(pair, grid=default_grid())
@@ -673,11 +683,11 @@ class TestSvdOffResidualPath:
         a_norm = [frames for n, frames in calls if frames[:2] == ["operator_norm", "verify_factorization"]]
         assert len(a_norm) == 1  # ||A||, which sets the exponent-norm budget
         for n, frames in calls:
-            assert "_right_divide" in frames or "_contractivity_excess" in frames or frames in a_norm, frames
+            assert "_require_nonsingular" in frames or "_contractivity_excess" in frames or frames in a_norm, frames
         assert sum(n for n, _ in calls) <= sum(uncertified) + 1
 
     def test_no_contractivity_svd_and_one_pass_per_stack(self, monkeypatch):
-        svd, certify = np.linalg.svd, factorization._certified_contractions
+        svd, certify = np.linalg.svd, factorization._cholesky_certifies
         contractivity_svds, certified, psi_stacks = [], [], {}
 
         def counting_svd(a, *args, **kwargs):
@@ -693,7 +703,7 @@ class TestSvdOffResidualPath:
 
         params, grid = random_params(np.random.default_rng(4), 4), default_grid()
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(factorization, "_certified_contractions", lambda Q: certified.append(len(Q)) or certify(Q))
+        monkeypatch.setattr(factorization, "_cholesky_certifies", lambda M: certified.append(len(M)) or certify(M))
         verify_factorization(params, grid=grid)
         n, slices = len(grid.points()), 448 // (2 * len(DEFAULT_T_LIST) - 1)
         # one certificate per factor and chunk, on its len(t_list) x chunk slices

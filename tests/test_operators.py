@@ -1,4 +1,5 @@
 
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from holo_lab.operators import (
     SINGULARITY_RTOL,
     SingularityError,
     _TAYLOR_THETA,
-    _right_divide,
+    _cayley_divide,
     as_matrix,
     cayley,
     exp_sweep,
@@ -389,7 +390,10 @@ class TestFrobeniusNorm:
 
 
 def svd_right_divide(num, den):
-    """num @ inv(den) with the singularity decided by an SVD of every slice: the oracle for _right_divide."""
+    """num @ inv(den) with the singularity decided by an SVD of every slice: the oracle for _cayley_divide.
+
+    A 1 x 1 den divides as a number, as _cayley_divide's does.
+    """
     s = np.linalg.svd(den, compute_uv=False)
     smallest = s[..., -1]
     singular = smallest <= SINGULARITY_RTOL * np.maximum(s[..., 0], 1.0)
@@ -399,6 +403,8 @@ def svd_right_divide(num, den):
         raise SingularityError(
             f"matrix is numerically singular{where} (smallest singular value {np.ravel(smallest)[k]:.3e})"
         )
+    if den.shape[-1] == 1:
+        return num / den
     adj = lambda T: T.conj().swapaxes(-1, -2)  # noqa: E731
     return adj(np.linalg.solve(adj(den), adj(num)))
 
@@ -411,7 +417,7 @@ def outcome(divide, num, den):
 
 
 def assert_same_outcome(num, den):
-    got, want = outcome(_right_divide, num, den), outcome(svd_right_divide, num, den)
+    got, want = outcome(_cayley_divide, num, den), outcome(svd_right_divide, num, den)
     assert got[0] == want[0]
     if got[0] == "solved":
         assert np.array_equal(got[1], want[1])
@@ -425,6 +431,20 @@ def with_singular_values(rng, s):
     d = len(s)
     U, V = (np.linalg.qr(random_matrix(rng, d))[0] for _ in range(2))
     return (U * s) @ V.conj().T
+
+
+@pytest.fixture
+def svd_slices(monkeypatch):
+    """The number of slices of each SVD that _require_nonsingular takes."""
+    counts, svd = [], np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_require_nonsingular":
+            counts.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return counts
 
 
 class TestRightDivideCertificate:
@@ -456,20 +476,65 @@ class TestRightDivideCertificate:
         result = assert_same_outcome(num, den)
         assert result == ("singular" if side < 1 else "solved")
         if result == "singular":
-            assert "at stack index 3" in outcome(_right_divide, num, den)[1]
+            assert "at stack index 3" in outcome(_cayley_divide, num, den)[1]
         assert assert_same_outcome(num[3], den[3]) == result
 
     def test_overflowing_bound(self):
-        # ||den||_F^2 and ||den^-1||_F^2 overflow to inf: no certificate, the SVD decides
+        # ||den||_F^2 overflows to inf, so c = inf certifies nothing and the SVD decides
         den = np.stack([np.eye(2), np.diag([1e200, 1e-200]), np.diag([1e200, 1.0])]).astype(complex)
         num = np.stack([np.eye(2)] * 3)
         assert assert_same_outcome(num, den) == "singular"
         assert assert_same_outcome(num[[0, 2]], den[[0, 2]]) == "singular"
         assert assert_same_outcome(num[2], np.diag([1e160, 1e160]).astype(complex)) == "solved"
 
-    def test_exactly_singular_slice(self):
-        # np.linalg.inv raises on the zero slice, so every slice goes to the SVD
-        den = np.stack([np.eye(3), 2 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
+    def test_exactly_singular_slice(self, svd_slices):
+        # the three identities are certified; only the zero slice reaches the SVD, which decides it singular
+        den = np.stack([np.eye(3), 2 * np.eye(3), np.zeros((3, 3)), np.eye(3)]).astype(complex)
         assert assert_same_outcome(np.stack([np.eye(3)] * 4), den) == "singular"
+        assert svd_slices == [1]
         with pytest.raises(SingularityError, match="stack index 2"):
-            _right_divide(np.stack([np.eye(3)] * 4), den)
+            _cayley_divide(np.stack([np.eye(3)] * 4), den)
+
+
+class TestNonsingularCertificate:
+    """The Cholesky of Re X - c I, c = 2 SINGULARITY_RTOL max(||X||_F, 1), decides 10^-6 away from its edge."""
+
+    @staticmethod
+    def accretive(rng, n, d, scale, side):
+        """n slices X = H + iK, H and K real symmetric, ||K||_F = scale, lambda_min(H) = c (1 + side 1e-6).
+
+        Re X is H exactly, and the spectrum of H lies in [c (1 - 1e-6), 2c], so that the Cholesky's
+        round-off, O(d^2 eps c), cannot move the edge.
+        """
+        c = 2 * SINGULARITY_RTOL * max(scale, 1.0)
+        X = np.empty((n, d, d), dtype=complex)
+        for k in range(n):
+            U = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            lam = c * rng.uniform(1.0, 2.0, size=d)
+            lam[0] = c * (1 + side * 1e-6)
+            K = rng.standard_normal((d, d))
+            K = K + K.T
+            X[k] = (U * lam) @ U.T + 1j * (scale / np.linalg.norm(K)) * K
+        # ||X||_F is ||K||_F up to c^2 / scale: the edge c is the one _require_nonsingular computes
+        assert np.allclose(2 * SINGULARITY_RTOL * np.maximum(frobenius_norm(X), 1.0), c, rtol=1e-12, atol=0)
+        return X
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("scale", [0.5, 1e3])
+    def test_decides_at_the_edge(self, d, scale, svd_slices):
+        rng = np.random.default_rng(100 + d)
+        for side, svds in ((1, []), (-1, [16])):  # certified above the edge; open below it, so the SVD decides
+            X = self.accretive(rng, 16, d, scale, side)
+            num = np.stack([random_matrix(rng, d) for _ in X])
+            assert assert_same_outcome(num, X) == "solved"
+            assert svd_slices == svds
+            svd_slices.clear()
+
+    def test_rotation_reaches_the_svd_and_solves(self, svd_slices):
+        # Re X = 0: not accretive, so open, but nonsingular (both singular values 1)
+        rotation = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+        den = np.stack([np.eye(2), rotation, 2 * np.eye(2)]).astype(complex)
+        num = np.stack([random_matrix(np.random.default_rng(110), 2) for _ in den])
+        assert assert_same_outcome(num, den) == "solved"
+        assert assert_same_outcome(num[1], rotation) == "solved"
+        assert svd_slices == [1, 1]
