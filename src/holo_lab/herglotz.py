@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disc import DomainError, _require_in_disc, circle, circle_coefficients, mobius_phi
-from .operators import as_matrix, operator_norm, re_part, require_self_adjoint
+from .operators import operator_norm, re_part, require_self_adjoint
 from .rigidity import OperatorFunction
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "estimate_moments",
     "atom_at_angle",
     "dirac_concentration_test",
-    "herglotz_reconstruct",
     "atom_model",
     "arc_mass_profile",
     "analyze",
@@ -109,12 +108,6 @@ def dirac_concentration_test(moments, tol_atom=None):
     return atom, leak, bool(leak <= tol_atom)
 
 
-def herglotz_reconstruct(atom_mass, im_at_0, z):
-    """The pure-atom Herglotz function i*im_at_0 + phi(z)*atom_mass; z a point or (n, 1, 1) points."""
-    _require_in_disc(z, "herglotz_reconstruct")
-    return 1j * as_matrix(im_at_0) + mobius_phi(z) * as_matrix(atom_mass)
-
-
 def atom_model(A, B):
     """The pure-atom Herglotz function i*A + phi(z)*B as an OperatorFunction; A = A*, and the mass B = B* >= 0."""
     A, B = require_self_adjoint(A, name="A"), require_self_adjoint(B, name="B")
@@ -123,7 +116,12 @@ def atom_model(A, B):
     lowest = float(np.linalg.eigvalsh(B)[0])
     if lowest < -MASS_TOL:
         raise ValueError(f"the atom mass B must be positive semidefinite (smallest eigenvalue {lowest:.3e})")
-    return OperatorFunction(A.shape[0], lambda z: herglotz_reconstruct(B, A, z), "atom-model")
+
+    def evaluate(z):
+        _require_in_disc(z, "atom_model")
+        return 1j * A + mobius_phi(z) * B
+
+    return OperatorFunction(A.shape[0], evaluate, "atom-model")
 
 
 def arc_mass_profile(moments):

@@ -9,11 +9,11 @@ and the Taylor coefficients c_{n-m}(t) of varphi_t by power-series
 composition.  Their agreement is the strongest check in the package.
 
 Multiplication operators are truncated to lower block-triangular
-(block-)Toeplitz matrices in the monomial basis; products of truncations
-agree with truncations of products.  The factorization check therefore
-works on coefficient sequences: a block convolution stands for the matrix
-product, and the Wiener norm sum_k ||r_k|| bounds the operator norm of a
-truncation, so no (dN) x (dN) matrix is formed.
+(block-)Toeplitz matrices in the monomial basis, and T_N(a) T_N(b) =
+T_N(ab).  The factorization check reads the coefficients of the pointwise
+product of the two factors off one circle of samples, and the Wiener norm
+sum_k ||r_k|| bounds a truncation's operator norm: no (dN) x (dN) matrix
+is formed.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .operators import as_matrix, operator_norm  # as_matrix: perfbench/test_job
 
 __all__ = [
     "taylor_varphi_t",
-    "taylor_matrix_symbol",
     "laguerre_fns",
     "LaguerreQuadrature",
     "laguerre_quadrature",
@@ -72,19 +71,6 @@ def taylor_varphi_t(t, N):
     for n in range(1, N):
         c[n] = -2.0 * t * _dot(ks[:n], c[n - 1 :: -1]) / n
     return c
-
-
-def taylor_matrix_symbol(params, j, t, N):
-    """Taylor coefficients of the matrix symbol z -> phi_{j,t}(z).
-
-    Samples the symbol at S = max(8N, 256) equispaced points of the circle
-    |z| = 0.9 and applies an entrywise r^{-n}-corrected DFT
-    (disc.circle_coefficients).
-    """
-    S, r = max(8 * N, 256), 0.9
-    # the aliasing wrap r^(S - N) is at most 0.9^224 = 5.6e-11 for every N
-    # (S - N = 7N from N = 32 on, 256 - N below)
-    return circle_coefficients(phi_jt(params, j, t, circle(r, S)), r, np.arange(N))
 
 
 def laguerre_fns(n_max, x):
@@ -193,42 +179,33 @@ def conjugation_check(t, n_check, quad):
     )
 
 
-def _block_convolve(a, b):
-    """r_k = sum_{i <= k} a_i b_{k-i} for k < N: the first N coefficients of a product.
-
-    a and b are (N, d, d); r is the coefficient sequence of the product of
-    their lower block-triangular Toeplitz truncations, summed over ascending i.
-    """
-    N = a.shape[0]
-    r = np.zeros_like(a, dtype=complex)
-    for i in range(N):
-        r[i:] += a[i] @ b[: N - i]
-    return r
-
-
 def truncated_factorization_check(params, t, N=32):
     """Residual of the factorization at truncation order N.
 
-    With a, b the first N Taylor coefficients of the two factor symbols
-    (sampled and transformed) and c those of varphi_t (by the series
-    recurrence), returns
+    Samples both factor symbols once on circle(0.9, S), S = max(8N, 256).
+    P and C are the first N Taylor coefficients (disc.circle_coefficients)
+    of the pointwise product Q1 Q2 and of the commutator Q1 Q2 - Q2 Q1, and
+    c those of varphi_t (by the series recurrence).  Returns
 
-        max(sum_k ||P_k - c_k I||, sum_k ||P_k - (b * a)_k||),   P = a * b,
+        max(sum_k ||P_k - c_k I||, sum_k ||C_k||),
 
-    where * is the truncated block convolution and ||.|| the spectral norm.
-    P is exactly the coefficient sequence of T1 T2 for the lower
-    block-triangular Toeplitz truncations T1, T2 (they truncate cleanly), so
-    this measures coefficient accuracy only.  A truncation is
-    T_N(r) = sum_k J^k (x) r_k with J the N x N truncated shift and
-    ||J^k|| <= 1, so ||T_N(r)|| <= sum_k ||r_k|| (the Wiener-algebra bound,
-    Boettcher-Silbermann, Analysis of Toeplitz Operators, section 2): each
-    sum bounds the dense ||T1 T2 - T|| or ||T1 T2 - T2 T1|| at order N, and
-    a residual within a tolerance certifies both.
+    ||.|| the spectral norm.  Lower block-triangular Toeplitz truncations
+    multiply cleanly, so P and C are the coefficient sequences of T1 T2 and
+    T1 T2 - T2 T1 for the truncations T1, T2 of the two factors.  A
+    truncation is T_N(r) = sum_k J^k (x) r_k with J the N x N truncated
+    shift and ||J^k|| <= 1, so ||T_N(r)|| <= sum_k ||r_k|| (the
+    Wiener-algebra bound, Boettcher-Silbermann, Analysis of Toeplitz
+    Operators, section 2): the sums bound the dense ||T1 T2 - T_N(c) (x) I||
+    and ||T1 T2 - T2 T1|| at order N, and a residual within a tolerance
+    certifies both.
     """
-    a = taylor_matrix_symbol(params, 1, t, N)
-    b = taylor_matrix_symbol(params, 2, t, N)
+    S, r, ns = max(8 * N, 256), 0.9, np.arange(N)
+    # the aliasing wrap is at most r^(S - N) <= 0.9^224 = 5.6e-11: S - N >= 224 for every N
+    z = circle(r, S)
+    Q1, Q2 = phi_jt(params, 1, t, z), phi_jt(params, 2, t, z)
+    product = Q1 @ Q2
+    P = circle_coefficients(product, r, ns)
+    C = circle_coefficients(product - Q2 @ Q1, r, ns)
     c = taylor_varphi_t(t, N)
-    P = _block_convolve(a, b)
     target = np.sum(operator_norm(P - c[:, None, None] * np.eye(params.dim)))
-    commutator = np.sum(operator_norm(P - _block_convolve(b, a)))
-    return float(max(target, commutator))
+    return float(max(target, np.sum(operator_norm(C))))

@@ -8,6 +8,7 @@ hand-listed cases in test_cli.py stay as the independent oracle.
 """
 import ast
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -800,6 +801,73 @@ class TestEveryRecordFieldIsRead:
         members = {m for p in holo_lab_modules() for m in self.members(p)}
         assert {("RigidityReport", "verdict"), ("DiscGrid", "points"), ("LaguerreQuadrature", "basis_order"),
                 ("FactorParams", "dim")} <= members
+
+
+def holo_lab_loads(path):
+    """The dotted path of every attribute a file loads from a holo_lab binding, and of every name it imports.
+
+    A binding is the name `holo_lab` of `import holo_lab.x`, or a name that
+    `from holo_lab... import` binds; `shiftsim.as_matrix` after
+    `from holo_lab import shiftsim` is `holo_lab.shiftsim.as_matrix`.
+    """
+    tree = ast.parse(path.read_text())
+    bound, loads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "holo_lab":
+                    loads.add(alias.name)
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        bound["holo_lab"] = "holo_lab"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "holo_lab":
+            for alias in node.names:
+                loads.add(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in bound:
+                loads.add(".".join([bound[node.id], *chain]))
+    return loads
+
+
+def resolves(dotted):
+    """True when every part of dotted after the package resolves as an attribute."""
+    obj = importlib.import_module("holo_lab")
+    for part in dotted.split(".")[1:]:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+class TestBenchmarkLoadsResolve:
+    """What perfbench/ (its tests too) and tools/ load from holo_lab exists.
+
+    perfbench/test_jobs.py is outside the Tier-1 test paths, so without this
+    guard a deletion in src could break the benchmark while Tier-1 passes.
+    """
+
+    @staticmethod
+    def loads():
+        for module in holo_lab_modules():
+            importlib.import_module(f"holo_lab.{module.stem}")
+        paths = [*sorted((ROOT / "perfbench").glob("*.py")), *sorted((ROOT / "tools").glob("*.py"))]
+        return {(path.relative_to(ROOT).as_posix(), dotted) for path in paths for dotted in holo_lab_loads(path)}
+
+    def test_every_load_resolves(self):
+        assert {(path, dotted) for path, dotted in self.loads() if not resolves(dotted)} == set()
+
+    def test_the_guard_sees_the_benchmark_loads(self):
+        loaded = {dotted for _, dotted in self.loads()}
+        assert {"holo_lab.shiftsim.truncated_factorization_check", "holo_lab.shiftsim.as_matrix",
+                "holo_lab.rigidity.OperatorFunction", "holo_lab.cli.main"} <= loaded
+        assert not resolves("holo_lab.shiftsim.no_such_name")
 
 
 class TestStrictReport:

@@ -9,7 +9,6 @@ from holo_lab.herglotz import (
     atom_model,
     dirac_concentration_test,
     estimate_moments,
-    herglotz_reconstruct,
     sample_boundary,
 )
 from holo_lab.operators import im_part, operator_norm
@@ -167,15 +166,17 @@ class TestConcentration:
 class TestReconstruct:
     def test_values(self):
         eye = np.eye(2)
-        np.testing.assert_allclose(herglotz_reconstruct(eye, 0 * eye, 0), eye)
+        np.testing.assert_allclose(atom_model(0 * eye, eye)(0), eye)
         A = np.diag([1.0, -2.0])
-        np.testing.assert_allclose(herglotz_reconstruct(0 * eye, A, 0.3j), 1j * A)
+        np.testing.assert_allclose(atom_model(A, 0 * eye)(0.3j), 1j * A)
         B = np.diag([0.5, 1.0])
-        np.testing.assert_allclose(herglotz_reconstruct(B, A, 0.5), 1j * A + 3 * B)
+        np.testing.assert_allclose(atom_model(A, B)(0.5), 1j * A + 3 * B)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            herglotz_reconstruct(np.eye(1), np.zeros((1, 1)), 1.0)
+        h = atom_model(np.zeros((1, 1)), np.eye(1))
+        for z in (1.0, np.array([0.5, 1.5j])):
+            with pytest.raises(DomainError):
+                h(z)
 
     def test_loop_closure(self):
         # sample -> moments -> atom recovers the generating (B, Im h(0))
@@ -187,7 +188,7 @@ class TestReconstruct:
         approx = analyze(h, r=R, N=N_SHARP, M=M)
         assert approx.concentrated
         for z in (0.0, 0.5, 0.2 - 0.6j, 0.9):
-            dev = herglotz_reconstruct(approx.atom_mass_at_1, im_part(h(0)), z) - h(z)
+            dev = atom_model(im_part(h(0)), approx.atom_mass_at_1)(z) - h(z)
             assert np.max(np.abs(dev)) <= 1e-4
 
     def test_atom_error_improves_in_M(self):

@@ -5,15 +5,14 @@ import pytest
 from scipy.special import eval_laguerre
 
 from holo_lab import shiftsim
+from holo_lab.disc import circle, circle_coefficients
 from holo_lab.factorization import FactorParams, random_params
 from holo_lab.operators import operator_norm
 from holo_lab.shiftsim import (
-    _block_convolve,
     conjugation_check,
     laguerre_fns,
     laguerre_quadrature,
     shift_matrix_elements,
-    taylor_matrix_symbol,
     taylor_varphi_t,
     truncated_factorization_check,
 )
@@ -246,25 +245,6 @@ class TestConjugation:
             assert energy[m] + tail == pytest.approx(1, abs=5e-3)
 
 
-class TestMatrixSymbol:
-    def test_scalar_reduction(self):
-        eye = np.eye(2)
-        p = FactorParams(A=0 * eye, B=eye)
-        coeffs = taylor_matrix_symbol(p, 1, 0.5, 16)
-        expected = taylor_varphi_t(0.5, 16)[:, None, None] * eye
-        np.testing.assert_allclose(coeffs, expected, atol=1e-9)
-        coeffs2 = taylor_matrix_symbol(p, 2, 0.5, 16)
-        np.testing.assert_allclose(coeffs2[0], eye, atol=1e-12)
-        np.testing.assert_allclose(coeffs2[1:], 0, atol=1e-12)
-
-    def test_half_mass_scaling(self):
-        # exp(-t phi / 2) = varphi_{t/2}: scalar oracle
-        p = FactorParams(A=np.zeros((2, 2)), B=np.eye(2) / 2)
-        coeffs = taylor_matrix_symbol(p, 1, 1.0, 16)
-        expected = taylor_varphi_t(0.5, 16)[:, None, None] * np.eye(2)
-        np.testing.assert_allclose(coeffs, expected, atol=1e-9)
-
-
 class TestTruncatedFactorization:
     def test_scalar_half_mass(self):
         p = FactorParams(A=np.zeros((1, 1)), B=np.array([[0.5]]))
@@ -310,6 +290,51 @@ class TestTruncatedFactorization:
         assert np.isfinite(res)
         assert peak < 64 * 2**20
 
+    @staticmethod
+    def planted(monkeypatch, plant, d, N, t=1.0):
+        """The check's residual with phi_jt replaced by plant(exact phi_jt, params, j, t, z), and the
+        first N Taylor coefficients a, b of the two planted factors, read off circle(0.9, S) as the check does."""
+        exact = shiftsim.phi_jt
+        monkeypatch.setattr(shiftsim, "phi_jt", lambda params, j, t, z: plant(exact, params, j, t, z))
+        p = random_params(np.random.default_rng(10 * d + N), d)
+        S = max(8 * N, 256)
+        a, b = (circle_coefficients(shiftsim.phi_jt(p, j, t, circle(0.9, S)), 0.9, np.arange(N)) for j in (1, 2))
+        return truncated_factorization_check(p, t, N), a, b
+
+    @staticmethod
+    def assert_bounds(res, dense, d):
+        """res is at least 1e-6, the Wiener sum of the dense lower block-Toeplitz residual (its first
+        block column is its coefficient sequence) and so its operator norm."""
+        wiener = np.sum(operator_norm(dense[:, :d].reshape(-1, d, d)))
+        assert res >= 1e-6
+        assert res >= (1 - 1e-9) * wiener
+        assert res >= (1 - 1e-9) * operator_norm(dense)
+
+    @pytest.mark.parametrize("N", [4, 8, 17])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_detects_a_non_commuting_factor(self, monkeypatch, d, N):
+        # factor 2 built from A + 0.1 H: the residual bounds the dense ||T_N(a) T_N(b) - T_N(b) T_N(a)||;
+        # at d = 3, N = 4 and 8 the commutator's Wiener sum exceeds the product's, so a check that
+        # dropped the commutator half would fail here
+        H = random_params(np.random.default_rng(d), d).A
+
+        def plant(exact, params, j, t, z):
+            return exact(FactorParams(A=params.A + 0.1 * H, B=params.B) if j == 2 else params, j, t, z)
+
+        res, a, b = self.planted(monkeypatch, plant, d, N)
+        Ta, Tb = toeplitz_of(a), toeplitz_of(b)
+        self.assert_bounds(res, Ta @ Tb - Tb @ Ta, d)
+
+    @pytest.mark.parametrize("N", [4, 8, 17])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_detects_a_scaled_factor(self, monkeypatch, d, N):
+        # factor 1 scaled by 1 + 1e-3: the residual bounds the dense ||T_N(a) T_N(b) - T_N(c) I||
+        def plant(exact, params, j, t, z):
+            return (1 + 1e-3 if j == 1 else 1) * exact(params, j, t, z)
+
+        res, a, b = self.planted(monkeypatch, plant, d, N)
+        self.assert_bounds(res, toeplitz_of(a) @ toeplitz_of(b) - toeplitz_of(taylor_varphi_t(1.0, N), d=d), d)
+
 
 def random_blocks(rng, N, d, scale=1.0):
     shape = (N, d, d)
@@ -317,14 +342,21 @@ def random_blocks(rng, N, d, scale=1.0):
 
 
 class TestBlockConvolution:
+    """The coefficients of a product are the block convolution of the factors' coefficients."""
+
     @pytest.mark.parametrize("N", [1, 2, 17])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_is_the_toeplitz_product(self, d, N):
+        # what truncated_factorization_check reads: the first N coefficients of the sampled
+        # pointwise product a(z) b(z) are the coefficient sequence of T_N(a) T_N(b)
         rng = np.random.default_rng(10 * d + N)
         a, b = random_blocks(rng, N, d), random_blocks(rng, N, d)
+        S, r = max(8 * N, 256), 0.9
+        z = circle(r, S)[:, None, None, None]
+        symbol_a, symbol_b = (np.sum(c * z ** np.arange(N)[:, None, None], axis=1) for c in (a, b))
         dense = toeplitz_of(a) @ toeplitz_of(b)
-        diff = toeplitz_of(_block_convolve(a, b)) - dense
-        assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(dense))
+        diff = toeplitz_of(circle_coefficients(symbol_a @ symbol_b, r, np.arange(N))) - dense
+        assert np.max(np.abs(diff)) <= 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("N", [1, 2, 5, 17, 32])
     @pytest.mark.parametrize("d", [1, 2, 3])
