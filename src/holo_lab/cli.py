@@ -276,10 +276,11 @@ def _load_params(cfg, command):
 
 
 def _write_csv(path, header, rows):
+    """Write the header and rows in one call: a float as %.17g, any other value as str, one %-format per row."""
+    lines = [",".join(header)]
+    lines += [",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) % tuple(row) for row in rows]
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _grid(cfg):

@@ -1,10 +1,10 @@
 """Scalar complex-analytic primitives on the open unit disc.
 
 Everything here is elementary: the half-plane map, the semigroup symbol,
-sampling grids, the coefficients of samples on one circle, and a
-finite-difference test for holomorphy.  All functions accept scalars or
-numpy arrays of complex numbers and are pure.  Circle samples and their
-coefficients are read only here.
+sampling grids, the coefficients of samples on one circle and the values
+of coefficients at equispaced angles, and a finite-difference test for
+holomorphy.  All functions accept scalars or numpy arrays of complex numbers
+and are pure.  Circle samples and their coefficients are read only here.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ __all__ = [
     "circle",
     "circle_scale",
     "circle_coefficients",
+    "circle_synthesis",
     "mobius_phi",
     "varphi_t",
     "wirtinger_dbar",
@@ -97,6 +98,19 @@ def circle_coefficients(values, r, ns):
     if not np.all(np.isfinite(coefficients)):
         raise ValueError(f"the coefficients on |z| = {r!r} are not finite")
     return coefficients
+
+
+def circle_synthesis(coefficients, ns, N):
+    """The N sums sum_n a_n e^{2 pi i n k / N}, k < N, of the coefficients a_n, n in ns.
+
+    The synthesis counterpart of circle_coefficients, at r = 1: a_n is a
+    scalar or a matrix, and the coefficients are folded mod N, n and n + jN
+    adding, before one unnormalised inverse DFT, so len(ns) may exceed N.
+    """
+    coefficients = np.asarray(coefficients)
+    folded = np.zeros((N,) + coefficients.shape[1:], dtype=complex)
+    np.add.at(folded, np.asarray(ns) % N, coefficients)
+    return np.fft.ifft(folded, axis=0, norm="forward")
 
 
 def _stencil(z, h):

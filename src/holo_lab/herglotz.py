@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disc import DomainError, _require_in_disc, circle, circle_coefficients, mobius_phi
-from .operators import operator_norm, re_part, require_self_adjoint
+from .disc import DomainError, _require_in_disc, circle, circle_coefficients, circle_synthesis, mobius_phi
+from .operators import hermitian_norm, re_part, require_self_adjoint
 from .rigidity import OperatorFunction
 
 __all__ = [
@@ -98,13 +98,14 @@ def dirac_concentration_test(moments, tol_atom=None):
 
     leak = ||moment(0) - atom||; a measure concentrated at {1} (as the
     rigidity argument forces) leaks only the O(1/M) Wiener error, which the
-    default tol_atom, max(1e-2, 4 ||moment(0)|| / M), allows.
+    default tol_atom, max(1e-2, 4 ||moment(0)|| / M), allows.  moment(0), the
+    total mass, and the atom are Hermitian, so both norms are hermitian_norm.
     """
     M = len(moments) // 2
     if tol_atom is None:
-        tol_atom = max(1e-2, 4 * operator_norm(moments[M]) / M)
+        tol_atom = max(1e-2, 4 * hermitian_norm(moments[M]) / M)
     atom = re_part(atom_at_angle(moments, 0.0))
-    leak = operator_norm(moments[M] - atom)
+    leak = hermitian_norm(moments[M] - atom)
     return atom, leak, bool(leak <= tol_atom)
 
 
@@ -125,14 +126,17 @@ def atom_model(A, B):
 
 
 def arc_mass_profile(moments):
-    """Fejer-smoothed (nonnegative) arc-mass density at 360 equispaced angles, for plotting."""
+    """Fejer-smoothed (nonnegative) arc-mass density at 360 equispaced angles, for plotting.
+
+    The density sum_n (1 - |n|/(M + 1)) moment(n) e^{in theta} is Hermitian (moment(-n) = moment(n)*) and is
+    summed at the 360 angles by one inverse DFT (disc.circle_synthesis); its norm is hermitian_norm.
+    """
     M = len(moments) // 2
     ns = np.arange(-M, M + 1)
     weights = 1 - np.abs(ns) / (M + 1)
     thetas = 2 * np.pi * np.arange(360) / 360
-    phases = np.exp(1j * np.outer(thetas, ns)) * weights
-    density = np.tensordot(phases, moments, axes=(1, 0))
-    return thetas, operator_norm(density)
+    density = circle_synthesis(weights[:, None, None] * moments, ns, 360)
+    return thetas, hermitian_norm(density)
 
 
 def analyze(h, r=DEFAULT_R, N=DEFAULT_N, M=DEFAULT_M, tol_atom=None):

@@ -2,13 +2,13 @@
 
 Matrices are plain numpy arrays of shape (d, d), complex dtype, treated as
 immutable values.  The kernels (Cayley transform and inverse, exponential,
-operator and Frobenius norms) also take an (n, d, d) stack and act slice by
-slice, with the same bits per slice as a call on that slice alone.  exp_sweep
-is the one matrix exponential: it exponentiates a stack at one or many real
-multipliers per slice, sharing the powers and the Taylor evaluation across
-them, and solves nothing; only the Cayley transforms' _cayley_divide solves a
-linear system, and nothing forms an inverse.  The matrix Cayley transform
-and its inverse exchange positive-real-part matrices and contractions.
+operator, Hermitian and Frobenius norms) also take an (n, d, d) stack and act
+slice by slice, with the same bits per slice as a call on that slice alone.
+exp_sweep is the one matrix exponential: it exponentiates a stack at one or
+many real multipliers per slice, sharing the powers and the Taylor evaluation
+across them, and solves nothing; only the Cayley transforms' _cayley_divide
+solves a linear system, and nothing forms an inverse.  The matrix Cayley
+transform and its inverse exchange positive-real-part matrices and contractions.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ __all__ = [
     "inverse_cayley",
     "exp_sweep",
     "operator_norm",
+    "hermitian_norm",
     "frobenius_norm",
 ]
 
@@ -223,9 +224,29 @@ def exp_sweep(H, t):
 
 
 def operator_norm(M):
-    """Largest singular value: a float for a matrix, an (n,) array for a stack."""
+    """Largest singular value: a float for a matrix, an (n,) array for a stack.
+
+    An SVD; a 1 x 1 matrix is the number's modulus, np.hypot, the same bits under every BLAS.
+    """
     M = _as_square(M)
-    s = np.linalg.svd(M, compute_uv=False)[..., 0]
+    if M.shape[-1] == 1:
+        s = np.hypot(M.real, M.imag)[..., 0, 0]
+    else:
+        s = np.linalg.svd(M, compute_uv=False)[..., 0]
+    return float(s) if M.ndim == 2 else s
+
+
+def hermitian_norm(M):
+    """operator_norm of a Hermitian M = M*, max(-lambda_min, lambda_max) from eigvalsh, which reads the lower triangle.
+
+    The singular values of a Hermitian matrix are the moduli of its eigenvalues, so this is
+    sigma_max without the SVD; a 1 x 1 matrix is operator_norm's np.hypot.
+    """
+    M = _as_square(M)
+    if M.shape[-1] == 1:
+        return operator_norm(M)
+    eigs = np.linalg.eigvalsh(M)
+    s = np.maximum(-eigs[..., 0], eigs[..., -1])
     return float(s) if M.ndim == 2 else s
 
 

@@ -15,6 +15,9 @@ check the library from a second direction:
 - split_additivity_check, linearity of the Herglotz moment map;
 - toeplitz_of, the dense block-Toeplitz truncation that shiftsim's
   coefficient convolution stands for;
+- dense_arc_mass_profile, the Fejer sum of herglotz.arc_mass_profile as a
+  dense phase matrix, normed by the SVD;
+- csv_text, the per-value formatter of cli's CSV files;
 - NONCONSTANT_FAMILY, the built-in functions that must fail the rigidity
   hypotheses.
 """
@@ -175,3 +178,26 @@ def toeplitz_of(coeffs, d=None):
     i, j = np.tril_indices(N)
     T[i, :, j, :] = coeffs[i - j]
     return T.reshape(N * dd, N * dd)
+
+
+def dense_arc_mass_profile(moments):
+    """(thetas, ||density||) of herglotz.arc_mass_profile, the Fejer sum formed as a 360 x (2M + 1) phase matrix.
+
+    Every moment meets every angle in one tensordot, with no fold and no FFT;
+    the norm is the SVD's largest singular value.
+    """
+    M = len(moments) // 2
+    ns = np.arange(-M, M + 1)
+    weights = 1 - np.abs(ns) / (M + 1)
+    thetas = 2 * np.pi * np.arange(360) / 360
+    phases = np.exp(1j * np.outer(thetas, ns)) * weights
+    density = np.tensordot(phases, moments, axes=(1, 0))
+    return thetas, np.linalg.svd(density, compute_uv=False)[:, 0]
+
+
+def csv_text(header, rows):
+    """The text of a CSV file of cli, one value at a time: a float as f"{v:.17g}", any other value as str(v)."""
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    return "".join(lines)

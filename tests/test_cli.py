@@ -26,6 +26,7 @@ from holo_lab.cli import (
 )
 from holo_lab.disc import DiscGrid
 from holo_lab.rigidity import BUILTIN_FUNCTIONS, rigidity_verdict
+from oracles import csv_text
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_CASES = sorted(os.listdir(GOLDEN_DIR)) if os.path.isdir(GOLDEN_DIR) else []
@@ -726,6 +727,15 @@ class TestDeterminism:
 
 
 class TestEmitPlots:
+    def test_csv_writer_equals_per_value_formatter(self, tmp_path):
+        floats = [-0.0, 0.0, 5e-324, 1e308, -1e308, float("inf"), -float("inf"), float("nan"), 0.1, np.float64(1 / 3)]
+        ints = [0, -3, 2**70, -(2**64) - 1, 123456789012345678901234567890]
+        rows = [(i, f, -f, 2 * i) for i, f in zip(ints * 2, floats)] + [(f, i) for f, i in zip(floats, ints * 2)]
+        cli._write_csv(tmp_path / "out.csv", ["a", "b", "c", "d"], rows)
+        assert (tmp_path / "out.csv").read_text() == csv_text(["a", "b", "c", "d"], rows)
+        cli._write_csv(tmp_path / "empty.csv", ["x"], [])
+        assert (tmp_path / "empty.csv").read_text() == csv_text(["x"], [])
+
     def test_shiftsim_coefficient_csv(self, tmp_path):
         cfg = {"command": "shift-sim", "t": 1.0, "order": 16}
         cfg_path = write_config(tmp_path, cfg)

@@ -1,6 +1,10 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 
+from holo_lab import cli
 from holo_lab.disc import DomainError, mobius_phi
 from holo_lab.herglotz import (
     analyze,
@@ -13,7 +17,7 @@ from holo_lab.herglotz import (
 )
 from holo_lab.operators import im_part, operator_norm
 from holo_lab.rigidity import OperatorFunction, constant_function
-from oracles import poisson_factor, split_additivity_check
+from oracles import dense_arc_mass_profile, poisson_factor, split_additivity_check
 
 # the spec-sheet default N = 4096 at r = 0.999 carries an aliasing floor
 # r^(N-2M) + r^N ~ 3.5e-2; the sharp assertions below use N = 16384 where
@@ -227,8 +231,73 @@ class TestSplitAdditivity:
         assert split_additivity_check(h1, h2, N=1024, M=32) <= 1e-6
 
 
+def hermitian_moments(rng, m, d):
+    """Random (2m + 1, d, d) moments with moment(-n) = moment(n)*, those of a real (signed) measure."""
+    moments = rng.standard_normal((2 * m + 1, d, d)) + 1j * rng.standard_normal((2 * m + 1, d, d))
+    moments[:m] = moments[:m:-1].conj().swapaxes(-1, -2)
+    moments[m] = (moments[m] + moments[m].conj().T) / 2
+    return moments
+
+
 class TestArcMass:
     def test_dirac_mass_peaks_at_zero(self):
         thetas, mass = arc_mass_profile(moments_of(PHI, R, 4096, M))
         assert np.argmax(mass) == 0
         assert mass.min() >= -1e-8  # Fejer smoothing keeps the profile nonnegative
+
+    # 2m + 1 first exceeds the 360 angles at m = 180, where the fold mod 360 starts
+    @pytest.mark.parametrize("m", [4, 64, 179, 180, 256])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_equals_dense_fejer_sum(self, m, d):
+        moments = hermitian_moments(np.random.default_rng(m + d), m, d)
+        thetas, mass = arc_mass_profile(moments)
+        dense_thetas, dense = dense_arc_mass_profile(moments)
+        assert np.array_equal(thetas, dense_thetas)
+        assert np.max(np.abs(mass - dense)) <= 1e-12 * np.max(dense)
+
+    @pytest.mark.parametrize("m", [64, 180, 256])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_planted_moment_error_moves_the_profile(self, m, d):
+        # an atom B >= 0 at the point 1 has every moment B; 1e-6 I planted in moment(n) and its mirror moment(-n)
+        # adds 2e-6 (1 - n/(m + 1)) cos(n theta) I to the positive density
+        rng = np.random.default_rng(m + d)
+        X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        moments = np.broadcast_to(X @ X.conj().T, (2 * m + 1, d, d)).copy()
+        _, mass = arc_mass_profile(moments)
+        for n in (1, m):
+            planted = moments.copy()
+            planted[[m - n, m + n]] += 1e-6 * np.eye(d)
+            _, moved = arc_mass_profile(planted)
+            assert np.max(np.abs(moved - mass)) >= 1e-6 * (1 - n / (m + 1))
+
+
+class TestSvdOffHerglotz:
+    """Only the non-Hermitian moment stacks and atom_norm of herglotz-analyze reach an SVD, none at d = 1."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_svd_calls(self, tmp_path, monkeypatch, d):
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(a, *args, **kwargs):
+            frames, f = [], sys._getframe(1)
+            while f is not None:
+                frames.append(f.f_code.co_name)
+                f = f.f_back
+            calls.append((int(np.prod(np.shape(a)[:-2])), frames))
+            return svd(a, *args, **kwargs)
+
+        m, X = 16, np.random.default_rng(d).standard_normal((d, d))
+        A, B = ([[[float(v), 0.0] for v in row] for row in M] for M in (np.zeros((d, d)), X @ X.T))
+        cfg = {"command": "herglotz-analyze", "params": {"A": A, "B": B}, "n_samples": 256, "n_moments": m}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        argv = ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out"), "--emit-plots"]
+        assert cli.main(argv) == cli.EXIT_PASS
+        if d == 1:
+            assert calls == []
+            return
+        for n, frames in calls:
+            assert frames[:2] == ["operator_norm", "_run_herglotz"], frames
+            assert "arc_mass_profile" not in frames and "dirac_concentration_test" not in frames
+        # moment_profile's norms and distances to the atom, one stack of 2m + 1 slices each, and atom_norm
+        assert sorted(n for n, _ in calls) == [1, 2 * m + 1, 2 * m + 1]

@@ -17,6 +17,7 @@ from holo_lab.operators import (
     cayley,
     exp_sweep,
     frobenius_norm,
+    hermitian_norm,
     im_part,
     inverse_cayley,
     is_positive_contraction,
@@ -317,6 +318,32 @@ class TestAbscissaAndNorm:
         assert operator_norm(np.eye(3)) == pytest.approx(1)
         assert operator_norm(np.diag([2.0, -1.0])) == pytest.approx(2)
         assert operator_norm(np.array([[0.0, 3.0], [0.0, 0.0]])) == pytest.approx(3)
+
+
+class TestHermitianNorm:
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_equals_svd(self, d):
+        rng = np.random.default_rng(d)
+        H = np.stack([random_hermitian(rng, d) for _ in range(64)])
+        P = H @ H  # positive semidefinite: lambda_max alone is the norm
+        # negative definite but for a small positive part: |lambda_min| > lambda_max
+        N = -P + 1e-2 * np.stack([random_hermitian(rng, d) for _ in range(64)])
+        stack = np.concatenate([H, P, N])
+        eigs = np.linalg.eigvalsh(stack)
+        sigma = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        assert np.count_nonzero(-eigs[:, 0] > eigs[:, -1]) >= 64
+        assert np.max(np.abs(hermitian_norm(stack) - sigma) / sigma) <= 4e-15
+        assert hermitian_norm(stack[0]) == hermitian_norm(stack)[0]
+        assert isinstance(hermitian_norm(stack[0]), float)
+
+    def test_d1_is_hypot(self):
+        rng = np.random.default_rng(1)
+        M = rng.standard_normal((256, 1, 1)) + 1j * rng.standard_normal((256, 1, 1))
+        expected = np.hypot(M.real, M.imag)[:, 0, 0]
+        for norm in (hermitian_norm, operator_norm):
+            assert np.array_equal(norm(M), expected)
+            assert norm(M[3]) == expected[3] and isinstance(norm(M[3]), float)
+        assert np.array_equal(hermitian_norm(M.real), np.abs(M.real[:, 0, 0]))
 
 
 class TestStacks:
