@@ -275,12 +275,19 @@ def _load_params(cfg, command):
         raise InvalidInput(f"{command}: {exc}") from exc
 
 
-def _write_csv(path, header, rows):
-    """Write the header and rows in one call: a float as %.17g, any other value as str, one %-format per row."""
-    lines = [",".join(header)]
-    lines += [",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) % tuple(row) for row in rows]
+def _write_csv(path, header, columns):
+    """Write the header and the equal-length columns in one call: a float column as %.17g, any other as str.
+
+    A column's first value gives its format; one %-format for the whole file is applied once to the values
+    interleaved row by row.  Columns of unequal length raise ValueError.
+    """
+    n, k = len(columns[0]), len(columns)
+    flat = [None] * (n * k)
+    for j, column in enumerate(columns):
+        flat[j::k] = column
+    row = ",".join("%.17g" if n and isinstance(column[0], float) else "%s" for column in columns) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + row * n % tuple(flat))
 
 
 def _grid(cfg):
@@ -299,8 +306,9 @@ def _run_rigidity(cfg, seed, emit_plots):
         "holo_residual": float(report.holo_residual),
         "constancy_deviation": float(report.constancy_deviation),
     }
+    zs = grid.points()
     plots = {"rigidity_residuals.csv": (["re_z", "im_z", "dbar_residual"], [
-        (float(z.real), float(z.imag), float(res)) for z, res in zip(grid.points(), report.dbar_residuals)
+        zs.real.tolist(), zs.imag.tolist(), report.dbar_residuals.tolist()
     ])} if emit_plots else {}
     return checks, verdicts, plots
 
@@ -330,9 +338,9 @@ def _run_factorize(cfg, seed, emit_plots):
     )]
     checks.append(_check("master_equation", max(float(m.max()) for m in masters), tols["master"]))
     zs = grid.points()
-    plots = {"factorize_residuals.csv": (["radius", "angle", "master_residual"], list(zip(
+    plots = {"factorize_residuals.csv": (["radius", "angle", "master_residual"], [
         np.hypot(zs.real, zs.imag).tolist(), np.angle(zs).tolist(), masters[0].tolist()
-    )))} if emit_plots else {}
+    ])} if emit_plots else {}
     return checks, {}, plots
 
 
@@ -372,12 +380,10 @@ def _run_herglotz(cfg, seed, emit_plots):
         norms = operator_norm(moments)
         distances = operator_norm(moments - approx.atom_mass_at_1)
         plots["moment_profile.csv"] = (["n", "moment_norm", "distance_to_atom"], [
-            (n, float(a), float(b)) for n, a, b in zip(range(-M, M + 1), norms, distances)
+            list(range(-M, M + 1)), norms.tolist(), distances.tolist()
         ])
         thetas, mass = herglotz.arc_mass_profile(moments)
-        plots["arc_mass_profile.csv"] = (["theta", "fejer_mass_norm"], [
-            (float(t), float(m)) for t, m in zip(thetas, mass)
-        ])
+        plots["arc_mass_profile.csv"] = (["theta", "fejer_mass_norm"], [thetas.tolist(), mass.tolist()])
     return checks, verdicts, plots
 
 
@@ -392,13 +398,13 @@ def _run_shiftsim(cfg, seed, emit_plots):
     ]
     verdicts = {"sign_convention": result.convention}
     plots = {"taylor_coefficients.csv": (["n", "c_n"], [
-        (n, float(c)) for n, c in enumerate(shiftsim.taylor_varphi_t(t, order))
+        list(range(order)), shiftsim.taylor_varphi_t(t, order).tolist()
     ])} if emit_plots else {}
     return checks, verdicts, plots
 
 
 # A runner takes (parsed config, seed, emit_plots) and returns (checks, verdicts, plots); plots maps a CSV file
-# name to (header, rows), and run() writes the files
+# name to (header, columns), equal-length lists taken with .tolist(), and run() writes the files
 _RUNNERS = {
     "rigidity-check": _run_rigidity,
     "factorize-verify": _run_factorize,
@@ -443,8 +449,8 @@ def run(config, seed=None, out_dir=".", grid_radii=None, tol_overrides=None, emi
     config = _with_flags(config, grid_radii, tol_overrides)  # the report records the config as run
     cfg = _parse(SCHEMA[command], config)
     checks, verdicts, plots = _RUNNERS[command](cfg, seed, emit_plots)
-    for name, (header, rows) in plots.items():
-        _write_csv(os.path.join(out_dir, name), header, rows)
+    for name, (header, columns) in plots.items():
+        _write_csv(os.path.join(out_dir, name), header, columns)
     overall = all(c["passed"] for c in checks)
     report = {
         "command": command,
@@ -464,20 +470,19 @@ def _internal_error(phase, exc):
     return EXIT_INTERNAL
 
 
+# built once: parse_args keeps no state in the parser between calls
+_PARSER = argparse.ArgumentParser(prog="holo-lab", description="Run a verification suite from a JSON config.")
+_PARSER.add_argument("--config", required=True, help="path to the JSON run config")
+_PARSER.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
+_PARSER.add_argument("--out", default=".", help="output directory for report.json and CSVs")
+_PARSER.add_argument("--grid-radii", default=None,
+                     help="comma-separated radii override (rigidity-check, factorize-verify, recover-params)")
+_PARSER.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE", help="tolerance override")
+_PARSER.add_argument("--emit-plots", action="store_true", help="write CSV plot data")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="holo-lab", description="Run a verification suite from a JSON config."
-    )
-    parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
-    parser.add_argument("--out", default=".", help="output directory for report.json and CSVs")
-    parser.add_argument("--grid-radii", default=None,
-                        help="comma-separated radii override (rigidity-check, factorize-verify, recover-params)")
-    parser.add_argument(
-        "--tol", action="append", default=None, metavar="NAME=VALUE", help="tolerance override"
-    )
-    parser.add_argument("--emit-plots", action="store_true", help="write CSV plot data")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     start = time.monotonic()
     phase = "reading the config"

@@ -94,7 +94,7 @@ def circle_coefficients(values, r, ns):
     N = len(values)
     scale = circle_scale(r, ns).reshape((-1,) + (1,) * (values.ndim - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # the test below reports an overflow
-        coefficients = (np.fft.fft(values, axis=0) / N)[ns % N] * scale
+        coefficients = np.fft.fft(values, axis=0)[ns % N] / N * scale
     if not np.all(np.isfinite(coefficients)):
         raise ValueError(f"the coefficients on |z| = {r!r} are not finite")
     return coefficients

@@ -64,9 +64,18 @@ def as_matrix(T):
 
 
 def re_part(T):
-    """Self-adjoint real part (T + T*)/2 of a matrix or of each slice of a stack."""
+    """Self-adjoint real part (T + T*)/2 of a matrix or of each slice of a stack.
+
+    The transpose is copied into a new C-ordered array, which is conjugated, added to and halved in place:
+    the bits of (T + T*)/2 without its strided add.  Always a copy, never a view of T (ascontiguousarray
+    would hand back T itself where the swap is a no-op, as for 1 x 1 slices).
+    """
     T = _as_square(T)
-    return (T + _adjoint(T)) / 2
+    R = T.swapaxes(-1, -2).copy()
+    np.conjugate(R, out=R)
+    R += T
+    R /= 2
+    return R
 
 
 def im_part(T):

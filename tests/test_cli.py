@@ -729,12 +729,44 @@ class TestDeterminism:
 class TestEmitPlots:
     def test_csv_writer_equals_per_value_formatter(self, tmp_path):
         floats = [-0.0, 0.0, 5e-324, 1e308, -1e308, float("inf"), -float("inf"), float("nan"), 0.1, np.float64(1 / 3)]
-        ints = [0, -3, 2**70, -(2**64) - 1, 123456789012345678901234567890]
-        rows = [(i, f, -f, 2 * i) for i, f in zip(ints * 2, floats)] + [(f, i) for f, i in zip(floats, ints * 2)]
-        cli._write_csv(tmp_path / "out.csv", ["a", "b", "c", "d"], rows)
-        assert (tmp_path / "out.csv").read_text() == csv_text(["a", "b", "c", "d"], rows)
-        cli._write_csv(tmp_path / "empty.csv", ["x"], [])
-        assert (tmp_path / "empty.csv").read_text() == csv_text(["x"], [])
+        ints = [0, -3, 2**70, -(2**64) - 1, 123456789012345678901234567890] * 2
+        for header, columns in ((["a", "b", "c", "d"], [ints, floats, [-f for f in floats], [2 * i for i in ints]]),
+                                (["f", "i"], [floats, ints])):
+            cli._write_csv(tmp_path / "out.csv", header, columns)
+            assert (tmp_path / "out.csv").read_text() == csv_text(header, list(zip(*columns)))
+        for header in (["x"], ["x", "y"]):
+            cli._write_csv(tmp_path / "empty.csv", header, [[] for _ in header])
+            assert (tmp_path / "empty.csv").read_text() == csv_text(header, [])
+        for columns in ([[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]]):
+            with pytest.raises(ValueError):
+                cli._write_csv(tmp_path / "unequal.csv", ["x", "y"], columns)
+        assert not (tmp_path / "unequal.csv").exists()
+
+    @pytest.mark.parametrize("cfg", [
+        {"command": "rigidity-check", "function": "linear", "expect_verdict": "HYPOTHESIS_VIOLATED",
+         "grid": {"radii": [0.3, 0.9], "n_angles": 16}},
+        {"command": "factorize-verify", "random": {"dim": 2, "count": 2}, "grid": {"radii": [0.5], "n_angles": 8}},
+        {"command": "recover-params", "params": scalar_params_json(0.0, 0.5)},
+        {"command": "herglotz-analyze", "function": "phi", "r": 0.9, "n_samples": 64, "n_moments": 4},
+        {"command": "herglotz-analyze", "params": {"A": matrix_json(np.zeros((2, 2))),
+                                                   "B": matrix_json(np.diag([0.5, 0.25]))},
+         "r": 0.9, "n_samples": 64, "n_moments": 4},
+        {"command": "shift-sim", "t": 1.0, "order": 8, "n_check": 4},
+    ], ids=["rigidity-check", "factorize-verify", "recover-params", "herglotz-function", "herglotz-params",
+            "shift-sim"])
+    def test_every_runner_passes_equal_length_columns(self, tmp_path, monkeypatch, cfg):
+        # _write_csv takes a column's format from its first value, so each column holds one type
+        written = {}
+        monkeypatch.setattr(cli, "_write_csv", lambda path, header, columns: written.update(
+            {os.path.basename(path): (header, columns)}))
+        report, code = run(cfg, seed=3, out_dir=str(tmp_path), emit_plots=True)
+        assert code == EXIT_PASS
+        assert sorted(written) == report["artifacts"]
+        for name, (header, columns) in written.items():
+            assert len(header) == len(columns), name
+            assert len({len(column) for column in columns}) == 1 and len(columns[0]) > 0, name
+            for column in columns:
+                assert type(column) is list and {type(v) for v in column} in ({float}, {int}), name
 
     def test_shiftsim_coefficient_csv(self, tmp_path):
         cfg = {"command": "shift-sim", "t": 1.0, "order": 16}
@@ -832,6 +864,33 @@ class TestEmitPlots:
         verdict = rigidity_verdict(BUILTIN_FUNCTIONS["linear"], DiscGrid(**grid))
         assert np.array_equal(column, verdict.dbar_residuals)
         assert max(column) == report["verdicts"]["holo_residual"]
+
+
+class TestSharedParser:
+    def test_no_state_between_calls(self, tmp_path, monkeypatch):
+        # main parses with the one parser built at import; a flag of one call must not reach the next
+        def no_new_parser(*args, **kwargs):
+            raise AssertionError("main built an argument parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", no_new_parser)
+        config_a = write_config(tmp_path, {"command": "rigidity-check", "function": "linear",
+                                           "expect_verdict": "HYPOTHESIS_VIOLATED",
+                                           "grid": {"radii": [0.3, 0.9], "n_angles": 16}}, "a.json")
+        cfg_b = {"command": "rigidity-check", "function": "const:0.4,0.1", "grid": {"radii": [0.5], "n_angles": 8}}
+        config_b = write_config(tmp_path, cfg_b, "b.json")
+        flags_a = ["--tol", "eps_holo=1e-5", "--tol", "eps_const=1e-9", "--emit-plots"]
+        outs = [tmp_path / name for name in ("a1", "b", "a2")]
+        assert main(["--config", config_a, "--out", str(outs[0]), *flags_a]) == EXIT_PASS
+        assert main(["--config", config_b, "--out", str(outs[1])]) == EXIT_PASS
+        assert main(["--config", config_a, "--out", str(outs[2]), *flags_a]) == EXIT_PASS
+        files = [{p.name: p.read_bytes() for p in sorted(out.iterdir())} for out in outs]
+        assert files[0] == files[2]
+        assert sorted(files[0]) == ["report.json", "rigidity_residuals.csv"]
+        assert list(files[1]) == ["report.json"]
+        report_b = json.loads(files[1]["report.json"])
+        assert report_b["config"] == cfg_b
+        assert report_b["tolerances"] == {"eps_holo": 1e-6, "eps_const": 1e-8}
+        assert report_b["artifacts"] == []
 
 
 class TestHerglotzCommand:

@@ -870,6 +870,29 @@ class TestBenchmarkLoadsResolve:
         assert not resolves("holo_lab.shiftsim.no_such_name")
 
 
+class TestOutputDigestsCompare:
+    """tools/output_digests.py --compare: the byte-identity check of two digest files in one command."""
+
+    @staticmethod
+    def compare(tmp_path, first, second):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, digests in zip(paths, (first, second)):
+            path.write_text(json.dumps(digests))
+        return subprocess.run([sys.executable, str(ROOT / "tools" / "output_digests.py"), "--compare", *map(str, paths)],
+                              capture_output=True, text=True)
+
+    def test_equal_files_exit_0(self, tmp_path):
+        digests = {"job-1 seed 0": {"exit": 0, "files": {"report.json": "ab"}}, "job-2 seed 0": {"repr": "x"}}
+        proc = self.compare(tmp_path, digests, dict(reversed(digests.items())))
+        assert (proc.returncode, proc.stdout) == (0, "0 of 2 entries differ\n")
+
+    def test_differing_and_missing_ids_exit_1(self, tmp_path):
+        first = {"a": {"exit": 0}, "b": {"exit": 0}, "c": {"repr": "x"}}
+        second = {"a": {"exit": 0}, "b": {"exit": 1}, "d": {"repr": "x"}}
+        proc = self.compare(tmp_path, first, second)
+        assert (proc.returncode, proc.stdout.splitlines()) == (1, ["b", "c", "d", "3 of 4 entries differ"])
+
+
 class TestStrictReport:
     @staticmethod
     def _nan_residual(cfg, seed, emit_plots):

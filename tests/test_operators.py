@@ -86,6 +86,32 @@ class TestHermitianSplit:
             T = random_matrix(rng, 5)
             np.testing.assert_allclose(T, re_part(T) + 1j * im_part(T), rtol=1e-14, atol=1e-15)
 
+    def test_bits_of_the_formula_and_input_unchanged(self):
+        # re_part conjugates a copy of the transpose in place: it must give (T + T*)/2 bit for bit and never write
+        # into T, also where the transpose is T itself (1 x 1 slices) or T is a view
+        rng = np.random.default_rng(11)
+        big = random_matrix(rng, 7).reshape(1, 7, 7) * rng.standard_normal((9, 1, 1))
+        signed_zeros = np.array([[-0.0, 0.0 - 0.0j], [-0.0 + 1j, complex(-0.0, -0.0)]])
+        cases = [
+            *(random_matrix(rng, d) for d in (1, 2, 3, 8)),
+            *(random_matrix(rng, d).reshape(1, d, d) * rng.standard_normal((n, 1, 1)) for n, d in
+              ((5, 2), (64, 4), (3, 16))),
+            random_matrix(rng, 1, 1e300).reshape(1, 1, 1) * rng.standard_normal((33, 1, 1)),
+            (rng.standard_normal((64, 1, 1)) + 1j * rng.standard_normal((64, 1, 1))),
+            big[::2, 1:5, ::-2],  # a view: strided, reversed, not contiguous
+            big.transpose(0, 2, 1),
+            signed_zeros,
+            np.array([[1e308, 1.5e308j], [1.7e308 - 1e308j, -1e308]]),  # T + T* overflows
+        ]
+        for T in cases:
+            before = T.copy()
+            with np.errstate(over="ignore", invalid="ignore"):  # inf / 2 as a complex division makes a NaN
+                want = (T + T.conj().swapaxes(-1, -2)) / 2
+                got = re_part(T)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), T.shape
+            assert T.tobytes() == before.tobytes() and not np.shares_memory(got, T), T.shape
+
 
 class TestPositiveContraction:
     def test_examples(self):

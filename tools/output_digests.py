@@ -1,6 +1,7 @@
 """Digest every output of the benchmark's jobs, so that two checkouts can be compared.
 
     python tools/output_digests.py SRC OUT.json
+    python tools/output_digests.py --compare A.json B.json
 
 SRC is the `src` directory of the checkout under test; holo_lab is imported
 from there.  The jobs are those of perfbench/jobs.py in this repository: every
@@ -8,8 +9,10 @@ job of the three workloads at seeds 0 and 7, each CLI job run with
 --emit-plots, and every golden config under tests/golden, run with --seed 1
 --emit-plots.  OUT.json maps each job to the exit code and the sha256 of every
 file its CLI run wrote, or, for a library job, to the repr of its result (full
-precision, no array summarised).  Run it on two checkouts and diff the two
-files: equal entries mean byte-identical outputs.
+precision, no array summarised).  Run it on two checkouts and compare the two
+files: equal entries mean byte-identical outputs.  --compare prints the job
+ids whose entries differ (a job in only one file included) and exits 1 if
+any do, 0 if every entry is equal.
 """
 from __future__ import annotations
 
@@ -62,11 +65,29 @@ def _run_library(job):
         return {"repr": repr(result)}
 
 
+def compare(a, b):
+    """Print the job ids whose entries differ between the digest files a and b, or that one lacks; 1 if any do."""
+    first, second = (json.loads(Path(path).read_text()) for path in (a, b))
+    keys = first.keys() | second.keys()
+    differ = sorted(k for k in keys if k not in first or k not in second or first[k] != second[k])
+    for key in differ:
+        print(key)
+    print(f"{len(differ)} of {len(keys)} entries differ")
+    return 1 if differ else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", help="the src directory of the checkout to run")
-    parser.add_argument("out", help="the JSON file to write")
+    parser.add_argument("src", nargs="?", help="the src directory of the checkout to run")
+    parser.add_argument("out", nargs="?", help="the JSON file to write")
+    parser.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"), help="compare two digest files instead")
     args = parser.parse_args(argv)
+    if args.compare:
+        if args.src or args.out:
+            parser.error("--compare takes no SRC or OUT")
+        sys.exit(compare(*args.compare))
+    if not (args.src and args.out):
+        parser.error("SRC and OUT are required")
 
     src = Path(args.src).resolve()
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
