@@ -167,14 +167,6 @@ GRID = Table("grid ", (
           (f"at most {MAX_GRID_RADII} entries, ascending, every grid point of modulus < 1",
            lambda v, values: list(v) == sorted(v) and disc.grid_points_in_disc(v, values["n_angles"]))),
 ))
-# rigidity-check alone takes a derivative; the rule is wirtinger_dbar's own test, and a subnormal step makes
-# the Wirtinger quotient inf * 0 = nan
-RIGIDITY_GRID = GRID._replace(fields=GRID.fields + (
-    Field("stencil_h", "number", rigidity.DEFAULT_STENCIL_H,
-          ((">=", sys.float_info.min),),
-          ("every stencil point of modulus < 1",
-           lambda v, values: disc.stencil_in_disc(values["radii"], values["n_angles"], v))),
-))
 PARAMS = Table("params ", (Field("dim", "integer", REQUIRED, ((">=", 1), ("<=", MAX_RANDOM_DIM))),
                            *HERGLOTZ_PARAMS.fields))
 FUNCTION_RULE = (f"a name in {sorted(rigidity.BUILTIN_FUNCTIONS)} or 'const:re,im' with abs(re), abs(im) "
@@ -191,7 +183,7 @@ def _command(name, grid, tolerances, fields, one_of=()):
 
 
 SCHEMA = {
-    "rigidity-check": _command("rigidity-check", RIGIDITY_GRID, {"eps_holo": 1e-6, "eps_const": 1e-8}, (
+    "rigidity-check": _command("rigidity-check", GRID, {"eps_holo": 1e-6, "eps_const": 1e-8}, (
         Field("function", "function id", REQUIRED, rule=FUNCTION_RULE),
         Field("expect_verdict", "string", rigidity.CONSTANT_CONFIRMED,
               rule=(f"in {list(RIGIDITY_VERDICTS)}", lambda v, values: v in RIGIDITY_VERDICTS)),
@@ -297,8 +289,7 @@ def _grid(cfg):
 
 def _run_rigidity(cfg, seed, emit_plots):
     grid, tols = _grid(cfg), cfg["tolerances"]
-    report = rigidity.rigidity_verdict(cfg["function"], grid, eps_holo=tols["eps_holo"], eps_const=tols["eps_const"],
-                                       stencil_h=cfg["grid"]["stencil_h"])
+    report = rigidity.rigidity_verdict(cfg["function"], grid, eps_holo=tols["eps_holo"], eps_const=tols["eps_const"])
     checks = [_verdict_check("verdict", cfg["expect_verdict"], report.verdict)]
     verdicts = {
         "verdict": report.verdict,
@@ -306,9 +297,9 @@ def _run_rigidity(cfg, seed, emit_plots):
         "holo_residual": float(report.holo_residual),
         "constancy_deviation": float(report.constancy_deviation),
     }
-    zs = grid.points()
-    plots = {"rigidity_residuals.csv": (["re_z", "im_z", "dbar_residual"], [
-        zs.real.tolist(), zs.imag.tolist(), report.dbar_residuals.tolist()
+    zs = np.append(grid.points(), 0)  # the points of report.holo_residuals: the grid, then z = 0
+    plots = {"rigidity_residuals.csv": (["re_z", "im_z", "holo_residual"], [
+        zs.real.tolist(), zs.imag.tolist(), report.holo_residuals.tolist()
     ])} if emit_plots else {}
     return checks, verdicts, plots
 

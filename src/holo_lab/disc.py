@@ -2,9 +2,10 @@
 
 Everything here is elementary: the half-plane map, the semigroup symbol,
 sampling grids, the coefficients of samples on one circle and the values
-of coefficients at equispaced angles, and a finite-difference test for
-holomorphy.  All functions accept scalars or numpy arrays of complex numbers
-and are pure.  Circle samples and their coefficients are read only here.
+of coefficients at equispaced angles, and a holomorphy test on a grid read
+off the coefficients of its outer circle.  All functions accept scalars or
+numpy arrays of complex numbers and are pure.  Circle samples and their
+coefficients are read only here.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ __all__ = [
     "DomainError",
     "DiscGrid",
     "grid_points_in_disc",
-    "stencil_in_disc",
     "default_grid",
     "circle",
     "circle_scale",
@@ -24,7 +24,7 @@ __all__ = [
     "circle_synthesis",
     "mobius_phi",
     "varphi_t",
-    "wirtinger_dbar",
+    "holomorphy_residuals",
 ]
 
 
@@ -113,11 +113,6 @@ def circle_synthesis(coefficients, ns, N):
     return np.fft.ifft(folded, axis=0, norm="forward")
 
 
-def _stencil(z, h):
-    """The four central-difference points z + h, z - h, z + ih, z - ih, stacked on a new first axis."""
-    return np.stack((z + h, z - h, z + 1j * h, z - 1j * h))
-
-
 def grid_points_in_disc(radii, n_angles):
     """True when every grid point, as DiscGrid computes it, has modulus < 1.
 
@@ -126,20 +121,15 @@ def grid_points_in_disc(radii, n_angles):
     return _in_disc(_circles(radii, n_angles))
 
 
-def stencil_in_disc(radii, n_angles, stencil_h):
-    """True when the Wirtinger stencil of step stencil_h stays inside the disc as computed at every grid point."""
-    return _in_disc(_stencil(_circles(radii, n_angles), stencil_h))
-
-
 @dataclass(frozen=True)
 class DiscGrid:
     """Finite sampling of the disc: circles of the given radii, equispaced angles.
 
-    A grid is its points only; a check that takes derivatives, such as the
-    Wirtinger stencil of rigidity_verdict, brings its own step.  Every grid
-    point must have computed modulus < 1, so no function on the disc rejects
-    a point of the grid.  The default radii stop at 0.95 so no point comes
-    close to the singularity of phi at 1.
+    A grid is its points only; holomorphy_residuals reads the disc off its
+    circles and z = 0, with no step of its own.  Every grid point must have
+    computed modulus < 1, so no function on the disc rejects a point of the
+    grid.  The default radii stop at 0.95 so no point comes close to the
+    singularity of phi at 1.
     """
 
     radii: tuple
@@ -175,21 +165,24 @@ def default_grid():
     return DiscGrid(DEFAULT_RADII, DEFAULT_N_ANGLES)
 
 
-def wirtinger_dbar(f, z, h):
-    """d-bar derivative (d/dx + i d/dy)/2 of f at z by central differences.
+def holomorphy_residuals(values, grid):
+    """Per point, the distance of g from a function holomorphic on the disc.
 
-    Vanishes (to O(h^2)) exactly when f is holomorphic near z.  z is a point
-    or an array; f is called once, on the flat array of stencil points, and
-    returns one value or one matrix per point.  All four stencil points
-    must stay in the disc.
+    values: g at grid.points(), then at z = 0, an (n, d, d) stack.  The
+    coefficients a_n (circle_coefficients at r = 1) of the N samples on the
+    outer circle R split at N/2: n < N/2 (n <= (N - 1)/2 for odd N) are the
+    Taylor terms b_n R^n, the rest negative frequencies.  One circle_synthesis
+    predicts g(rho e^{i theta}) = sum a_n (rho/R)^n e^{in theta}, never forming
+    R^{-n}, and g(0) = a_0.  A residual, the largest entry modulus of g minus
+    its prediction, is g's negative-frequency part on the outer circle and
+    g(0) - a_0 at z = 0, which catches a radial defect such as |z|^2 on one
+    circle.  Aliasing of the terms m >= N/2 of a holomorphic g adds at most
+    2 sum_{m >= N/2} |b_m| R^m: no verdict changes, as a constant F gives a
+    g of degree 1 and a non-constant F with holomorphic g breaks the strip.
     """
-    z = np.asarray(z, dtype=complex)
-    if not h > 0:
-        raise ValueError("stencil step h must be positive")
-    stencil = _stencil(z, h)
-    _require_in_disc(stencil, "wirtinger_dbar stencil")
-    values = np.asarray(f(stencil.ravel()))
-    values = values.reshape(stencil.shape + values.shape[1:])
-    fx = (values[0] - values[1]) / (2 * h)
-    fy = (values[2] - values[3]) / (2 * h)
-    return _maybe_scalar(0.5 * (fx + 1j * fy))
+    N = grid.n_angles
+    ns = np.arange((N + 1) // 2)
+    a = circle_coefficients(values[-1 - N:-1], 1.0, ns)
+    powers = (np.asarray(grid.radii) / grid.radii[-1]) ** ns[:, None]
+    predicted = circle_synthesis(a[:, None] * powers[..., None, None], ns, N).swapaxes(0, 1)
+    return np.abs(values - np.concatenate((predicted.reshape(values[:-1].shape), a[:1]))).max(axis=(1, 2))

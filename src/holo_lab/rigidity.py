@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .disc import mobius_phi, wirtinger_dbar
+from .disc import holomorphy_residuals, mobius_phi
 from .operators import _as_square, as_matrix, operator_norm, re_part
 
 __all__ = [
@@ -23,9 +23,7 @@ __all__ = [
     "OperatorFunction",
     "constant_function",
     "RigidityReport",
-    "g_transform",
     "rigidity_verdict",
-    "DEFAULT_STENCIL_H",
     "BUILTIN_FUNCTIONS",
     "resolve_function",
 ]
@@ -33,9 +31,6 @@ __all__ = [
 CONSTANT_CONFIRMED = "CONSTANT_CONFIRMED"
 HYPOTHESIS_VIOLATED = "HYPOTHESIS_VIOLATED"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-# step of the Wirtinger stencil in rigidity_verdict
-DEFAULT_STENCIL_H = 1e-4
 
 
 @dataclass(frozen=True)
@@ -68,45 +63,35 @@ def constant_function(C, name=""):
     return OperatorFunction(dim=C.shape[0], evaluator=lambda z, C=C: C, name=name or "const")
 
 
-def g_transform(F):
-    """Operator transform: z -> F(z) + z F(z)^*, the scalar f(z) + z conj(f(z)) at d = 1."""
-    def ev(z, F=F):
-        M = F(z)
-        return M + z * M.conj().swapaxes(-1, -2)
-    return OperatorFunction(dim=F.dim, evaluator=ev, name=f"g[{F.name}]")
-
-
 @dataclass(frozen=True)
 class RigidityReport:
     strip_ok: bool
     holo_residual: float
     constancy_deviation: float
     verdict: str
-    dbar_residuals: np.ndarray  # max |dbar g| entry per point, in grid.points() order
+    holo_residuals: np.ndarray  # per point, in grid.points() order and then z = 0
 
 
-def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8, stencil_h=DEFAULT_STENCIL_H):
+def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8):
     """Classify F against the rigidity theorem.
 
-    Checks (i) Re F(z) has spectrum in [0, 1] (up to 1e-10) at every grid
-    point, (ii) the transform F(z) + z F(z)^* is numerically holomorphic:
-    its Wirtinger derivative, central differences of step stencil_h (every
-    stencil point inside the disc), is at most eps_holo, (iii) F deviates
-    from F(0) by at most eps_const.  CONSTANT_CONFIRMED
-    needs all three; a failure of (i) or (ii) is HYPOTHESIS_VIOLATED; the
-    remaining case is INCONCLUSIVE and would contradict the theorem.
+    F is evaluated once, on the grid points and then z = 0.  Checks (i) Re F(z)
+    has spectrum in [0, 1] (up to 1e-10) at every point, (ii) g(z) = F(z) +
+    z F(z)^* is numerically holomorphic: disc.holomorphy_residuals is at most
+    eps_holo, (iii) F deviates from F(0) by at most eps_const.
+    CONSTANT_CONFIRMED needs all three; a failure of (i) or (ii) is
+    HYPOTHESIS_VIOLATED; the rest is INCONCLUSIVE and contradicts the theorem.
     """
-    pts = grid.points()
+    pts = np.append(grid.points(), 0)
     values = F(pts)
 
     eigs = np.linalg.eigvalsh(re_part(values))
     strip_ok = bool(eigs.min() >= -1e-10 and eigs.max() <= 1 + 1e-10)
 
-    dbar = wirtinger_dbar(g_transform(F), pts, stencil_h)
-    dbar_residuals = np.max(np.abs(dbar), axis=(1, 2))
-    holo_residual = float(dbar_residuals.max())
+    holo_residuals = holomorphy_residuals(values + pts[:, None, None] * values.conj().swapaxes(-1, -2), grid)
+    holo_residual = float(holo_residuals.max())
 
-    deviation = float(operator_norm(values - F(0)).max())
+    deviation = float(operator_norm(values - values[-1]).max())
 
     if strip_ok and holo_residual <= eps_holo and deviation <= eps_const:
         verdict = CONSTANT_CONFIRMED
@@ -114,7 +99,7 @@ def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8, stencil_h=DEFAULT_S
         verdict = HYPOTHESIS_VIOLATED
     else:
         verdict = INCONCLUSIVE
-    return RigidityReport(strip_ok, holo_residual, deviation, verdict, dbar_residuals)
+    return RigidityReport(strip_ok, holo_residual, deviation, verdict, holo_residuals)
 
 
 BUILTIN_FUNCTIONS = {
@@ -125,8 +110,8 @@ BUILTIN_FUNCTIONS = {
     "phi": OperatorFunction(1, mobius_phi, "phi"),
 }
 
-# largest |re|, |im| of a 'const:re,im' function: the Herglotz FFT sums up to
-# 2**16 samples (1e305 overflows there) and the g-transform F + zF* adds two
+# largest |re|, |im| of a 'const:re,im' function: the Herglotz FFT sums up to 2**16
+# samples (1e305 overflows there), the rigidity FFT 1024 of |F + zF*| < 3e300
 MAX_CONSTANT = 1e300
 
 

@@ -7,7 +7,9 @@ check the library from a second direction:
 - numerical_abscissa, which bounds the norm of a matrix exponential;
 - inside_budget, the exponent-norm budget of factorization.verify_factorization
   at one point;
-- L_transform, the scalar g-transform, and recover_F, its exact inverse;
+- g_transform, the g-transform F(z) + z F(z)^* as an OperatorFunction, which
+  rigidity.rigidity_verdict forms on its one stack of F values; L_transform,
+  its scalar form, and recover_F, its exact inverse;
 - h_split, the paper's route g -> h_1 = g/(1 - z), h_2 = phi I - h_1, which
   factorization.build_h states directly in (A, B);
 - re_h1_identity_check and convexity_diagnostic, two statements about that
@@ -29,7 +31,7 @@ from holo_lab.disc import DomainError, _maybe_scalar, _require_in_disc, mobius_p
 from holo_lab.factorization import EXP_NORM_BUDGET
 from holo_lab.herglotz import DEFAULT_M, DEFAULT_N, DEFAULT_R, estimate_moments, sample_boundary
 from holo_lab.operators import operator_norm, re_part
-from holo_lab.rigidity import OperatorFunction, g_transform
+from holo_lab.rigidity import OperatorFunction
 
 DEGENERATE = "DEGENERATE"
 
@@ -59,6 +61,14 @@ def inside_budget(t, a_norm, z):
     consecutive t, s at z exactly where this holds for t and for t + s.
     """
     return t * (a_norm + abs(complex(mobius_phi(z)))) <= EXP_NORM_BUDGET
+
+
+def g_transform(F):
+    """Operator transform: z -> F(z) + z F(z)^*, the scalar f(z) + z conj(f(z)) at d = 1."""
+    def ev(z, F=F):
+        M = F(z)
+        return M + z * M.conj().swapaxes(-1, -2)
+    return OperatorFunction(dim=F.dim, evaluator=ev, name=f"g[{F.name}]")
 
 
 def L_transform(f):

@@ -27,11 +27,10 @@ from holo_lab.rigidity import (
     INCONCLUSIVE,
     OperatorFunction,
     constant_function,
-    g_transform,
     resolve_function,
     rigidity_verdict,
 )
-from oracles import DEGENERATE, NONCONSTANT_FAMILY, convexity_diagnostic, recover_F
+from oracles import DEGENERATE, NONCONSTANT_FAMILY, convexity_diagnostic, g_transform, recover_F
 
 GRID = default_grid()
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")

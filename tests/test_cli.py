@@ -405,8 +405,6 @@ class TestExitCodes:
             ({"command": "shift-sim", "n_check": 1}, "n_check"),
             ({"command": "rigidity-check", "function": "phi", "grid": {"n_angles": "x"}}, "n_angles"),
             ({"command": "rigidity-check", "function": "phi", "grid": {"n_angles": 4}}, "n_angles"),
-            ({"command": "rigidity-check", "function": "phi", "grid": {"stencil_h": "x"}}, "stencil_h"),
-            ({"command": "rigidity-check", "function": "phi", "grid": {"stencil_h": -1e-4}}, "stencil_h"),
             ({"command": "factorize-verify", "random": {"dim": 0}}, "random.dim"),
             ({"command": "factorize-verify", "random": {"dim": True}}, "random.dim"),
             ({"command": "factorize-verify", "random": {"dim": 2, "count": 0}}, "random.count"),
@@ -419,7 +417,7 @@ class TestExitCodes:
             "r-outside-disc", "r-nan", "n_moments-zero", "n_moments-aliasing", "t-negative", "t-inf",
             "order-zero", "order-fraction", "order-above-cap",
             "n_check-above-half-order", "n_check-zero", "n_check-one", "n_angles-string", "n_angles-too-few",
-            "stencil_h-string", "stencil_h-negative", "random-dim-zero", "random-dim-bool",
+            "random-dim-zero", "random-dim-bool",
             "random-count-zero", "random-dim-above-cap", "random-count-above-cap",
             "n_angles-above-cap",
         ],
@@ -595,31 +593,32 @@ class TestGridOptions:
 
     @pytest.mark.parametrize("command", ["factorize-verify", "recover-params"])
     def test_grid_near_the_circle_needs_no_stencil(self, tmp_path, command):
-        # only rigidity-check takes a derivative; 0.99995 + 1e-4 would leave the disc.  The parameters are exact,
-        # and the master and recovery residuals invert nothing, so |phi| ~ 4e4 on the outer circle costs no pass
+        # no command takes a step off the grid.  The parameters are exact, and the master and recovery
+        # residuals invert nothing, so |phi| ~ 4e4 on the outer circle costs no pass
         cfg = {"command": command, "params": scalar_params_json(0.0, 0.5),
                "grid": {"radii": [0.3, 0.99995], "n_angles": 16}}
         code, report, _ = run_cli(tmp_path, cfg)
         assert code == EXIT_PASS, report["checks"]
         assert report["overall_pass"] is True
 
-    def test_stencil_h_reaches_the_verdict(self, tmp_path):
-        grid = {"radii": [0.3, 0.9], "n_angles": 16}
-        cfg = {"command": "rigidity-check", "function": "phi", "expect_verdict": "HYPOTHESIS_VIOLATED",
-               "grid": dict(grid, stencil_h=1e-3)}
-        code, report, _ = run_cli(tmp_path, cfg)
-        assert code == EXIT_PASS
-        phi, points = BUILTIN_FUNCTIONS["phi"], DiscGrid(**grid)
-        coarse = rigidity_verdict(phi, points, stencil_h=1e-3).holo_residual
-        assert report["verdicts"]["holo_residual"] == coarse != rigidity_verdict(phi, points).holo_residual
-
-    def test_stencil_h_belongs_to_rigidity_check(self, tmp_path, capsys):
-        cfg = {"command": "factorize-verify", "params": scalar_params_json(0.0, 0.5),
-               "grid": {"radii": [0.3, 0.9], "n_angles": 16, "stencil_h": 1e-4}}
+    @pytest.mark.parametrize("command, rest", [
+        ("rigidity-check", {"function": "phi"}),
+        ("factorize-verify", {"params": scalar_params_json(0.0, 0.5)}),
+    ], ids=["rigidity-check", "factorize-verify"])
+    def test_stencil_h_is_an_unknown_grid_field(self, tmp_path, capsys, command, rest):
+        # no check takes a step off the grid: the holomorphy test reads circle coefficients
+        cfg = {"command": command, **rest, "grid": {"radii": [0.3, 0.9], "n_angles": 16, "stencil_h": 1e-4}}
         code, report, _ = run_cli(tmp_path, cfg)
         assert code == EXIT_INVALID
         assert report is None
-        assert "factorize-verify grid: unknown field(s) ['stencil_h']" in capsys.readouterr().err
+        assert f"{command} grid: unknown field(s) ['stencil_h']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("imag", [1.0, 1e2, 1e4, 1e6, 1e8])
+    def test_large_imaginary_constant_confirmed(self, tmp_path, imag):
+        # g = c + z conj(c) is exactly holomorphic; its residual is the round-off of |c| ~ 1e8, about 6e-8
+        code, report, _ = run_cli(tmp_path, {"command": "rigidity-check", "function": f"const:0.5,{imag!r}"})
+        assert code == EXIT_PASS, report
+        assert report["verdicts"]["verdict"] == "CONSTANT_CONFIRMED"
 
     @pytest.mark.parametrize("how", ["section", "flag"])
     @pytest.mark.parametrize("cfg", [
@@ -628,7 +627,7 @@ class TestGridOptions:
     ], ids=["herglotz-analyze", "shift-sim"])
     def test_commands_without_a_grid_reject_one(self, tmp_path, capsys, cfg, how):
         if how == "section":
-            code, report, _ = run_cli(tmp_path, dict(cfg, grid={"radii": [0.5], "n_angles": 8, "stencil_h": 0.1}))
+            code, report, _ = run_cli(tmp_path, dict(cfg, grid={"radii": [0.5], "n_angles": 8}))
         else:
             code, report, _ = run_cli(tmp_path, cfg, "--grid-radii", "0.5")
         assert code == EXIT_INVALID
@@ -841,7 +840,7 @@ class TestEmitPlots:
         out = tmp_path / "out"
         assert main(["--config", cfg_path, "--out", str(out), "--emit-plots"]) == EXIT_PASS
         lines = (out / "rigidity_residuals.csv").read_text().splitlines()
-        assert len(lines) == 9
+        assert len(lines) == 10 and lines[-1].startswith("0,0,")  # the 8 grid points, then z = 0
         assert all(float(line.split(",")[2]) <= 1e-10 for line in lines[1:])
 
 
@@ -858,11 +857,11 @@ class TestEmitPlots:
         assert main(["--config", cfg_path, "--out", str(out), "--emit-plots"]) == EXIT_PASS
         report = json.loads((out / "report.json").read_text())
         lines = (out / "rigidity_residuals.csv").read_text().splitlines()
-        assert lines[0] == "re_z,im_z,dbar_residual"
-        assert len(lines) == 33
+        assert lines[0] == "re_z,im_z,holo_residual"
+        assert len(lines) == 34
         column = np.array([float(line.split(",")[2]) for line in lines[1:]])
         verdict = rigidity_verdict(BUILTIN_FUNCTIONS["linear"], DiscGrid(**grid))
-        assert np.array_equal(column, verdict.dbar_residuals)
+        assert np.array_equal(column, verdict.holo_residuals)
         assert max(column) == report["verdicts"]["holo_residual"]
 
 

@@ -321,24 +321,21 @@ class TestSingularInputs:
 
 
 class TestGridPointsInDisc:
-    # every bound holds, but a computed grid point or stencil point has modulus 1
+    # every bound holds, but a computed grid point has modulus 1
     @pytest.mark.parametrize(
         "cfg, field",
         [
             ({"command": "recover-params", "params": SCALAR_PARAMS,
               "grid": {"radii": [0.9999999999999999], "n_angles": 16}}, "radii"),
             ({"command": "rigidity-check", "function": "phi",
-              "grid": {"radii": [0.9999999999999998], "stencil_h": 1e-16}}, "radii"),
-            ({"command": "rigidity-check", "function": "phi",
-              "grid": {"radii": [0.9999999999999996], "stencil_h": 3.5e-16}}, "stencil_h"),
+              "grid": {"radii": [0.9999999999999998]}}, "radii"),
         ],
-        ids=["recover-point-on-circle", "rigidity-point-on-circle", "rigidity-stencil-on-circle"],
+        ids=["recover-point-on-circle", "rigidity-point-on-circle"],
     )
     def test_rejected_with_the_field(self, cfg, field):
-        grid = cli._parse(cli.RIGIDITY_GRID, {}) | cfg["grid"]
-        with pytest.raises(ValueError, match="modulus >= 1" if field == "radii" else "stencil requires"):
-            points = disc.DiscGrid(grid["radii"], grid["n_angles"]).points()
-            disc.wirtinger_dbar(lambda z: z, points, grid["stencil_h"])
+        grid = cli._parse(cli.GRID, {}) | cfg["grid"]
+        with pytest.raises(ValueError, match="modulus >= 1"):
+            disc.DiscGrid(grid["radii"], grid["n_angles"])
         code, report, err = run_config(cfg)
         assert code == EXIT_INVALID, err
         assert report is None
@@ -346,7 +343,8 @@ class TestGridPointsInDisc:
 
     def test_accepted_grid_passes_every_disc_check(self):
         grid = disc.DiscGrid(radii=(0.5, 0.9999999999999996), n_angles=64)
-        disc.wirtinger_dbar(lambda z: z, grid.points(), 1e-16)
+        zs = np.append(grid.points(), 0)
+        assert np.all(np.isfinite(disc.holomorphy_residuals(disc.mobius_phi(zs)[:, None, None], grid)))
         disc.varphi_t(1.0, grid.points())
 
 
@@ -359,17 +357,14 @@ class TestValueRules:
              "r"),
             ({"command": "shift-sim", "t": MAX}, "t"),
             ({"command": "shift-sim", "t": 1e6 + 1}, "t"),
-            ({"command": "rigidity-check", "function": "phi", "grid": {"stencil_h": 1e-310}}, "stencil_h"),
-            ({"command": "rigidity-check", "function": "phi", "grid": {"stencil_h": 5e-324}}, "stencil_h"),
             ({"command": "herglotz-analyze", "function": "const:1e306,0"}, "function"),
             ({"command": "rigidity-check", "function": "const:1e308,0"}, "function"),
             ({"command": "rigidity-check", "function": "const:0,-1e301"}, "function"),
             ({"command": "rigidity-check", "function": "phi", "grid": {"radii": None}}, "radii"),
             ({"command": "shift-sim", "order": None}, "order"),
         ],
-        ids=["r-subnormal", "r-amplification", "t-huge", "t-above-cap", "stencil_h-subnormal",
-             "stencil_h-smallest", "herglotz-const-large", "rigidity-const-large", "const-large-imag",
-             "radii-null", "order-null"],
+        ids=["r-subnormal", "r-amplification", "t-huge", "t-above-cap", "herglotz-const-large",
+             "rigidity-const-large", "const-large-imag", "radii-null", "order-null"],
     )
     def test_rejected(self, cfg, field):
         code, report, err = run_config(cfg)
@@ -384,8 +379,15 @@ class TestValueRules:
             {"command": "rigidity-check", "function": "const:1e300,-1e300"},
             {"command": "herglotz-analyze", "function": "phi", "tol_atom": None, "r": 0.9, "n_samples": 64,
              "n_moments": 4},
+            # rigidity-check takes every grid DiscGrid takes: it has no step that could leave the disc, and
+            # its holomorphy test forms only (r/R)^n <= 1, never R^{-n}, which overflows from R = 1e-300 on
+            {"command": "rigidity-check", "function": "phi", "grid": {"radii": [0.9999999999999996]}},
+            {"command": "rigidity-check", "function": "const:1e300,1e300",
+             "grid": {"radii": [1e-300, 0.5], "n_angles": 1024}},
+            {"command": "rigidity-check", "function": "const:1e300,1e300", "grid": {"radii": [1e-300], "n_angles": 1024}},
         ],
-        ids=["herglotz-const-at-cap", "rigidity-const-at-cap", "tol_atom-null"],
+        ids=["herglotz-const-at-cap", "rigidity-const-at-cap", "tol_atom-null", "rigidity-radius-below-1",
+             "rigidity-tiny-circle-at-cap", "rigidity-tiny-outer-circle-at-cap"],
     )
     def test_accepted_with_strict_json(self, cfg):
         code, report, err = run_config(cfg)
@@ -417,17 +419,6 @@ class TestValueRules:
         assert code == EXIT_INVALID, err
         assert report is None
         assert "herglotz-analyze r must be" in err, err
-
-    @pytest.mark.parametrize("top", [1e-300, 0.3, 0.5, 0.95, 0.99999999999, 0.9999999999999996])
-    def test_stencil_h_reaching_the_circle_is_rejected(self, top):
-        # from this h on, the stencil point top + h of the angle-0 grid point has modulus >= 1
-        h = self._smallest_float_where(lambda h: top + h >= 1, 0.0, 1.0)
-        for step in (h, float(np.nextafter(h, 2))):
-            cfg = {"command": "rigidity-check", "function": "phi", "grid": {"radii": [top], "stencil_h": step}}
-            code, report, err = run_config(cfg)
-            assert code == EXIT_INVALID, err
-            assert report is None
-            assert "grid stencil_h must be" in err, err
 
     def test_resolve_function_bounds_constants(self):
         assert rigidity.resolve_function(f"const:{rigidity.MAX_CONSTANT!r},0").name.startswith("const:")

@@ -27,8 +27,8 @@ from holo_lab.operators import (
     operator_norm,
     re_part,
 )
-from holo_lab.rigidity import OperatorFunction, constant_function, g_transform
-from oracles import h_split, inside_budget, numerical_abscissa, poisson_factor
+from holo_lab.rigidity import OperatorFunction, constant_function
+from oracles import g_transform, h_split, inside_budget, numerical_abscissa, poisson_factor
 
 # expm-heavy sweeps use a thinned grid; identities are z-pointwise so
 # coverage in z, not density, is what matters
