@@ -183,7 +183,8 @@ def _command(name, grid, tolerances, fields, one_of=()):
 
 
 SCHEMA = {
-    "rigidity-check": _command("rigidity-check", GRID, {"eps_holo": 1e-6, "eps_const": 1e-8}, (
+    "rigidity-check": _command("rigidity-check", GRID, {"eps_holo": rigidity.DEFAULT_EPS_HOLO,
+                                                        "eps_const": rigidity.DEFAULT_EPS_CONST}, (
         Field("function", "function id", REQUIRED, rule=FUNCTION_RULE),
         Field("expect_verdict", "string", rigidity.CONSTANT_CONFIRMED,
               rule=(f"in {list(RIGIDITY_VERDICTS)}", lambda v, values: v in RIGIDITY_VERDICTS)),
@@ -219,7 +220,7 @@ SCHEMA = {
     # n_check 1 compares no lower-triangle entry, and both sign conventions agree on the diagonal
     "shift-sim": _command("shift-sim", None, {"conjugation": 1e-6, "lower_triangle": 1e-8, "gram": 1e-8}, (
         Field("t", "number", 1.0, ((">=", 0), ("<=", MAX_SHIFT_T))),
-        Field("order", "integer", 32, ((">=", 2), ("<=", MAX_SHIFT_ORDER))),
+        Field("order", "integer", shiftsim.DEFAULT_BASIS_ORDER, ((">=", 2), ("<=", MAX_SHIFT_ORDER))),
         Field("n_check", "integer", 8, ((">=", 2), ("<=", Ref("order / 2", lambda v: v["order"] / 2)))),
     )),
 }

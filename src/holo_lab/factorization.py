@@ -1,14 +1,11 @@
 """Classification of commuting factorizations of the truncated-shift symbol.
 
 Every factorization is parametrized by a self-adjoint A and a positive
-contraction B through h_1(z) = phi(z) B - i A and h_2(z) = phi(z) I - h_1(z),
+contraction B through h_1(z) = phi(z) B + i A and h_2(z) = phi(z) I - h_1(z),
 built by build_h alone.  The factor symbols are phi_{j,t}(z) = exp(-t h_j(z)),
 whose exponents commute for every z, so their product is exp(-t phi(z)) I
 exactly; the factorizing pair is psi_j = cayley(h_j), which solves the master
 equation inverse_cayley(psi_1(z)) + inverse_cayley(psi_2(z)) = phi(z) I.
-
-The paper writes h_1 = phi B + i A; here A enters with the opposite sign, so
-recover_params reads back the A of this convention.
 
 The product, commutation, semigroup, master-equation and recovery residuals
 are Frobenius norms, upper bounds on the operator norm: a residual at or
@@ -27,13 +24,11 @@ from .disc import _require_in_disc, mobius_phi, varphi_t
 from .operators import (
     _cholesky_certifies,
     _require_nonsingular,
-    as_matrix,
     cayley,
     exp_sweep,
     frobenius_norm,
     im_part,
     inverse_cayley,
-    is_positive_contraction,
     operator_norm,
     re_part,
     require_self_adjoint,
@@ -41,6 +36,7 @@ from .operators import (
 from .rigidity import OperatorFunction
 
 __all__ = [
+    "require_pair",
     "FactorParams",
     "FactorPair",
     "random_params",
@@ -66,6 +62,14 @@ EXP_NORM_BUDGET = 100.0
 _SWEEP_SLICES = 7 * 64
 
 
+def require_pair(A, B, tol):
+    """(A, B, eigenvalues of B) of matrices A = A*, B = B* to tol, of one size: FactorParams' and atom_model's check."""
+    A, B = require_self_adjoint(A, tol=tol, name="A"), require_self_adjoint(B, tol=tol, name="B")
+    if A.shape != B.shape:
+        raise ValueError(f"A and B must have the same dimension: A is {A.shape}, B is {B.shape}")
+    return A, B, np.linalg.eigvalsh(B)
+
+
 @dataclass(frozen=True)
 class FactorParams:
     """Pair (A, B): A self-adjoint, 0 <= B <= I.  Parametrizes a factorization."""
@@ -74,11 +78,8 @@ class FactorParams:
     B: np.ndarray
 
     def __post_init__(self):
-        A = require_self_adjoint(as_matrix(self.A), tol=1e-12, name="A")
-        B = as_matrix(self.B)
-        if A.shape != B.shape:
-            raise ValueError("A and B must have the same dimension")
-        if not is_positive_contraction(require_self_adjoint(B, tol=1e-12, name="B"), tol=1e-12):
+        A, B, eigs = require_pair(self.A, self.B, tol=1e-12)
+        if not (eigs[0] >= -1e-12 and eigs[-1] <= 1 + 1e-12):
             raise ValueError("B violates the 0 <= B <= I invariant")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -111,7 +112,7 @@ def random_params(rng, dim):
 
 
 def build_h(A, B, j, z):
-    """h_1(z) = phi(z) B - i A or h_2(z) = phi(z) I - h_1(z), for j = 1 or 2, from (d, d) arrays A and B.
+    """h_1(z) = phi(z) B + i A or h_2(z) = phi(z) I - h_1(z), for j = 1 or 2, from (d, d) arrays A and B.
 
     A scalar z gives a (d, d) matrix, an (n,) array of z an (n, d, d) stack.
     """
@@ -120,7 +121,7 @@ def build_h(A, B, j, z):
     z = np.asarray(z, dtype=complex)
     _require_in_disc(z, "build_h")
     phi = np.asarray(mobius_phi(z))[..., None, None]
-    h1 = phi * B - 1j * A
+    h1 = phi * B + 1j * A
     return h1 if j == 1 else phi * np.eye(len(A)) - h1
 
 
@@ -277,7 +278,7 @@ def master_residuals(pair, grid):
 def recover_params(pair, grid):
     """Read (A, B) back off a factorizing pair: (A, B, residual).
 
-    h_1(0) = inverse_cayley(psi1(0)) = B - iA fixes the parameters, returned
+    h_1(0) = inverse_cayley(psi1(0)) = B + iA fixes the parameters, returned
     as arrays, not FactorParams: a B read back with round-off may leave
     0 <= B <= I by more than FactorParams allows.  The residual
     max_z ||(I + psi1(z)) - h_1(z)(I - psi1(z))||_F certifies that the pair
@@ -287,7 +288,7 @@ def recover_params(pair, grid):
     first form: ||ic(psi1(z)) - h_1(z)|| <= ||(I + ic(psi1(z)))/2|| residual.
     """
     h10 = inverse_cayley(pair.psi1(0))
-    A, B = -im_part(h10), re_part(h10)
+    A, B = im_part(h10), re_part(h10)
     eye = np.eye(len(A))
     residual = 0.0
     for zs in _point_chunks(grid):

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disc import DomainError, _require_in_disc, circle, circle_coefficients, circle_synthesis, mobius_phi
-from .operators import hermitian_norm, re_part, require_self_adjoint
+from .disc import DomainError, circle, circle_coefficients, circle_synthesis
+from .factorization import build_h, require_pair
+from .operators import hermitian_norm, re_part
 from .rigidity import OperatorFunction
 
 __all__ = [
@@ -110,19 +111,11 @@ def dirac_concentration_test(moments, tol_atom=None):
 
 
 def atom_model(A, B):
-    """The pure-atom Herglotz function i*A + phi(z)*B as an OperatorFunction; A = A*, and the mass B = B* >= 0."""
-    A, B = require_self_adjoint(A, name="A"), require_self_adjoint(B, name="B")
-    if A.shape != B.shape:
-        raise ValueError(f"A is {A.shape}, B is {B.shape}")
-    lowest = float(np.linalg.eigvalsh(B)[0])
-    if lowest < -MASS_TOL:
-        raise ValueError(f"the atom mass B must be positive semidefinite (smallest eigenvalue {lowest:.3e})")
-
-    def evaluate(z):
-        _require_in_disc(z, "atom_model")
-        return 1j * A + mobius_phi(z) * B
-
-    return OperatorFunction(A.shape[0], evaluate, "atom-model")
+    """build_h's h_1(z) = phi(z) B + i A, the pure-atom Herglotz function; A = A*, B = B* to 1e-10, the mass B >= 0."""
+    A, B, eigs = require_pair(A, B, tol=1e-10)
+    if eigs[0] < -MASS_TOL:
+        raise ValueError(f"the atom mass B must be positive semidefinite (smallest eigenvalue {eigs[0]:.3e})")
+    return OperatorFunction(A.shape[0], lambda z: build_h(A, B, 1, z.ravel()), "atom-model")
 
 
 def arc_mass_profile(moments):

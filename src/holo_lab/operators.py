@@ -20,7 +20,6 @@ __all__ = [
     "re_part",
     "im_part",
     "require_self_adjoint",
-    "is_positive_contraction",
     "cayley",
     "inverse_cayley",
     "exp_sweep",
@@ -91,13 +90,6 @@ def require_self_adjoint(T, tol=1e-10, name="matrix"):
     if dev > tol:
         raise ValueError(f"{name} is not self-adjoint (deviation {dev:.3e} > {tol:.1e})")
     return T
-
-
-def is_positive_contraction(B, tol=1e-10):
-    """True iff B = B* and the spectrum of B lies in [-tol, 1 + tol]."""
-    B = require_self_adjoint(B, tol=tol, name="is_positive_contraction input")
-    eigs = np.linalg.eigvalsh(B)
-    return bool(eigs[0] >= -tol and eigs[-1] <= 1 + tol)
 
 
 def _cholesky_certifies(M):

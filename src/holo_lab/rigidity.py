@@ -26,11 +26,17 @@ __all__ = [
     "rigidity_verdict",
     "BUILTIN_FUNCTIONS",
     "resolve_function",
+    "DEFAULT_EPS_HOLO",
+    "DEFAULT_EPS_CONST",
 ]
 
 CONSTANT_CONFIRMED = "CONSTANT_CONFIRMED"
 HYPOTHESIS_VIOLATED = "HYPOTHESIS_VIOLATED"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+# rigidity_verdict's default tolerances on the holomorphy residual and the deviation from F(0)
+DEFAULT_EPS_HOLO = 1e-6
+DEFAULT_EPS_CONST = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ class RigidityReport:
     holo_residuals: np.ndarray  # per point, in grid.points() order and then z = 0
 
 
-def rigidity_verdict(F, grid, eps_holo=1e-6, eps_const=1e-8):
+def rigidity_verdict(F, grid, eps_holo=DEFAULT_EPS_HOLO, eps_const=DEFAULT_EPS_CONST):
     """Classify F against the rigidity theorem.
 
     F is evaluated once, on the grid points and then z = 0.  Checks (i) Re F(z)

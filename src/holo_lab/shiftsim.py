@@ -34,7 +34,11 @@ __all__ = [
     "ConjugationResult",
     "conjugation_check",
     "truncated_factorization_check",
+    "DEFAULT_BASIS_ORDER",
 ]
+
+# laguerre_quadrature's default number of nodes
+DEFAULT_BASIS_ORDER = 32
 
 
 # The reductions below feed report.json, so their summation order must not
@@ -107,7 +111,7 @@ class LaguerreQuadrature:
         return self.nodes.size
 
 
-def laguerre_quadrature(basis_order=32):
+def laguerre_quadrature(basis_order=DEFAULT_BASIS_ORDER):
     """The basis_order-node Gauss-Laguerre rule, in l-function form.
 
     With K = basis_order, sum_k weights[k] f(nodes[k]) equals int_0^inf f dx

@@ -12,6 +12,8 @@ check the library from a second direction:
   its scalar form, and recover_F, its exact inverse;
 - h_split, the paper's route g -> h_1 = g/(1 - z), h_2 = phi I - h_1, which
   factorization.build_h states directly in (A, B);
+- rotated_atom, the h_1 of build_h with its atom moved off the point 1: a
+  Herglotz pair outside the paper's family;
 - re_h1_identity_check and convexity_diagnostic, two statements about that
   split;
 - split_additivity_check, linearity of the Herglotz moment map;
@@ -105,6 +107,23 @@ def h_split(g):
         OperatorFunction(dim=g.dim, evaluator=h1, name=f"h1[{g.name}]"),
         OperatorFunction(dim=g.dim, evaluator=h2, name=f"h2[{g.name}]"),
     )
+
+
+def rotated_atom(A, B, alpha):
+    """(h1, h2): h1(z) = phi(e^{-i alpha} z) B + i A and h2(z) = phi(z) I - h1(z), as OperatorFunctions.
+
+    h1 is a Herglotz function whose measure is the atom B at e^{i alpha}; at alpha = 0 the pair is
+    factorization.build_h's, off it Re h2 = P(z) I - P(e^{-i alpha} z) B is no longer >= 0 near e^{i alpha}.
+    """
+    rotation, eye = np.exp(-1j * alpha), np.eye(len(A))
+
+    def h1(z):
+        return mobius_phi(rotation * z) * B + 1j * A
+
+    def h2(z):
+        return mobius_phi(z) * eye - h1(z)
+
+    return OperatorFunction(len(A), h1, f"h1[alpha={alpha:g}]"), OperatorFunction(len(A), h2, f"h2[alpha={alpha:g}]")
 
 
 def re_h1_identity_check(F, grid):

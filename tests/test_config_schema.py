@@ -881,7 +881,22 @@ class TestOutputDigestsCompare:
         first = {"a": {"exit": 0}, "b": {"exit": 0}, "c": {"repr": "x"}}
         second = {"a": {"exit": 0}, "b": {"exit": 1}, "d": {"repr": "x"}}
         proc = self.compare(tmp_path, first, second)
-        assert (proc.returncode, proc.stdout.splitlines()) == (1, ["b", "c", "d", "3 of 4 entries differ"])
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert (proc.returncode, proc.stdout.splitlines()) == (
+            1, ["b: exit", f"c: missing from {b}", f"d: missing from {a}", "3 of 4 entries differ"])
+
+    def test_names_what_differs(self, tmp_path):
+        # the files whose sha256 differs (or that one run lacks), then exit, raised and repr
+        first = {"cli seed 0": {"exit": 0, "files": {"report.json": "ab", "plot.csv": "cd", "old.csv": "ef"}},
+                 "cli seed 7": {"exit": 0, "files": {"report.json": "ab"}},
+                 "library seed 0": {"repr": "x"}, "library seed 7": {"repr": "x"}}
+        second = {"cli seed 0": {"exit": 0, "files": {"report.json": "ab", "plot.csv": "00", "new.csv": "ef"}},
+                  "cli seed 7": {"exit": 2, "files": {}},
+                  "library seed 0": {"repr": "y"}, "library seed 7": {"raised": "ValueError: x"}}
+        proc = self.compare(tmp_path, first, second)
+        assert (proc.returncode, proc.stdout.splitlines()) == (1, [
+            "cli seed 0: new.csv, old.csv, plot.csv", "cli seed 7: report.json, exit", "library seed 0: repr",
+            "library seed 7: raised, repr", "4 of 4 entries differ"])
 
 
 class TestStrictReport:

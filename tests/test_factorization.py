@@ -19,6 +19,7 @@ from holo_lab.factorization import (
     recover_params,
     verify_factorization,
 )
+from holo_lab.herglotz import atom_model
 from holo_lab.operators import (
     cayley,
     exp_sweep,
@@ -28,7 +29,7 @@ from holo_lab.operators import (
     re_part,
 )
 from holo_lab.rigidity import OperatorFunction, constant_function
-from oracles import g_transform, h_split, inside_budget, numerical_abscissa, poisson_factor
+from oracles import g_transform, h_split, inside_budget, numerical_abscissa, poisson_factor, rotated_atom
 
 # expm-heavy sweeps use a thinned grid; identities are z-pointwise so
 # coverage in z, not density, is what matters
@@ -63,6 +64,34 @@ class TestFactorParams:
         FactorParams(A=np.zeros((2, 2)), B=np.diag([0.0, 1.0]))
 
 
+class TestPositiveContraction:
+    """FactorParams' rule on B: 0 <= B <= I to 1e-12, after require_pair's B = B*."""
+
+    @staticmethod
+    def params(B):
+        return FactorParams(A=np.zeros_like(B), B=B)
+
+    def test_examples(self):
+        self.params(np.diag([0.0, 1.0]))
+        self.params(np.array([[0.5]]))
+        with pytest.raises(ValueError, match="0 <= B <= I"):
+            self.params(np.array([[1.5]]))
+
+    def test_rejects_non_self_adjoint(self):
+        with pytest.raises(ValueError, match="self-adjoint"):
+            self.params(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_random_spectra(self):
+        rng = np.random.default_rng(3)
+        for d in (2, 4, 8):
+            V, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            H = (V * rng.uniform(0, 1, d)) @ V.conj().T
+            H = (H + H.conj().T) / 2
+            self.params(H)
+            with pytest.raises(ValueError, match="0 <= B <= I"):
+                self.params(H + 1.01 * np.eye(d))
+
+
 class TestBuildH1:
     def test_examples(self):
         eye = np.eye(2)
@@ -71,10 +100,10 @@ class TestBuildH1:
 
         p2 = FactorParams(A=1.5 * eye, B=0 * eye)
         for z in (0.0, 0.3j, -0.5):
-            np.testing.assert_allclose(build_h(p2.A, p2.B, 1, z), -1.5j * eye)
+            np.testing.assert_allclose(build_h(p2.A, p2.B, 1, z), 1.5j * eye)
 
         p3 = FactorParams(A=np.diag([1.0, -1.0]), B=0.5 * eye)
-        np.testing.assert_allclose(build_h(p3.A, p3.B, 1, 0), 0.5 * eye - 1j * np.diag([1.0, -1.0]))
+        np.testing.assert_allclose(build_h(p3.A, p3.B, 1, 0), 0.5 * eye + 1j * np.diag([1.0, -1.0]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -109,18 +138,22 @@ class TestBuildH:
 
     @pytest.mark.parametrize("d", [1, 4])
     def test_paper_route_through_g(self, d):
-        # the paper: F = B + iA, g = F + zF*, h_1 = g/(1 - z) = phi B + iA, h_2 = phi I - h_1; build_h writes
-        # phi B - iA, so the paper's h_j is build_h of (-A, B).  Each route rounds a few eps per term, and
-        # g/(1 - z) scales g by 2/(1 - z) = 1 + phi; the error measured at d = 1, 2, 4, 8 (20 seeds each) stays
-        # below 0.6 eps (1 + |phi|)(||A||_F + ||B||_F + sqrt(d))
+        # the paper: F = B + iA, g = F + zF*, h_1 = g/(1 - z) = phi B + iA, h_2 = phi I - h_1, as build_h writes
+        # them.  Each route rounds a few eps per term, and g/(1 - z) scales g by 2/(1 - z) = 1 + phi; the error
+        # measured at d = 1, 2, 4, 8 (20 seeds each) stays below 0.6 eps (1 + |phi|)(||A||_F + ||B||_F + sqrt(d))
         p = random_params(np.random.default_rng(90 + d), d)
         h1, h2 = h_split(g_transform(constant_function(p.B + 1j * p.A)))
         z = default_grid().points()
         eps = np.finfo(float).eps
         bound = 4 * eps * (1 + np.abs(mobius_phi(z))) * (frobenius_norm(p.A) + frobenius_norm(p.B) + np.sqrt(d))
         for j, h in ((1, h1), (2, h2)):
-            assert np.all(frobenius_norm(h(z) - build_h(-p.A, p.B, j, z)) <= bound)
-            assert np.all(frobenius_norm(h(z) - build_h(p.A, p.B, j, z)) > bound)  # the sign of A matters
+            assert np.all(frobenius_norm(h(z) - build_h(p.A, p.B, j, z)) <= bound)
+            assert np.all(frobenius_norm(h(z) - build_h(-p.A, p.B, j, z)) > bound)  # the sign of A matters
+
+    @pytest.mark.parametrize("d, z", CASES, ids=IDS)
+    def test_atom_model_is_h1(self, d, z):
+        p = random_params(np.random.default_rng(60 + d), d)
+        assert np.array_equal(atom_model(p.A, p.B)(z), build_h(p.A, p.B, 1, z))
 
     def test_validation(self):
         p = scalar_params(0.0, 0.5)
@@ -465,6 +498,23 @@ class TestRecoverParams:
         A, B, _ = recover_params(pair, grid=FAST_GRID)
         np.testing.assert_allclose(A, 0, atol=1e-12)
         np.testing.assert_allclose(B, 0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_rotated_atom_is_caught(self, d):
+        # the exponential-form residual carries the hypothesis that the atom of h_1 sits at 1: oracles.rotated_atom
+        # moves it to e^{i alpha}.  On the default grid the residual measured 1.8e-15 (d = 1) and 4.7e-15 (d = 3)
+        # at alpha = 0, 3.6e-2 and 5.9e-2 at |alpha| = 1e-3, 0.36 and 0.60 at 1e-2; recover-params' tolerance is
+        # 1e-9, so the grid resolves alpha = 1e-3
+        p = random_params(np.random.default_rng(1), d)
+
+        def residual(alpha):
+            h1, h2 = rotated_atom(p.A, p.B, alpha)
+            pair = FactorPair(*(OperatorFunction(d, lambda z, h=h: cayley(h(z)), f"psi[{h.name}]") for h in (h1, h2)))
+            return recover_params(pair, default_grid())[2]
+
+        assert residual(0.0) <= 1e-9
+        for alpha, least in ((1e-3, 1e-2), (1e-2, 0.1)):
+            assert residual(alpha) >= least and residual(-alpha) >= least
 
 
 # round-off allowance for comparing two computed norms of one matrix

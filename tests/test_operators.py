@@ -20,7 +20,6 @@ from holo_lab.operators import (
     hermitian_norm,
     im_part,
     inverse_cayley,
-    is_positive_contraction,
     operator_norm,
     re_part,
 )
@@ -111,26 +110,6 @@ class TestHermitianSplit:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), T.shape
             assert T.tobytes() == before.tobytes() and not np.shares_memory(got, T), T.shape
-
-
-class TestPositiveContraction:
-    def test_examples(self):
-        assert is_positive_contraction(np.diag([0.0, 1.0]))
-        assert is_positive_contraction(np.array([[0.5]]))
-        assert not is_positive_contraction(np.array([[1.5]]))
-
-    def test_rejects_non_self_adjoint(self):
-        with pytest.raises(ValueError, match="self-adjoint"):
-            is_positive_contraction(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_random_spectra(self):
-        rng = np.random.default_rng(3)
-        for d in (2, 4, 8):
-            V, _ = np.linalg.qr(random_matrix(rng, d))
-            H = (V * rng.uniform(0, 1, d)) @ V.conj().T
-            H = (H + H.conj().T) / 2
-            assert is_positive_contraction(H)
-            assert not is_positive_contraction(H + 1.01 * np.eye(d))
 
 
 class TestCayley:

@@ -10,9 +10,10 @@ job of the three workloads at seeds 0 and 7, each CLI job run with
 --emit-plots.  OUT.json maps each job to the exit code and the sha256 of every
 file its CLI run wrote, or, for a library job, to the repr of its result (full
 precision, no array summarised).  Run it on two checkouts and compare the two
-files: equal entries mean byte-identical outputs.  --compare prints the job
-ids whose entries differ (a job in only one file included) and exits 1 if
-any do, 0 if every entry is equal.
+files: equal entries mean byte-identical outputs.  --compare prints each job
+id whose entries differ, with what differs: the names of the files whose
+sha256 differs, exit, repr (or raised), or which file lacks the job; it exits
+1 if any entry differs, 0 if every entry is equal.
 """
 from __future__ import annotations
 
@@ -65,13 +66,23 @@ def _run_library(job):
         return {"repr": repr(result)}
 
 
+def _differences(x, y):
+    """What differs between two entries of one job: the names of the files whose sha256 differs, then the other keys."""
+    files = [x.get("files", {}), y.get("files", {})]
+    names = sorted(n for n in files[0].keys() | files[1].keys() if files[0].get(n) != files[1].get(n))
+    return names + sorted(k for k in (x.keys() | y.keys()) - {"files"} if x.get(k) != y.get(k))
+
+
 def compare(a, b):
-    """Print the job ids whose entries differ between the digest files a and b, or that one lacks; 1 if any do."""
+    """Print each job id whose entries differ between the digest files a and b, with what differs; 1 if any do."""
     first, second = (json.loads(Path(path).read_text()) for path in (a, b))
     keys = first.keys() | second.keys()
-    differ = sorted(k for k in keys if k not in first or k not in second or first[k] != second[k])
+    differ = sorted(k for k in keys if first.get(k) != second.get(k))
     for key in differ:
-        print(key)
+        if key in first and key in second:
+            print(f"{key}: {', '.join(_differences(first[key], second[key]))}")
+        else:
+            print(f"{key}: missing from {b if key in first else a}")
     print(f"{len(differ)} of {len(keys)} entries differ")
     return 1 if differ else 0
 
