@@ -22,6 +22,7 @@ import numpy as np
 
 from .disc import _require_in_disc, mobius_phi, varphi_t
 from .operators import (
+    _adjoint,
     _cholesky_certifies,
     _require_nonsingular,
     cayley,
@@ -170,12 +171,15 @@ def _contractivity_excess(Q):
     """max(0, max_k ||Q_k||_2 - 1) over the slices of the stack Q, as an SVD of every slice gives it.
 
     A slice whose (1 - CONTRACTION_MARGIN)**2 I - Q*Q has a Cholesky factor (_cholesky_certifies) cannot
-    raise the maximum clamped at 0: the Cholesky's O(d^2 eps) and einsum's O(d eps) round-off leave it
-    ||Q||_2 < 1 - CONTRACTION_MARGIN / 2 for d <= 16, and an SVD of it a norm below 1.  Only the other
-    slices get the exact operator_norm.
+    raise the maximum clamped at 0: the Cholesky's O(d^2 eps) and the product's O(d eps) round-off leave
+    it ||Q||_2 < 1 - CONTRACTION_MARGIN / 2 for d <= 16, and an SVD of it a norm below 1.  Only the other
+    slices get the exact operator_norm.  Q*Q is a BLAS product: it only picks the slices that get the SVD,
+    and a slice certified under one kernel and open under another has an SVD norm below 1 either way, so
+    the excess keeps its bits under every kernel.  An overflow or a NaN in Q*Q certifies nothing.
     """
-    gram = np.einsum("nki,nkj->nij", Q.conj(), Q, optimize=False)
-    open_ = ~_cholesky_certifies((1 - CONTRACTION_MARGIN) ** 2 * np.eye(Q.shape[-1]) - gram)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = (1 - CONTRACTION_MARGIN) ** 2 * np.eye(Q.shape[-1]) - _adjoint(Q) @ Q
+    open_ = ~_cholesky_certifies(M)
     if not open_.any():
         return 0.0
     return max(float(operator_norm(Q[open_]).max()) - 1, 0.0)

@@ -25,6 +25,7 @@ __all__ = [
     "exp_sweep",
     "operator_norm",
     "hermitian_norm",
+    "spectrum_ends",
     "frobenius_norm",
 ]
 
@@ -99,14 +100,15 @@ def _cholesky_certifies(M):
     Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10).  Right-looking, one column per step,
     in elementwise numpy on a (d, d, n) copy, so that every operation runs over the n slices: no BLAS.
     """
+    certified = M[:, 0, 0].real > 0
+    if M.shape[-1] == 1:  # the one pivot is the entry
+        return certified
     A = M.transpose(1, 2, 0).copy()
-    certified = np.ones(len(M), dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # a failed pivot leaves NaN below it
-        for k in range(len(A)):
-            pivot = A[k, k].real
-            certified &= pivot > 0
-            col = A[k + 1:, k] / np.sqrt(pivot)
-            A[k + 1:, k + 1:] -= col[:, None] * col.conj()
+        for k in range(1, len(A)):
+            col = A[k:, k - 1] / np.sqrt(A[k - 1, k - 1].real)
+            A[k:, k:] -= col[:, None] * col.conj()
+            certified &= A[k, k].real > 0
     return certified
 
 
@@ -246,9 +248,18 @@ def hermitian_norm(M):
     M = _as_square(M)
     if M.shape[-1] == 1:
         return operator_norm(M)
-    eigs = np.linalg.eigvalsh(M)
-    s = np.maximum(-eigs[..., 0], eigs[..., -1])
+    lowest, highest = spectrum_ends(M)
+    s = np.maximum(-lowest, highest)
     return float(s) if M.ndim == 2 else s
+
+
+def spectrum_ends(M):
+    """(lambda_min, lambda_max) of the Hermitian M, or per slice of a stack, from eigvalsh (its lower triangle).
+
+    A slice keeps its bits in any stack.
+    """
+    eigs = np.linalg.eigvalsh(M)
+    return eigs[..., 0], eigs[..., -1]
 
 
 def _frobenius(M):

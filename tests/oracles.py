@@ -22,6 +22,8 @@ check the library from a second direction:
 - dense_arc_mass_profile, the Fejer sum of herglotz.arc_mass_profile as a
   dense phase matrix, normed by the SVD;
 - csv_text, the per-value formatter of cli's CSV files;
+- eigvalsh_strip_ok and svd_deviation, rigidity.rigidity_verdict's strip and
+  constancy deviation from eigvalsh and operator_norm of every slice;
 - NONCONSTANT_FAMILY, the built-in functions that must fail the rigidity
   hypotheses.
 """
@@ -230,3 +232,14 @@ def csv_text(header, rows):
     for row in rows:
         lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
     return "".join(lines)
+
+
+def eigvalsh_strip_ok(R, tol):
+    """Whether every slice of the Hermitian stack R has its spectrum in [-tol, 1 + tol], from eigvalsh of every slice."""
+    eigs = np.linalg.eigvalsh(R)
+    return bool(eigs.min() >= -tol and eigs.max() <= 1 + tol)
+
+
+def svd_deviation(D):
+    """max_k ||D_k||_2 from operator_norm of every slice of the stack D: an SVD of each, np.hypot at d = 1."""
+    return float(operator_norm(D).max())

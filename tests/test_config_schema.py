@@ -705,6 +705,15 @@ class TestNoInverse:
         assert naming_sites("inv") == set()
 
 
+class TestRigidityLapackThroughOperators:
+    """rigidity.py names no np.linalg: every LAPACK call of a verdict goes through the operators norms."""
+
+    def test_rigidity_names_no_linalg(self):
+        sites = naming_sites("linalg")
+        assert {site for site in sites if site[0] == "rigidity.py"} == set()
+        assert {("operators.py", "operator_norm"), ("operators.py", "spectrum_ends")} <= sites
+
+
 def run_readers():
     """The files a run reads from: src/holo_lab, perfbench/ but its tests, and tools/."""
     src = ROOT / "src" / "holo_lab"

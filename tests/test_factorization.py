@@ -1,4 +1,5 @@
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -681,6 +682,26 @@ class TestCholeskyCertificate:
         with pytest.raises(ValueError, match="finite"):  # the open slices reach operator_norm, which refuses them
             _contractivity_excess(Q)
         assert verdicts.pop().tolist() == [True, False, False, False]
+
+
+class TestContractivityOffTheStrip:
+    """A B with an eigenvalue outside [0, 1] breaks the paper's hypothesis, and only contractivity sees it.
+
+    FactorParams refuses such a B, so the pair goes in as a namespace holding A, B and dim.  Re h_j is then
+    not >= 0 near the point 1, exp(-t h_j) grows there, and every other axiom still holds: h_1 and h_2
+    commute whatever B is.
+    """
+
+    @pytest.mark.parametrize("index, eigenvalue", [(-1, 1 + 1e-3), (0, -1e-3)])
+    def test_excess_outside_the_strip(self, index, eigenvalue):
+        params = random_params(np.random.default_rng(1), 3)
+        eigs, U = np.linalg.eigh(params.B)
+        eigs[index] = eigenvalue
+        B = (U * eigs) @ U.conj().T
+        off = verify_factorization(SimpleNamespace(A=params.A, B=(B + B.conj().T) / 2, dim=3), grid=default_grid())
+        assert off.contractivity_excess > 1e-2
+        assert verify_factorization(params, grid=default_grid()).contractivity_excess == 0.0
+        assert max(off.product_residual, off.commutation_residual, off.semigroup_residual) < 1e-13
 
 
 class TestSweepPath:

@@ -1,9 +1,14 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from holo_lab import rigidity
 from holo_lab.disc import DiscGrid, DomainError, default_grid, mobius_phi
 from holo_lab.factorization import pair_from_params, random_params
 from holo_lab.herglotz import atom_model, sample_boundary
+from holo_lab.operators import operator_norm, re_part, spectrum_ends
 from holo_lab.rigidity import (
     BUILTIN_FUNCTIONS,
     CONSTANT_CONFIRMED,
@@ -19,13 +24,20 @@ from oracles import (
     NONCONSTANT_FAMILY,
     L_transform,
     convexity_diagnostic,
+    eigvalsh_strip_ok,
     g_transform,
     h_split,
     re_h1_identity_check,
     recover_F,
+    svd_deviation,
 )
 
 GRID = default_grid()
+
+# perfbench/jobs.py, which generates the benchmark's job lists
+_spec = importlib.util.spec_from_file_location("bench_jobs", Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py")
+bench_jobs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_jobs)
 
 
 def random_poly_function(rng, dim, degree):
@@ -332,3 +344,199 @@ class TestEvaluationContract:
             check(OperatorFunction(1, ev, "counted"), grid, N)
             counts.append(ev.calls)
         assert counts[0] == counts[1] <= most
+
+
+STRIP_TOL, MARGIN = rigidity.STRIP_TOL, rigidity.CERTIFICATE_MARGIN
+
+
+@pytest.fixture
+def lapack(monkeypatch):
+    """(kernel name, slices) of every eigvalsh and svd call."""
+    calls = []
+    for name in ("eigvalsh", "svd"):
+        def counted(a, *args, _kernel=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, int(np.prod(np.shape(a)[:-2]))))
+            return _kernel(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    """The per-slice verdicts of rigidity's Cholesky certificates, one array per call."""
+    recorded, kernel = [], rigidity._cholesky_certifies
+    monkeypatch.setattr(rigidity, "_cholesky_certifies", lambda M: recorded.append(kernel(M)) or recorded[-1])
+    return recorded
+
+
+def slices(calls, name):
+    return [n for kernel, n in calls if kernel == name]
+
+
+def check_strip(R, lapack, verdicts):
+    """_strip_ok is the all-eigvalsh strip, and eigvalsh sees exactly the slices that neither certificate decides."""
+    expected = eigvalsh_strip_ok(R, STRIP_TOL)
+    lapack.clear()
+    verdicts.clear()
+    assert rigidity._strip_ok(R) == expected
+    if not verdicts:  # a diagonal entry outside: decided with no Cholesky
+        assert not expected and lapack == []
+        return expected
+    lower, upper = verdicts
+    left = int(np.count_nonzero(~(lower & upper)))
+    assert slices(lapack, "eigvalsh") == ([left] if left else []) and slices(lapack, "svd") == []
+    return expected
+
+
+def check_deviation(D, lapack, verdicts):
+    """_deviation is the all-SVD maximum, bit for bit, and the SVD sees only the reference and the open slices."""
+    expected = svd_deviation(D)
+    lapack.clear()
+    verdicts.clear()
+    assert rigidity._deviation(D) == expected
+    if not verdicts:  # D = 0, or 1 x 1 slices, whose norm is np.hypot
+        assert lapack == [] and (D.shape[-1] == 1 or expected == 0.0)
+        return expected
+    (certified,) = verdicts
+    assert slices(lapack, "svd") == [1, int(np.count_nonzero(~certified))] and slices(lapack, "eigvalsh") == []
+    return expected
+
+
+def unitaries(rng, n, d):
+    return np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))[0]
+
+
+def with_spectra(U, eigs):
+    """The Hermitian stack U diag(eigs) U*, made exactly Hermitian by re_part."""
+    return re_part((U * eigs[:, None, :]) @ U.conj().swapaxes(-1, -2))
+
+
+class TestStripAndConstancyCertificates:
+    """The Cholesky certificates decide the strip and the constancy maximum as eigvalsh and the SVD of every slice do."""
+
+    DIMS = [1, 2, 3, 4, 8, 16]
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_random_stacks(self, d, lapack, verdicts):
+        rng = np.random.default_rng(100 + d)
+        outcomes = set()
+        for spread in (0.05, 0.2, 0.5, 1.0):
+            V = 0.5 * np.eye(d) + spread * (rng.standard_normal((64, d, d)) + 1j * rng.standard_normal((64, d, d))) / d
+            outcomes.add(check_strip(re_part(V), lapack, verdicts))
+            check_deviation(V - V[-1], lapack, verdicts)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_strip_decided_at_its_edges(self, d, edge, lapack, verdicts):
+        rng = np.random.default_rng(120 + d)
+        U = unitaries(rng, 32, d)
+        for side in (-1, 1):  # 10^-9 inside the strip, then 10^-9 outside it
+            eigs = rng.uniform(0.3, 0.7, size=(32, d))
+            if edge == "lower":
+                eigs[:, 0] = -STRIP_TOL - side * 1e-9
+            else:
+                eigs[:, -1] = 1 + STRIP_TOL + side * 1e-9
+            assert check_strip(with_spectra(U, eigs), lapack, verdicts) == (side == -1)
+            if side == -1:  # the certificate is tight: every slice is inside, none reaches eigvalsh
+                assert lapack == [] and verdicts[0].all() and verdicts[1].all()
+            elif d > 1:  # the diagonal does not show it, and no slice is inside
+                assert not (verdicts[0] & verdicts[1]).any()
+            # a diagonal slice shows an outside eigenvalue on its diagonal: decided without a Cholesky
+            check_strip(with_spectra(np.broadcast_to(np.eye(d), U.shape), eigs), lapack, verdicts)
+            assert side == -1 or verdicts == []
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_strip_on_its_edge_is_eigvalsh(self, d, lapack, verdicts):
+        for value in (-STRIP_TOL, 1 + STRIP_TOL):  # exactly on the edge: neither certificate decides
+            R = np.broadcast_to(value * np.eye(d), (8, d, d)).astype(complex)
+            assert check_strip(R, lapack, verdicts)
+            assert slices(lapack, "eigvalsh") == [8]
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_constancy_near_ties(self, d, lapack, verdicts):
+        rng = np.random.default_rng(140 + d)
+        U, V = unitaries(rng, 48, d), unitaries(rng, 48, d)
+        s = rng.uniform(0.0, 1.0, size=(48, d))
+        s[:, 0] = 1.0
+        s[1:, 0] -= np.concatenate([[0.0], 10.0 ** -np.arange(1, 17), rng.uniform(0, 1e-9, 30)])  # ties, near-ties
+        D = (U * s[:, None, :]) @ V.conj().swapaxes(-1, -2)
+        D[-1] = 0
+        deviation = check_deviation(D, lapack, verdicts)
+        assert abs(deviation - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_extreme_entries(self, d, scale, lapack, verdicts):
+        # D*D underflows at 1e-170 and overflows at 1e200; the certificate scales D by a power of 2 first
+        rng = np.random.default_rng(160 + d)
+        V = scale * (rng.standard_normal((64, d, d)) + 1j * rng.standard_normal((64, d, d)))
+        check_strip(re_part(V), lapack, verdicts)
+        check_deviation(V - V[-1], lapack, verdicts)
+        if d > 1:
+            assert np.count_nonzero(~verdicts[0]) < 16  # it still certifies
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_overflowed_deviation_is_refused(self, d):
+        # F(z) - F(0) past the float range: operator_norm's ValueError, as from an SVD of every slice
+        D = np.zeros((8, d, d), dtype=complex)
+        D[2, 0, 0], D[3, -1, 0] = np.inf, 1e308
+        for deviation in (svd_deviation, rigidity._deviation):
+            with pytest.raises(ValueError, match="finite"):
+                deviation(D)
+
+    def test_exactly_constant(self, lapack, verdicts):
+        params = random_params(np.random.default_rng(170), 4)
+        F = constant_function(params.B + 1j * params.A)
+        values = F(np.append(GRID.points(), 0))
+        expected = (eigvalsh_strip_ok(re_part(values), STRIP_TOL), svd_deviation(values - values[-1]))
+        lapack.clear()
+        report = rigidity_verdict(F, GRID)
+        assert (report.strip_ok, report.constancy_deviation) == expected == (True, 0.0)
+        assert report.verdict == CONSTANT_CONFIRMED
+        assert lapack == []
+        assert len(verdicts) == 2 and all(v.all() for v in verdicts)  # the strip's two certificates, nothing else
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_lapack_keeps_slice_bits_in_a_sub_stack(self, d):
+        # so the open slices get the bits that an SVD or eigvalsh of every slice gives them
+        rng = np.random.default_rng(180 + d)
+        D = rng.standard_normal((64, d, d)) + 1j * rng.standard_normal((64, d, d))
+        picked = rng.random(64) < 0.3
+        norms, ends = operator_norm(D), spectrum_ends(re_part(D))
+        assert np.array_equal(operator_norm(D[picked]), norms[picked])
+        assert all(operator_norm(D[k]) == norms[k] for k in range(0, 64, 7))
+        for whole, part in zip(ends, spectrum_ends(re_part(D[picked]))):
+            assert np.array_equal(part, whole[picked])
+
+
+class TestLapackOffRigidity:
+    """A rigidity verdict calls no eigvalsh, and an SVD only on the reference and the open constancy slices."""
+
+    def test_constant_and_scalar_functions(self, lapack):
+        params = random_params(np.random.default_rng(190), 4)
+        functions = [constant_function(params.B + 1j * params.A), constant_function(np.diag([0.0, 1.0, 0.5, 1.0])),
+                     *BUILTIN_FUNCTIONS.values(),
+                     *(resolve_function(f"const:{c}") for c in
+                       ("0.3,0.7", "0,0", "1,-2", "1.5,0", "-0.5,0.25", "1e-300,1e300", "1e300,-1e300"))]
+        for F in functions:
+            lapack.clear()
+            rigidity_verdict(F, GRID)
+            assert slices(lapack, "eigvalsh") == [], F.name
+            assert slices(lapack, "svd") == [], F.name  # D = 0 at d = 4, and np.hypot at d = 1
+
+    @pytest.mark.parametrize("seed", [0, 7, 77])
+    def test_benchmark_polynomials(self, seed, lapack):
+        # the library rigidity_verdict jobs of the benchmark: F(z) = C0 + z C1 + z^2 C2 at d = 1, 2, 3, 4
+        n = len(GRID.points()) + 1
+        for job in bench_jobs.generate("rigidity_herglotz", seed):
+            if job["kind"] != "rigidity_verdict":
+                continue
+            coeffs = [bench_jobs._matrix(re) + 1j * bench_jobs._matrix(im) for re, im in job["coeffs"]]
+            F = OperatorFunction(len(coeffs[0]), lambda z: sum(C * z**k for k, C in enumerate(coeffs)), "poly")
+            lapack.clear()
+            assert rigidity_verdict(F, GRID).verdict == job["expect_verdict"]
+            assert slices(lapack, "eigvalsh") == []
+            if len(coeffs) == 1:  # a constant: D = 0
+                assert lapack == []
+            assert sum(slices(lapack, "svd")) <= 0.1 * n
