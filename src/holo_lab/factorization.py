@@ -10,9 +10,9 @@ equation inverse_cayley(psi_1(z)) + inverse_cayley(psi_2(z)) = phi(z) I.
 The product, commutation, semigroup, master-equation and recovery residuals
 are Frobenius norms, upper bounds on the operator norm: a residual at or
 below a tolerance certifies the operator-norm residual too.  Contractivity
-needs the tight ||Q||_2 and keeps it, from an SVD wherever a batched
-Cholesky of (1 - CONTRACTION_MARGIN)^2 I - Q*Q cannot show ||Q||_2 < 1;
-the same Cholesky clears each I - psi_j divided by as nonsingular.
+needs the tight ||Q||_2 and keeps it: operators.largest_norm at the floor 1
+takes an SVD only of the factors its Cholesky certificate leaves open, and the
+same Cholesky clears each I - psi_j divided by as nonsingular.
 """
 from __future__ import annotations
 
@@ -22,14 +22,13 @@ import numpy as np
 
 from .disc import _require_in_disc, mobius_phi, varphi_t
 from .operators import (
-    _adjoint,
-    _cholesky_certifies,
     _require_nonsingular,
     cayley,
     exp_sweep,
     frobenius_norm,
     im_part,
     inverse_cayley,
+    largest_norm,
     operator_norm,
     re_part,
     require_self_adjoint,
@@ -163,28 +162,6 @@ class FactorizationReport:
     semigroup_residual: float
 
 
-# the room below ||Q||_2 = 1 that a certified contraction keeps for round-off (_contractivity_excess)
-CONTRACTION_MARGIN = 1e-8
-
-
-def _contractivity_excess(Q):
-    """max(0, max_k ||Q_k||_2 - 1) over the slices of the stack Q, as an SVD of every slice gives it.
-
-    A slice whose (1 - CONTRACTION_MARGIN)**2 I - Q*Q has a Cholesky factor (_cholesky_certifies) cannot
-    raise the maximum clamped at 0: the Cholesky's O(d^2 eps) and the product's O(d eps) round-off leave
-    it ||Q||_2 < 1 - CONTRACTION_MARGIN / 2 for d <= 16, and an SVD of it a norm below 1.  Only the other
-    slices get the exact operator_norm.  Q*Q is a BLAS product: it only picks the slices that get the SVD,
-    and a slice certified under one kernel and open under another has an SVD norm below 1 either way, so
-    the excess keeps its bits under every kernel.  An overflow or a NaN in Q*Q certifies nothing.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = (1 - CONTRACTION_MARGIN) ** 2 * np.eye(Q.shape[-1]) - _adjoint(Q) @ Q
-    open_ = ~_cholesky_certifies(M)
-    if not open_.any():
-        return 0.0
-    return max(float(operator_norm(Q[open_]).max()) - 1, 0.0)
-
-
 def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
     """Check the four factorization axioms over (t, z) in t_list x grid.
 
@@ -221,7 +198,8 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
             f"(t + s) (||A|| + |phi(z)|) <= EXP_NORM_BUDGET = {EXP_NORM_BUDGET:g} at some grid point"
         )
     eye = np.eye(params.dim)
-    prod_res = comm_res = contr_exc = semi_res = 0.0
+    prod_res = comm_res = semi_res = 0.0
+    norm = 1.0  # max(1, the largest factor norm so far)
     chunk = _SWEEP_SLICES // len(ts)
     for start in range(0, len(zs), chunk):
         z, mask = zs[start:start + chunk], ok[:, start:start + chunk]
@@ -232,7 +210,7 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
         prod = Q1 @ Q2
         prod_res = max(prod_res, frobenius_norm(prod - varphi_t(t[:L], z)[m][:, None, None] * eye).max(initial=0))
         comm_res = max(comm_res, frobenius_norm(prod - Q2 @ Q1).max(initial=0))
-        contr_exc = max(contr_exc, _contractivity_excess(Q1), _contractivity_excess(Q2))
+        norm = largest_norm(Q2, largest_norm(Q1, norm))
         del Q1, Q2, prod  # so that the semigroup stacks do not run beside them
         m = mask[L:]  # the semigroup points of (t_list[i], t_list[i + 1]) are inside both their masks
         semi_res = max(semi_res, *(frobenius_norm(P[L:][m] - P[:L - 1][m] @ P[1:L][m]).max(initial=0) for P in Q))
@@ -240,7 +218,7 @@ def verify_factorization(params, grid, t_list=DEFAULT_T_LIST):
     return FactorizationReport(
         product_residual=float(prod_res),
         commutation_residual=float(comm_res),
-        contractivity_excess=contr_exc,
+        contractivity_excess=norm - 1,
         semigroup_residual=float(semi_res),
     )
 

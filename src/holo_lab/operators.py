@@ -9,8 +9,15 @@ many real multipliers per slice, sharing the powers and the Taylor evaluation
 across them, and solves nothing; only the Cayley transforms' _cayley_divide
 solves a linear system, and nothing forms an inverse.  The matrix Cayley
 transform and its inverse exchange positive-real-part matrices and contractions.
+
+The two certified kernels, largest_norm (max_k ||M_k||_2 of a stack) and
+spectrum_within (every spectrum of a Hermitian stack inside a range), send to
+the SVD or eigvalsh only the slices that the batched Cholesky of
+_cholesky_certifies, with CERTIFICATE_MARGIN of room, leaves open.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,11 +33,15 @@ __all__ = [
     "operator_norm",
     "hermitian_norm",
     "spectrum_ends",
+    "largest_norm",
+    "spectrum_within",
     "frobenius_norm",
 ]
 
 # smallest singular value below this (relative) marks a matrix singular
 SINGULARITY_RTOL = 1e-10
+# the room for round-off that the certificates of largest_norm and spectrum_within keep
+CERTIFICATE_MARGIN = 1e-11
 
 
 class SingularityError(RuntimeError):
@@ -260,6 +271,60 @@ def spectrum_ends(M):
     """
     eigs = np.linalg.eigvalsh(M)
     return eigs[..., 0], eigs[..., -1]
+
+
+def largest_norm(M, floor=None):
+    """max(floor, max_k ||M_k||_2) over the slices of the (n, d, d) stack M, bit for bit max(floor, operator_norm(M).max()).
+
+    floor=None is operator_norm of the reference slice, the one with the largest trace of X*X.  X = 2^-e M,
+    exactly (ldexp), with the largest |Re| or |Im| of an entry in [1/2, 1): X*X cannot overflow, and an
+    underflow moves it by d 2^-1074 at most.  A slice whose (2^-e floor (1 - c))^2 I - X*X, c =
+    CERTIFICATE_MARGIN, has a Cholesky factor has ||M_k||_2 < floor (1 - c / 2), as the Cholesky's O(d^2 eps)
+    backward error (below 3e-14 for d <= 16; Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 10) and the product's O(d eps) round-off stay inside c, and so an SVD norm below the floor.  Only the
+    other slices get operator_norm, whose SVD keeps a slice's bits in any stack, so the result is the all-SVD
+    value; X*X, a BLAS product, only picks them.  An empty or zero stack gives the floor (0.0 for None) and
+    calls no LAPACK, 1 x 1 slices take np.hypot of every slice, and a NaN or infinite entry gets operator_norm's
+    ValueError: none of these runs a Cholesky.
+    """
+    M = np.ascontiguousarray(M, dtype=complex)
+    parts = M.view(float)
+    largest = np.abs(parts).max(initial=0.0)
+    if M.shape[-1] == 1 or not 0 < largest < np.inf:  # np.hypot, a zero stack (no LAPACK) or operator_norm's error
+        norm = float(operator_norm(M).max()) if largest else 0.0
+        return norm if floor is None else max(floor, norm)
+    e = math.frexp(largest)[1]
+    X = M if e == 0 else np.ldexp(parts, -e).view(complex)  # e = 0: no copy, as for most contraction stacks
+    G = _adjoint(X) @ X
+    if floor is None:
+        floor = operator_norm(M[np.einsum("nii->n", G).real.argmax()])
+    try:
+        bound = (math.ldexp(floor, -e) * (1 - CERTIFICATE_MARGIN)) ** 2
+    except OverflowError:  # a floor far above every slice: the largest float certifies every slice too
+        bound = np.finfo(float).max
+    open_ = ~_cholesky_certifies(np.subtract(bound * np.eye(M.shape[-1]), G, out=G))  # in place: no second stack
+    return max(floor, float(operator_norm(M[open_]).max())) if open_.any() else floor
+
+
+def spectrum_within(R, low, high):
+    """Whether every slice of the Hermitian stack R has its spectrum in [low, high], as spectrum_ends of every slice decides it.
+
+    With c = CERTIFICATE_MARGIN, a slice is outside where a diagonal entry lies below low - c or above high + c,
+    as lambda_min <= R_ii <= lambda_max, and inside where R_k - (low + c) I and (high - c) I - R_k have a
+    Cholesky factor.  For max(|low|, |high|) <= 2 and d <= 16, eigvalsh agrees: its error is O(d eps) ||R_k||_2
+    (Weyl), so a slice with ||R_k||_2 >= 4 is outside for it too, and the Cholesky's O(d^2 eps) backward error
+    lets only slices with ||R_k||_2 < 2.01 pass both; at these norms c covers both errors.  Only where no
+    slice is outside, eigvalsh runs on the slices that are not inside.
+    """
+    c, eye = CERTIFICATE_MARGIN, np.eye(R.shape[-1])
+    diag = R.reshape(len(R), -1)[:, ::len(eye) + 1].real
+    if diag.min() < low - c or diag.max() > high + c:
+        return False
+    inside = _cholesky_certifies(R - (low + c) * eye) & _cholesky_certifies((high - c) * eye - R)
+    if inside.all():
+        return True
+    lowest, highest = spectrum_ends(R[~inside])
+    return bool(lowest.min() >= low and highest.max() <= high)
 
 
 def _frobenius(M):

@@ -22,8 +22,9 @@ check the library from a second direction:
 - dense_arc_mass_profile, the Fejer sum of herglotz.arc_mass_profile as a
   dense phase matrix, normed by the SVD;
 - csv_text, the per-value formatter of cli's CSV files;
-- eigvalsh_strip_ok and svd_deviation, rigidity.rigidity_verdict's strip and
-  constancy deviation from eigvalsh and operator_norm of every slice;
+- eigvalsh_within and svd_largest_norm, operators.spectrum_within and
+  operators.largest_norm from eigvalsh and operator_norm of every slice, and
+  FLOORS, the two floors the package gives largest_norm;
 - NONCONSTANT_FAMILY, the built-in functions that must fail the rigidity
   hypotheses.
 """
@@ -234,12 +235,18 @@ def csv_text(header, rows):
     return "".join(lines)
 
 
-def eigvalsh_strip_ok(R, tol):
-    """Whether every slice of the Hermitian stack R has its spectrum in [-tol, 1 + tol], from eigvalsh of every slice."""
+def eigvalsh_within(R, low, high):
+    """Whether every slice of the Hermitian stack R has its spectrum in [low, high], from eigvalsh of every slice."""
     eigs = np.linalg.eigvalsh(R)
-    return bool(eigs.min() >= -tol and eigs.max() <= 1 + tol)
+    return bool(eigs.min() >= low and eigs.max() <= high)
 
 
-def svd_deviation(D):
-    """max_k ||D_k||_2 from operator_norm of every slice of the stack D: an SVD of each, np.hypot at d = 1."""
-    return float(operator_norm(D).max())
+# contractivity's floor 1 (the excess is largest_norm - 1) and constancy's None (the reference slice's norm)
+FLOORS = (1.0, None)
+
+
+def svd_largest_norm(M, floor):
+    """max(floor, max_k ||M_k||_2) from operator_norm of every slice of the stack M: an SVD of each, np.hypot at
+    d = 1; floor None is no floor, and an empty stack gives 0.0."""
+    norm = float(operator_norm(M).max(initial=0.0))
+    return norm if floor is None else max(floor, norm)

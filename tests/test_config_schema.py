@@ -713,6 +713,12 @@ class TestRigidityLapackThroughOperators:
         assert {site for site in sites if site[0] == "rigidity.py"} == set()
         assert {("operators.py", "operator_norm"), ("operators.py", "spectrum_ends")} <= sites
 
+    def test_certificate_lives_in_operators(self):
+        # factorization and rigidity call largest_norm and spectrum_within, and keep no certificate of their own
+        for name in ("_cholesky_certifies", "CERTIFICATE_MARGIN"):
+            assert {module for module, _ in naming_sites(name)} == {"operators.py"}, name
+        assert not {module for module, _ in naming_sites("_adjoint")} & {"factorization.py", "rigidity.py"}
+
 
 def run_readers():
     """The files a run reads from: src/holo_lab, perfbench/ but its tests, and tools/."""

@@ -11,7 +11,6 @@ from holo_lab.factorization import (
     EXP_NORM_BUDGET,
     FactorPair,
     FactorParams,
-    _contractivity_excess,
     build_h,
     master_residuals,
     pair_from_params,
@@ -26,11 +25,21 @@ from holo_lab.operators import (
     exp_sweep,
     frobenius_norm,
     inverse_cayley,
+    largest_norm,
     operator_norm,
     re_part,
 )
 from holo_lab.rigidity import OperatorFunction, constant_function
-from oracles import g_transform, h_split, inside_budget, numerical_abscissa, poisson_factor, rotated_atom
+from oracles import (
+    FLOORS,
+    g_transform,
+    h_split,
+    inside_budget,
+    numerical_abscissa,
+    poisson_factor,
+    rotated_atom,
+    svd_largest_norm,
+)
 
 # expm-heavy sweeps use a thinned grid; identities are z-pointwise so
 # coverage in z, not density, is what matters
@@ -594,16 +603,12 @@ class TestPlantedErrorsAreCaught:
         assert residual >= PLANT
 
 
-def svd_excess(Q):
-    """max(0, max_k ||Q_k||_2 - 1) from an SVD of every slice."""
-    return max(float(operator_norm(Q).max()) - 1, 0.0)
-
-
 class TestContractivityCertificate:
-    """The certificate skips the SVD of certified slices, and the excess keeps its bits."""
+    """operators.largest_norm, at the floor 1 of contractivity and at the reference norm, skips the SVD of
+    certified slices, and the excess keeps its bits."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
-    def test_equals_svd_excess(self, d):
+    def test_equals_svd_excess(self, d, norm_check):
         rng = np.random.default_rng(50 + d)
         zs = FAST_GRID.points()
         eye = np.eye(d)
@@ -615,21 +620,22 @@ class TestContractivityCertificate:
                 for j in (1, 2):
                     Q = phi_jt(params, j, t, zs)
                     for stack in (Q, Q * (1 + PLANT)):  # the plant makes the norm-1 slices non-contractions
-                        assert np.array_equal(_contractivity_excess(stack), svd_excess(stack))
+                        for floor in FLOORS:
+                            norm_check(stack, floor)
 
-    def test_planted_non_contraction(self):
+    def test_planted_non_contraction(self, norm_check):
         Q = np.stack([np.linalg.qr(np.random.default_rng(k).standard_normal((3, 3)))[0] for k in range(8)])
         Q[:4] *= 0.5
         Q[5] *= 1 + PLANT
-        excess = _contractivity_excess(Q)
-        assert excess == svd_excess(Q) and excess >= 0.99 * PLANT
+        for floor in FLOORS:
+            assert norm_check(Q, floor) - 1 >= 0.99 * PLANT
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_report_equals_svd_excess(self, d, monkeypatch):
         params = [random_params(np.random.default_rng(55 + d), d),
                   FactorParams(A=random_params(np.random.default_rng(56), d).A, B=np.zeros((d, d)))]
         certified = [verify_factorization(p, grid=FAST_GRID).contractivity_excess for p in params]
-        monkeypatch.setattr(factorization, "_contractivity_excess", svd_excess)
+        monkeypatch.setattr(factorization, "largest_norm", svd_largest_norm)
         assert certified == [verify_factorization(p, grid=FAST_GRID).contractivity_excess for p in params]
 
 
@@ -644,44 +650,51 @@ def with_norm(rng, n, d, norm):
     return (U * s[:, None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-@pytest.fixture
-def verdicts(monkeypatch):
-    """The Cholesky certificate's per-slice verdicts, one array per call that _contractivity_excess makes."""
-    recorded, kernel = [], factorization._cholesky_certifies
-    monkeypatch.setattr(factorization, "_cholesky_certifies", lambda M: recorded.append(kernel(M)) or recorded[-1])
-    return recorded
+def at_floor(rng, Q, floor):
+    """Q at the floor 1, and for floor None Q behind a unitary reference slice, whose norm 1 is then the floor."""
+    if floor is not None:
+        return Q
+    return np.concatenate([np.linalg.qr(rng.standard_normal((1, *Q.shape[1:])) + 0j)[0], Q])
 
 
 class TestCholeskyCertificate:
-    """The Cholesky certificate is tight: it decides every slice 10^-9 away from its edge ||Q||_2 = 1 - margin."""
+    """largest_norm's Cholesky certificate is tight: it decides every slice 10^-9 away from its edge, ||Q||_2 =
+    (1 - margin) times the floor, at the floor 1 and at a reference norm 1; 1 x 1 slices take np.hypot."""
 
-    EDGE = 1 - factorization.CONTRACTION_MARGIN
+    EDGE = 1 - operators.CERTIFICATE_MARGIN
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
-    def test_decides_at_the_edge(self, d, verdicts):
+    def test_decides_at_the_edge(self, d, norm_check, verdicts):
         rng = np.random.default_rng(70 + d)
-        for side, certified in ((-1, True), (1, False)):
-            Q = with_norm(rng, 32, d, self.EDGE * (1 + side * 1e-9))
-            excess = _contractivity_excess(Q)
-            assert np.all(verdicts.pop() == certified)
-            assert np.array_equal(excess, svd_excess(Q))
+        for floor in FLOORS:
+            for side, certified in ((-1, True), (1, False)):
+                Q = at_floor(rng, with_norm(rng, 32, d, self.EDGE * (1 + side * 1e-9)), floor)
+                norm_check(Q, floor)
+                if d == 1:
+                    assert verdicts == []
+                else:  # the reference slice is at the floor: open
+                    assert np.all(verdicts.pop()[floor is None:] == certified)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
-    def test_certifies_every_slice_below_the_edge(self, d, verdicts):
+    def test_certifies_every_slice_below_the_edge(self, d, norm_check, verdicts):
         # random, far from normal: the row sums of |Q*Q| exceed ||Q||_2^2 at d >= 2
         rng = np.random.default_rng(80 + d)
         Q = rng.standard_normal((256, d, d)) + 1j * rng.standard_normal((256, d, d))
         Q *= (self.EDGE * (1 - 1e-6) * rng.uniform(0.5, 1.0, size=256) / operator_norm(Q))[:, None, None]
         assert np.all(operator_norm(Q) <= self.EDGE * (1 - 1e-6))
-        assert _contractivity_excess(Q) == 0.0
-        assert np.all(verdicts.pop())
+        assert largest_norm(Q, 1.0) == 1.0
+        for floor in FLOORS:
+            norm_check(at_floor(rng, Q, floor), floor)
+            assert d == 1 or np.all(verdicts.pop()[floor is None:])
 
-    def test_non_finite_certifies_nothing(self, verdicts):
+    def test_non_finite_certifies_nothing(self, lapack, verdicts):
+        # a NaN or inf entry reaches operator_norm, which refuses it, before any Cholesky or LAPACK call
         Q = with_norm(np.random.default_rng(90), 4, 3, 0.5)
         Q[1, 2, 0], Q[2, 0, 1], Q[3, 1, 1] = np.nan, np.inf, 1e200
-        with pytest.raises(ValueError, match="finite"):  # the open slices reach operator_norm, which refuses them
-            _contractivity_excess(Q)
-        assert verdicts.pop().tolist() == [True, False, False, False]
+        for floor in FLOORS:
+            with pytest.raises(ValueError, match="finite"):
+                largest_norm(Q, floor)
+        assert verdicts == [] and lapack == []
 
 
 class TestContractivityOffTheStrip:
@@ -744,8 +757,7 @@ class TestSvdOffResidualPath:
         params = random_params(np.random.default_rng(4), 4)
         pair = pair_from_params(params)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        # the one Cholesky kernel, as contractivity (factorization) and nonsingularity (operators) call it
-        monkeypatch.setattr(factorization, "_cholesky_certifies", counted)
+        # the one Cholesky kernel, as contractivity (largest_norm) and nonsingularity (_require_nonsingular) call it
         monkeypatch.setattr(operators, "_cholesky_certifies", counted)
         verify_factorization(params, grid=default_grid())
         master_residuals(pair, grid=default_grid())
@@ -754,16 +766,16 @@ class TestSvdOffResidualPath:
         a_norm = [frames for n, frames in calls if frames[:2] == ["operator_norm", "verify_factorization"]]
         assert len(a_norm) == 1  # ||A||, which sets the exponent-norm budget
         for n, frames in calls:
-            assert "_require_nonsingular" in frames or "_contractivity_excess" in frames or frames in a_norm, frames
+            assert "_require_nonsingular" in frames or "largest_norm" in frames or frames in a_norm, frames
         assert sum(n for n, _ in calls) <= sum(uncertified) + 1
 
     def test_no_contractivity_svd_and_one_pass_per_stack(self, monkeypatch):
-        svd, certify = np.linalg.svd, factorization._cholesky_certifies
+        svd, certify = np.linalg.svd, operators._cholesky_certifies
         contractivity_svds, certified, psi_stacks = [], [], {}
 
         def counting_svd(a, *args, **kwargs):
             f = sys._getframe(1)
-            while f is not None and f.f_code.co_name != "_contractivity_excess":
+            while f is not None and f.f_code.co_name != "largest_norm":
                 f = f.f_back
             if f is not None:
                 contractivity_svds.append(int(np.prod(np.shape(a)[:-2])))
@@ -774,7 +786,7 @@ class TestSvdOffResidualPath:
 
         params, grid = random_params(np.random.default_rng(4), 4), default_grid()
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(factorization, "_cholesky_certifies", lambda M: certified.append(len(M)) or certify(M))
+        monkeypatch.setattr(operators, "_cholesky_certifies", lambda M: certified.append(len(M)) or certify(M))
         verify_factorization(params, grid=grid)
         n, slices = len(grid.points()), 448 // (2 * len(DEFAULT_T_LIST) - 1)
         # one certificate per factor and chunk, on its len(t_list) x chunk slices

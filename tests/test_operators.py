@@ -20,10 +20,12 @@ from holo_lab.operators import (
     hermitian_norm,
     im_part,
     inverse_cayley,
+    largest_norm,
     operator_norm,
     re_part,
+    spectrum_within,
 )
-from oracles import inside_budget, numerical_abscissa
+from oracles import FLOORS, inside_budget, numerical_abscissa
 
 
 def random_matrix(rng, d, scale=1.0):
@@ -570,3 +572,32 @@ class TestNonsingularCertificate:
         assert assert_same_outcome(num, den) == "solved"
         assert assert_same_outcome(num[1], rotation) == "solved"
         assert svd_slices == [1, 1]
+
+
+class TestLargestNorm:
+    """largest_norm of an empty or zero stack is its floor, with no Cholesky and no LAPACK call."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_empty_and_zero_stacks(self, d, lapack, verdicts):
+        # an empty stack is a verify_factorization chunk that compares no factor
+        for M in (np.zeros((0, d, d), dtype=complex), np.zeros((16, d, d), dtype=complex), np.full((4, d, d), -0.0 - 0.0j)):
+            for floor in FLOORS:
+                assert largest_norm(M, floor) == (0.0 if floor is None else floor)
+        assert lapack == [] and verdicts == []
+
+
+class TestSpectrumWithin:
+    """spectrum_within at ranges other than the rigidity strip, as eigvalsh of every slice decides them."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("low, high", [(0.25, 0.75), (-2.0, 2.0), (-1.0, -0.5)])
+    def test_decided_at_its_edges(self, d, low, high, strip_check):
+        rng = np.random.default_rng(130 + d)
+        U = np.linalg.qr(rng.standard_normal((32, d, d)) + 1j * rng.standard_normal((32, d, d)))[0]
+        width = high - low
+        for edge in (low, high):
+            for inset in (0.1, 1e-6, 1e-9, -1e-9, -1e-3):  # one eigenvalue inset * width inside the edge, or outside
+                eigs = rng.uniform(low + 0.2 * width, high - 0.2 * width, size=(32, d))
+                eigs[:, 0] = low + inset * width if edge == low else high - inset * width
+                R = re_part((U * eigs[:, None, :]) @ U.conj().swapaxes(-1, -2))
+                assert strip_check(R, low, high) == (inset > 0)

@@ -8,7 +8,7 @@ from holo_lab import rigidity
 from holo_lab.disc import DiscGrid, DomainError, default_grid, mobius_phi
 from holo_lab.factorization import pair_from_params, random_params
 from holo_lab.herglotz import atom_model, sample_boundary
-from holo_lab.operators import operator_norm, re_part, spectrum_ends
+from holo_lab.operators import largest_norm, operator_norm, re_part, spectrum_ends
 from holo_lab.rigidity import (
     BUILTIN_FUNCTIONS,
     CONSTANT_CONFIRMED,
@@ -21,15 +21,16 @@ from holo_lab.rigidity import (
 )
 from oracles import (
     DEGENERATE,
+    FLOORS,
     NONCONSTANT_FAMILY,
     L_transform,
     convexity_diagnostic,
-    eigvalsh_strip_ok,
+    eigvalsh_within,
     g_transform,
     h_split,
     re_h1_identity_check,
     recover_F,
-    svd_deviation,
+    svd_largest_norm,
 )
 
 GRID = default_grid()
@@ -346,60 +347,11 @@ class TestEvaluationContract:
         assert counts[0] == counts[1] <= most
 
 
-STRIP_TOL, MARGIN = rigidity.STRIP_TOL, rigidity.CERTIFICATE_MARGIN
-
-
-@pytest.fixture
-def lapack(monkeypatch):
-    """(kernel name, slices) of every eigvalsh and svd call."""
-    calls = []
-    for name in ("eigvalsh", "svd"):
-        def counted(a, *args, _kernel=getattr(np.linalg, name), _name=name, **kwargs):
-            calls.append((_name, int(np.prod(np.shape(a)[:-2]))))
-            return _kernel(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
-@pytest.fixture
-def verdicts(monkeypatch):
-    """The per-slice verdicts of rigidity's Cholesky certificates, one array per call."""
-    recorded, kernel = [], rigidity._cholesky_certifies
-    monkeypatch.setattr(rigidity, "_cholesky_certifies", lambda M: recorded.append(kernel(M)) or recorded[-1])
-    return recorded
+STRIP_TOL = rigidity.STRIP_TOL
 
 
 def slices(calls, name):
     return [n for kernel, n in calls if kernel == name]
-
-
-def check_strip(R, lapack, verdicts):
-    """_strip_ok is the all-eigvalsh strip, and eigvalsh sees exactly the slices that neither certificate decides."""
-    expected = eigvalsh_strip_ok(R, STRIP_TOL)
-    lapack.clear()
-    verdicts.clear()
-    assert rigidity._strip_ok(R) == expected
-    if not verdicts:  # a diagonal entry outside: decided with no Cholesky
-        assert not expected and lapack == []
-        return expected
-    lower, upper = verdicts
-    left = int(np.count_nonzero(~(lower & upper)))
-    assert slices(lapack, "eigvalsh") == ([left] if left else []) and slices(lapack, "svd") == []
-    return expected
-
-
-def check_deviation(D, lapack, verdicts):
-    """_deviation is the all-SVD maximum, bit for bit, and the SVD sees only the reference and the open slices."""
-    expected = svd_deviation(D)
-    lapack.clear()
-    verdicts.clear()
-    assert rigidity._deviation(D) == expected
-    if not verdicts:  # D = 0, or 1 x 1 slices, whose norm is np.hypot
-        assert lapack == [] and (D.shape[-1] == 1 or expected == 0.0)
-        return expected
-    (certified,) = verdicts
-    assert slices(lapack, "svd") == [1, int(np.count_nonzero(~certified))] and slices(lapack, "eigvalsh") == []
-    return expected
 
 
 def unitaries(rng, n, d):
@@ -412,23 +364,25 @@ def with_spectra(U, eigs):
 
 
 class TestStripAndConstancyCertificates:
-    """The Cholesky certificates decide the strip and the constancy maximum as eigvalsh and the SVD of every slice do."""
+    """operators.spectrum_within decides the strip and operators.largest_norm the constancy maximum, at both of its
+    floors, as eigvalsh and the SVD of every slice do."""
 
     DIMS = [1, 2, 3, 4, 8, 16]
 
     @pytest.mark.parametrize("d", DIMS)
-    def test_random_stacks(self, d, lapack, verdicts):
+    def test_random_stacks(self, d, strip_check, norm_check):
         rng = np.random.default_rng(100 + d)
         outcomes = set()
         for spread in (0.05, 0.2, 0.5, 1.0):
             V = 0.5 * np.eye(d) + spread * (rng.standard_normal((64, d, d)) + 1j * rng.standard_normal((64, d, d))) / d
-            outcomes.add(check_strip(re_part(V), lapack, verdicts))
-            check_deviation(V - V[-1], lapack, verdicts)
+            outcomes.add(strip_check(re_part(V)))
+            for floor in FLOORS:
+                norm_check(V - V[-1], floor)
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("d", DIMS)
     @pytest.mark.parametrize("edge", ["lower", "upper"])
-    def test_strip_decided_at_its_edges(self, d, edge, lapack, verdicts):
+    def test_strip_decided_at_its_edges(self, d, edge, strip_check, lapack, verdicts):
         rng = np.random.default_rng(120 + d)
         U = unitaries(rng, 32, d)
         for side in (-1, 1):  # 10^-9 inside the strip, then 10^-9 outside it
@@ -437,24 +391,24 @@ class TestStripAndConstancyCertificates:
                 eigs[:, 0] = -STRIP_TOL - side * 1e-9
             else:
                 eigs[:, -1] = 1 + STRIP_TOL + side * 1e-9
-            assert check_strip(with_spectra(U, eigs), lapack, verdicts) == (side == -1)
+            assert strip_check(with_spectra(U, eigs)) == (side == -1)
             if side == -1:  # the certificate is tight: every slice is inside, none reaches eigvalsh
                 assert lapack == [] and verdicts[0].all() and verdicts[1].all()
             elif d > 1:  # the diagonal does not show it, and no slice is inside
                 assert not (verdicts[0] & verdicts[1]).any()
             # a diagonal slice shows an outside eigenvalue on its diagonal: decided without a Cholesky
-            check_strip(with_spectra(np.broadcast_to(np.eye(d), U.shape), eigs), lapack, verdicts)
+            strip_check(with_spectra(np.broadcast_to(np.eye(d), U.shape), eigs))
             assert side == -1 or verdicts == []
 
     @pytest.mark.parametrize("d", [1, 4])
-    def test_strip_on_its_edge_is_eigvalsh(self, d, lapack, verdicts):
+    def test_strip_on_its_edge_is_eigvalsh(self, d, strip_check, lapack):
         for value in (-STRIP_TOL, 1 + STRIP_TOL):  # exactly on the edge: neither certificate decides
             R = np.broadcast_to(value * np.eye(d), (8, d, d)).astype(complex)
-            assert check_strip(R, lapack, verdicts)
+            assert strip_check(R)
             assert slices(lapack, "eigvalsh") == [8]
 
     @pytest.mark.parametrize("d", DIMS)
-    def test_constancy_near_ties(self, d, lapack, verdicts):
+    def test_constancy_near_ties(self, d, norm_check):
         rng = np.random.default_rng(140 + d)
         U, V = unitaries(rng, 48, d), unitaries(rng, 48, d)
         s = rng.uniform(0.0, 1.0, size=(48, d))
@@ -462,34 +416,43 @@ class TestStripAndConstancyCertificates:
         s[1:, 0] -= np.concatenate([[0.0], 10.0 ** -np.arange(1, 17), rng.uniform(0, 1e-9, 30)])  # ties, near-ties
         D = (U * s[:, None, :]) @ V.conj().swapaxes(-1, -2)
         D[-1] = 0
-        deviation = check_deviation(D, lapack, verdicts)
-        assert abs(deviation - 1.0) < 1e-14
+        for floor in FLOORS:  # the floor 1 is a tie too
+            assert abs(norm_check(D, floor) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("d", DIMS)
     @pytest.mark.parametrize("scale", [1e-170, 1e200])
-    def test_extreme_entries(self, d, scale, lapack, verdicts):
+    def test_extreme_entries(self, d, scale, strip_check, norm_check, verdicts):
         # D*D underflows at 1e-170 and overflows at 1e200; the certificate scales D by a power of 2 first
         rng = np.random.default_rng(160 + d)
         V = scale * (rng.standard_normal((64, d, d)) + 1j * rng.standard_normal((64, d, d)))
-        check_strip(re_part(V), lapack, verdicts)
-        check_deviation(V - V[-1], lapack, verdicts)
-        if d > 1:
-            assert np.count_nonzero(~verdicts[0]) < 16  # it still certifies
+        strip_check(re_part(V))
+        for floor in FLOORS:
+            norm_check(V - V[-1], floor)
+            if d > 1 and floor is None:
+                assert np.count_nonzero(~verdicts[0]) < 16  # it still certifies
+            elif d > 1:  # the floor 1 puts the bound past the float range at 1e-170, certifying every slice, and
+                # below the smallest subnormal at 1e200, certifying none
+                assert verdicts[0].all() if scale < 1 else not verdicts[0].any()
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_overflowed_deviation_is_refused(self, d):
-        # F(z) - F(0) past the float range: operator_norm's ValueError, as from an SVD of every slice
+    def test_overflowed_deviation_is_refused(self, d, lapack, verdicts):
+        # F(z) - F(0) past the float range, or NaN: operator_norm's ValueError, as from an SVD of every slice,
+        # with no RuntimeWarning (the suite's warnings are errors), no Cholesky and no LAPACK call before it
         D = np.zeros((8, d, d), dtype=complex)
-        D[2, 0, 0], D[3, -1, 0] = np.inf, 1e308
-        for deviation in (svd_deviation, rigidity._deviation):
-            with pytest.raises(ValueError, match="finite"):
-                deviation(D)
+        D[3, -1, 0] = 1e308
+        for entry in (np.inf, -np.inf, complex(0.0, np.inf), np.nan, complex(np.nan, 1.0)):
+            D[2, 0, 0] = entry
+            for floor in FLOORS:
+                for norm in (svd_largest_norm, largest_norm):
+                    with pytest.raises(ValueError, match="finite"):
+                        norm(D, floor)
+        assert lapack == [] and verdicts == []
 
     def test_exactly_constant(self, lapack, verdicts):
         params = random_params(np.random.default_rng(170), 4)
         F = constant_function(params.B + 1j * params.A)
         values = F(np.append(GRID.points(), 0))
-        expected = (eigvalsh_strip_ok(re_part(values), STRIP_TOL), svd_deviation(values - values[-1]))
+        expected = (eigvalsh_within(re_part(values), -STRIP_TOL, 1 + STRIP_TOL), svd_largest_norm(values - values[-1], None))
         lapack.clear()
         report = rigidity_verdict(F, GRID)
         assert (report.strip_ok, report.constancy_deviation) == expected == (True, 0.0)
